@@ -8,7 +8,6 @@ from .ffield import (
     CurveSpec,
     FqElem,
     FqField,
-    PrimePower,
     build_field,
     count_points,
     quad_char,
@@ -37,7 +36,6 @@ __all__ = [
     "PadicCtx",
     "PadicHGError",
     "PadicInt",
-    "PrimePower",
     "build_field",
     "check_reduction_identity",
     "check_splitting_identity",

@@ -13,15 +13,16 @@ is k = (q-1)/2.
 
 import cmath
 from fractions import Fraction
+from functools import lru_cache
 
-from .errors import FieldTooLarge, HypothesisViolation
-from .padic import PadicCtx, frac, teichmuller
+from .errors import FieldTooLarge, HypothesisViolation, InvariantViolation
+from .padic import PadicCtx, frac
 
 COMPLEX_CAP = 2500  # double precision headroom for q^2-size sums
 
 
 class _ComplexTables:
-    """Per-field roots of unity, traces, and the full Gauss-sum vector."""
+    """Per-field roots of unity and the full Gauss-sum vector."""
 
     def __init__(self, field):
         q, p = field.q, field.p
@@ -29,17 +30,14 @@ class _ComplexTables:
         self.unit_root = [
             cmath.exp(2j * cmath.pi * k / (q - 1)) for k in range(q - 1)
         ]
-        self.p_root = [cmath.exp(2j * cmath.pi * m / p) for m in range(p)]
-        self.logs = {}
-        self.traces = {}
-        for v in range(1, q):
-            x = field.elem(v)
-            self.logs[v] = field.log(x)
-            self.traces[v] = field.absolute_trace(x)
+        p_root = [cmath.exp(2j * cmath.pi * m / p) for m in range(p)]
+        logs = field.log_table
+        psi = [None] + [
+            p_root[field.absolute_trace(field.elem(v))] for v in range(1, q)
+        ]
         self.gauss = [
             sum(
-                self.unit_root[k * self.logs[v] % (q - 1)]
-                * self.p_root[self.traces[v]]
+                self.unit_root[k * logs[v] % (q - 1)] * psi[v]
                 for v in range(1, q)
             )
             for k in range(q - 1)
@@ -50,7 +48,7 @@ class _ComplexTables:
         """T^k(x) with the chi(0) = 0 convention."""
         if x.is_zero():
             return 0.0
-        return self.unit_root[k * self.logs[x.encode()] % (self.field.q - 1)]
+        return self.unit_root[k * self.field.log_table[x.enc] % (self.field.q - 1)]
 
     def jacobi(self, a, b):
         q = self.field.q
@@ -68,14 +66,12 @@ class _ComplexTables:
         return hit
 
 
+@lru_cache(maxsize=None)
 def _tables(field) -> _ComplexTables:
+    """The field's complex tables, built once and kept as long as the field."""
     if field.q > COMPLEX_CAP:
         raise FieldTooLarge(f"q = {field.q} exceeds complex cap {COMPLEX_CAP}")
-    cached = getattr(field, "_charsum_tables", None)
-    if cached is None:
-        cached = _ComplexTables(field)
-        field._charsum_tables = cached
-    return cached
+    return _ComplexTables(field)
 
 
 def gauss_sum(k: int, field) -> complex:
@@ -165,28 +161,18 @@ def davenport_hasse_check(m: int, psi_index: int, field, rel_tol=1e-5) -> bool:
 # ---------------------------------------------------------------------------
 # exact p-adic Jacobi sums
 
-def _teich_powers(field, ctx):
-    """All powers of omega(generator), cached on the context."""
-    cached = ctx.__dict__.get("_teich_pows")
-    if cached is None:
-        w = teichmuller(field.generator, ctx)
-        pows = [ctx.gr_one()]
-        for _ in range(field.q - 2):
-            pows.append(pows[-1] * w)
-        cached = ctx.__dict__["_teich_pows"] = pows
-    return cached
-
-
 def jacobi_sum_padic(a: int, b: int, field, ctx: PadicCtx):
     """J(omega-bar^a, omega-bar^b) computed exactly in GR(p^N, r)."""
+    if ctx.field is not field:
+        raise ValueError("field and p-adic context disagree")
     q = field.q
-    pows = _teich_powers(field, ctx)
+    pows = ctx.teichmuller_powers()
+    logs = field.log_table
     total = ctx.gr_scalar(0)
     one = field.one
     for v in range(2, q):  # x = 0, 1 contribute 0 by convention
-        x = field.elem(v)
-        kx = -a * field.log(x) % (q - 1)
-        ky = -b * field.log(one - x) % (q - 1)
+        kx = -a * logs[v] % (q - 1)
+        ky = -b * logs[(one - field.elem(v)).enc] % (q - 1)
         total = total + pows[kx] * pows[ky]
     return total
 
@@ -212,8 +198,8 @@ def gross_koblitz_jacobi_check(a: int, b: int, field, ctx: PadicCtx) -> bool:
         unit = unit * ctx.gamma(fa) % ctx.pN
         unit = unit * ctx.gamma(fb) % ctx.pN
         unit = unit * ctx.inv(ctx.gamma(fab)) % ctx.pN
-    assert e_frac.denominator == 1
+    if e_frac.denominator != 1 or e_frac < 0:
+        raise InvariantViolation(f"Gross-Koblitz exponent {e_frac} not in N")
     e = int(e_frac)
-    assert e >= 0
     rhs = -pow(-p, e, ctx.pN) * unit % ctx.pN
     return jacobi_sum_padic(a, b, field, ctx) == ctx.gr_scalar(rhs)

@@ -1,23 +1,23 @@
 """Command-line surface: evaluate G-functions, count points, run the
 verification suites, and query the character-sum oracles.
 
-Exit codes: 0 success / all pass, 1 verification failure, 2 usage error,
-3 mathematical error (the error class name is in the payload).
+Exit codes: 0 success / all pass, 1 verification failure (including an
+evaluator error inside a verify suite), 2 usage error, 3 mathematical
+error (the error class name is in the payload).
 """
 
 import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from fractions import Fraction
 
 from . import charsum, frobtrace, gfunc, padic
-from .errors import NotPrime, PadicHGError
+from .errors import HypothesisViolation, NotPrime, PadicHGError, SingularCurve
 from .ffield import (
     CurveSpec,
     build_field,
@@ -32,20 +32,9 @@ SUITES = (
     "corollary", "identity-splitting", "identity-reduction", "lemmas", "oracle",
 )
 
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("PADIC_HG_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_instances(fn, instances):
-    workers = _threads()
-    if workers == 1:
-        return [fn(inst) for inst in instances]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, instances))
+# the only errors a suite may count as skipped instances; any other package
+# error is an evaluator failure and fails the suite
+SKIPPABLE = (HypothesisViolation, SingularCurve)
 
 
 def _parse_rational(text):
@@ -197,31 +186,25 @@ def _pair_fields(pmax, rmax):
             yield build_field(p, r)
 
 
-def _suite_t13(pmax, rmax, trials, rng):
+def _suite_t13(pmax, rmax):
     rows = []
-
-    def run(job):
-        field, lam = job
-        inst = frobtrace.TheoremInstance("t13", field, (lam,))
-        lhs, rhs = frobtrace.trace_sum_pair(inst)
-        return {
-            "suite": "t13", "q": field.q, "lambda": lam.encode(),
-            "lhs": lhs, "rhs": rhs, "pass": lhs == rhs,
-        }
-
-    jobs = []
     for field in _pair_fields(min(pmax, 13), min(rmax, 2)):
         for v in range(2, field.q):
             lam = field.elem(v)
             if lam == field.one or lam == -field.one:
                 continue
-            jobs.append((field, lam))
-    rows.extend(_map_instances(run, jobs))
+            inst = frobtrace.TheoremInstance("t13", field, (lam,))
+            lhs, rhs = frobtrace.trace_sum_pair(inst)
+            rows.append({
+                "suite": "t13", "q": field.q, "lambda": lam.encode(),
+                "lhs": lhs, "rhs": rhs, "pass": lhs == rhs,
+            })
     return rows
 
 
-def _random_pair_params(name, field, rng):
-    """A parameter pair satisfying the theorem's hypotheses, or None."""
+def _random_pair_params(name, field, rng, skipped):
+    """A parameter pair satisfying the theorem's hypotheses, or None;
+    each rejected draw is counted in skipped under its error class."""
     for _ in range(64):
         x = field.elem(rng.randrange(1, field.q))
         y = field.elem(rng.randrange(1, field.q))
@@ -229,16 +212,16 @@ def _random_pair_params(name, field, rng):
             inst = frobtrace.TheoremInstance(name, field, (x, y))
             lhs, rhs = frobtrace.trace_sum_pair(inst)
             return inst, lhs, rhs
-        except PadicHGError:
-            continue
+        except SKIPPABLE as exc:
+            skipped[type(exc).__name__] += 1
     return None
 
 
-def _suite_pairs_random(name, pmax, rmax, trials, rng):
+def _suite_pairs_random(name, pmax, rmax, trials, rng, skipped):
     rows = []
     for field in _pair_fields(min(pmax, 13), min(rmax, 2)):
         for _ in range(trials):
-            got = _random_pair_params(name, field, rng)
+            got = _random_pair_params(name, field, rng, skipped)
             if got is None:
                 continue
             inst, lhs, rhs = got
@@ -260,7 +243,7 @@ _RATIONAL_PRIMES = {
 }
 
 
-def _suite_rational(name, pmax, rmax, trials, rng):
+def _suite_rational(name, pmax, rmax, skipped):
     rows = []
     params = [Fraction(2), Fraction(1, 2)] if name == "t18" else [Fraction(2), Fraction(3)]
     for p in _RATIONAL_PRIMES[name]:
@@ -270,7 +253,8 @@ def _suite_rational(name, pmax, rmax, trials, rng):
             for par in params:
                 try:
                     predicted, counted = frobtrace.rational_curve_trace(name, p, r, par)
-                except PadicHGError:
+                except SKIPPABLE as exc:
+                    skipped[type(exc).__name__] += 1
                     continue
                 rows.append(
                     {
@@ -473,31 +457,40 @@ def _suite_oracle():
 def cmd_verify(args, fmt):
     rng = random.Random(args.seed)
     suite = args.suite
-    if suite == "t13":
-        rows = _suite_t13(args.pmax, args.rmax, args.trials, rng)
-    elif suite in ("t14", "t15", "t16", "t17"):
-        rows = _suite_pairs_random(suite, args.pmax, args.rmax, args.trials, rng)
-    elif suite in ("t18", "t19", "t110", "t111"):
-        rows = _suite_rational(suite, args.pmax, args.rmax, args.trials, rng)
-    elif suite == "corollary":
-        rows = _suite_corollary()
-    elif suite == "identity-splitting":
-        rows = _suite_identity_splitting(args.trials, rng)
-    elif suite == "identity-reduction":
-        rows = _suite_identity_reduction(args.trials, rng)
-    elif suite == "lemmas":
-        rows = _suite_lemmas()
+    skipped = Counter()
+    payload = {"suite": suite}
+    try:
+        if suite == "t13":
+            rows = _suite_t13(args.pmax, args.rmax)
+        elif suite in ("t14", "t15", "t16", "t17"):
+            rows = _suite_pairs_random(
+                suite, args.pmax, args.rmax, args.trials, rng, skipped
+            )
+        elif suite in ("t18", "t19", "t110", "t111"):
+            rows = _suite_rational(suite, args.pmax, args.rmax, skipped)
+        elif suite == "corollary":
+            rows = _suite_corollary()
+        elif suite == "identity-splitting":
+            rows = _suite_identity_splitting(args.trials, rng)
+        elif suite == "identity-reduction":
+            rows = _suite_identity_reduction(args.trials, rng)
+        elif suite == "lemmas":
+            rows = _suite_lemmas()
+        else:
+            rows = _suite_oracle()
+    except PadicHGError as exc:
+        # an evaluator error fails the suite: only SKIPPABLE errors are skips
+        rows = []
+        payload.update(error=type(exc).__name__, message=str(exc))
     else:
-        rows = _suite_oracle()
-    ok = all(r["pass"] for r in rows)
-    payload = {
-        "suite": suite,
-        "instances": rows,
-        "total": len(rows),
-        "failed": sum(not r["pass"] for r in rows),
+        payload.update(
+            instances=rows, total=len(rows), failed=sum(not r["pass"] for r in rows)
+        )
+    payload["skipped"] = {
+        "total": sum(skipped.values()), "by_class": dict(sorted(skipped.items())),
     }
     _emit(payload, fmt)
-    return 0 if ok and rows else 1
+    return 0 if rows and all(r["pass"] for r in rows) else 1
 
 
 # ---------------------------------------------------------------------------

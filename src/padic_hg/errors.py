@@ -59,3 +59,8 @@ class HypothesisViolation(PadicHGError):
 
 class FieldTooLarge(PadicHGError):
     """Complex character-sum oracle invoked beyond its precision headroom."""
+
+
+class InvariantViolation(AssertionError):
+    """An internal check failed: a bug.  Raised explicitly so it survives
+    python -O, and not a PadicHGError, so no handler can count it a skip."""

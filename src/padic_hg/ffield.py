@@ -1,4 +1,5 @@
-"""Exact arithmetic in F_{p^r} with full discrete-log tables.
+"""Exact arithmetic in F_{p^r} on integer encodings, through full
+discrete-log, exp and Zech-logarithm tables.
 
 Fields are built deterministically (lexicographically smallest monic
 irreducible modulus, smallest generator) so that every run of the package
@@ -14,6 +15,7 @@ from .errors import (
     DegreeTooLarge,
     DenominatorDivisibleByP,
     HypothesisViolation,
+    InvariantViolation,
     NotPrime,
     SingularCurve,
 )
@@ -49,23 +51,6 @@ def prime_factors(n):
     if n > 1:
         out.append(n)
     return out
-
-
-@dataclass(frozen=True)
-class PrimePower:
-    """The global arithmetic context (p, r, q = p^r)."""
-
-    p: int
-    r: int
-    q: int
-
-    def __post_init__(self):
-        if not is_prime(self.p) or self.p == 2:
-            raise NotPrime(f"p = {self.p} is not an odd prime")
-        if self.r < 1:
-            raise ValueError(f"r = {self.r} must be >= 1")
-        if self.q != self.p**self.r:
-            raise ValueError("q must equal p^r exactly")
 
 
 # ---------------------------------------------------------------------------
@@ -155,58 +140,69 @@ def _smallest_irreducible(p, r):
 
 
 class FqElem:
-    """Element of F_{p^r} as a residue-polynomial coefficient tuple."""
+    """Element of F_{p^r} held as its integer encoding 0..q-1 (see encode);
+    all arithmetic goes through the log, exp and Zech tables of the field."""
 
-    __slots__ = ("coeffs", "field")
+    __slots__ = ("enc", "field")
 
-    def __init__(self, coeffs, field):
-        self.coeffs = coeffs
+    def __init__(self, enc, field):
+        self.enc = enc
         self.field = field
+
+    @property
+    def coeffs(self):
+        """The residue-polynomial coefficients, constant term first."""
+        p = self.field.p
+        return tuple(self.enc // p**i % p for i in range(self.field.r))
 
     def encode(self):
         """Integer 0..q-1, base-p digits with the constant term lowest."""
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * self.field.p + c
-        return v
+        return self.enc
 
     def is_zero(self):
-        return not any(self.coeffs)
-
-    def log(self):
-        return self.field.log(self)
+        return self.enc == 0
 
     def __add__(self, other):
+        """g^i + g^j = g^(i + Z(j - i)), Z the Zech logarithm."""
         f = self.field
-        return FqElem(
-            tuple((a + b) % f.p for a, b in zip(self.coeffs, other.coeffs)), f
-        )
+        if other.field is not f:
+            raise ValueError("operands lie in different fields")
+        if self.enc == 0:
+            return other
+        if other.enc == 0:
+            return self
+        log = f.log_table
+        i = log[self.enc]
+        z = f.zech_table[(log[other.enc] - i) % (f.q - 1)]
+        return f.zero if z is None else f.exp(i + z)
 
     def __sub__(self, other):
-        f = self.field
-        return FqElem(
-            tuple((a - b) % f.p for a, b in zip(self.coeffs, other.coeffs)), f
-        )
+        return self + -other
 
     def __neg__(self):
         f = self.field
-        return FqElem(tuple((-a) % f.p for a in self.coeffs), f)
+        if self.enc == 0:
+            return self
+        return f.exp(f.log_table[self.enc] + (f.q - 1) // 2)
 
     def __mul__(self, other):
         f = self.field
-        if self.is_zero() or other.is_zero():
+        if other.field is not f:
+            raise ValueError("operands lie in different fields")
+        if self.enc == 0 or other.enc == 0:
             return f.zero
-        return f.exp(f.log(self) + f.log(other))
+        log = f.log_table
+        return f.exp(log[self.enc] + log[other.enc])
 
     def __pow__(self, e):
         f = self.field
-        if self.is_zero():
+        if self.enc == 0:
             if e == 0:
                 return f.one
             if e < 0:
                 raise ZeroDivisionError("0 has no negative powers in F_q")
             return f.zero
-        return f.exp(f.log(self) * e)
+        return f.exp(f.log_table[self.enc] * e)
 
     def inverse(self):
         return self**-1
@@ -218,19 +214,22 @@ class FqElem:
         return (
             isinstance(other, FqElem)
             and self.field is other.field
-            and self.coeffs == other.coeffs
+            and self.enc == other.enc
         )
 
     def __hash__(self):
-        return hash((self.coeffs, self.field.p, self.field.r))
+        return hash((self.enc, self.field.p, self.field.r))
 
     def __repr__(self):
-        return f"FqElem({self.encode()} in F_{self.field.q})"
+        return f"FqElem({self.enc} in F_{self.field.q})"
 
 
 class FqField:
-    """F_{p^r} with modulus, generator, and complete log/exp tables.
+    """F_{p^r} with modulus, generator, and complete log/exp/Zech tables.
 
+    exp_table[k] is the encoding of g^k, log_table[v] the discrete log of
+    the encoding v (None at 0), and zech_table[k] the Zech logarithm Z(k)
+    with 1 + g^k = g^Z(k) (None where 1 + g^k = 0, that is k = (q-1)/2).
     Immutable after construction; all operations are pure reads.
     """
 
@@ -245,56 +244,59 @@ class FqField:
         self.p = p
         self.r = r
         self.q = q
-        self.ctx = PrimePower(p, r, q)
         self.modulus = _smallest_irreducible(p, r)
-        self.zero = FqElem((0,) * r, self)
-        self.one = FqElem((1,) + (0,) * (r - 1), self)
+        self.zero = FqElem(0, self)
+        self.one = FqElem(1, self)
         self._build_tables()
-
-    def _decode(self, v):
-        coeffs = []
-        for _ in range(self.r):
-            v, c = divmod(v, self.p)
-            coeffs.append(c)
-        return tuple(coeffs)
 
     def _build_tables(self):
         p, q = self.p, self.q
+        one = self.one.coeffs
         subgroup_orders = [(q - 1) // s for s in prime_factors(q - 1)]
         gen = None
         for v in range(2, q):
-            cand = self._decode(v)
+            cand = FqElem(v, self).coeffs
             if all(
-                _poly_powmod(cand, m, self.modulus, p) != self.one.coeffs
+                _poly_powmod(cand, m, self.modulus, p) != one
                 for m in subgroup_orders
             ):
                 gen = cand
                 break
-        assert gen is not None, "F_q^x is cyclic; a generator must exist"
-        self.generator = FqElem(gen, self)
+        if gen is None:
+            raise InvariantViolation("F_q^x is cyclic; a generator must exist")
+        self.generator = self.from_coeffs(gen)
 
         exp_table = [0] * (q - 1)
-        log_table = {}
-        cur = self.one.coeffs
+        log_table = [None] * q
+        cur = one
         for k in range(q - 1):
-            enc = FqElem(cur, self).encode()
+            enc = self.from_coeffs(cur).enc
             exp_table[k] = enc
             log_table[enc] = k
             cur = _poly_mulmod(cur, gen, self.modulus, p)
-        assert cur == self.one.coeffs, "generator order must be q-1"
-        self._exp = exp_table
-        self._log = log_table
+        if cur != one:
+            raise InvariantViolation("generator order must be q-1")
+        self.exp_table = exp_table
+        self.log_table = log_table
+        # adding 1 bumps the constant (lowest base-p) digit of the encoding
+        self.zech_table = [
+            log_table[e - p + 1 if e % p == p - 1 else e + 1] for e in exp_table
+        ]
 
     # -- element constructors ------------------------------------------------
 
     def elem(self, v):
         """Element from its 0..q-1 encoding (base-p, constant digit first)."""
-        v %= self.q
-        return FqElem(self._decode(v), self)
+        return FqElem(v % self.q, self)
+
+    def from_coeffs(self, coeffs):
+        """Element from residue-polynomial coefficients, constant term first."""
+        p = self.p
+        return FqElem(sum(c % p * p**i for i, c in enumerate(coeffs)), self)
 
     def from_int(self, n):
         """Image of the rational integer n in the prime subfield."""
-        return FqElem((n % self.p,) + (0,) * (self.r - 1), self)
+        return FqElem(n % self.p, self)
 
     def from_rational(self, x):
         """Image of a Fraction with denominator prime to p."""
@@ -309,19 +311,16 @@ class FqField:
     def elements(self):
         return (self.elem(v) for v in range(self.q))
 
-    def units(self):
-        return (self.elem(v) for v in range(1, self.q))
-
     # -- multiplicative structure ---------------------------------------------
 
     def log(self, x):
         """Discrete log base the fixed generator, in [0, q-2]."""
         if x.is_zero():
             raise ZeroDivisionError("log(0) undefined")
-        return self._log[x.encode()]
+        return self.log_table[x.enc]
 
     def exp(self, k):
-        return FqElem(self._decode(self._exp[k % (self.q - 1)]), self)
+        return FqElem(self.exp_table[k % (self.q - 1)], self)
 
     def absolute_trace(self, x):
         """tr(x) = x + x^p + ... + x^(p^(r-1)) as an integer in [0, p)."""
@@ -330,8 +329,9 @@ class FqField:
         for _ in range(self.r - 1):
             frob = frob**self.p
             acc = acc + frob
-        assert not any(acc.coeffs[1:]), "trace must land in F_p"
-        return acc.coeffs[0]
+        if acc.enc >= self.p:
+            raise InvariantViolation("trace must land in F_p")
+        return acc.enc
 
     def __repr__(self):
         return f"FqField(p={self.p}, r={self.r})"
@@ -347,7 +347,7 @@ def quad_char(x: FqElem) -> int:
     """Quadratic character phi: 0 at 0, else +-1 by discrete-log parity."""
     if x.is_zero():
         return 0
-    return 1 if x.field.log(x) % 2 == 0 else -1
+    return 1 if x.field.log_table[x.enc] % 2 == 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -478,5 +478,6 @@ def count_points_exhaustive(curve: CurveSpec, field: FqField) -> int:
 def trace_of_frobenius(curve: CurveSpec, field: FqField) -> int:
     """a_q = q + 1 - #E(F_q); validated against the Hasse bound."""
     a = field.q + 1 - count_points(curve, field)
-    assert a * a <= 4 * field.q, "Hasse bound violated: counting bug"
+    if a * a > 4 * field.q:
+        raise InvariantViolation("Hasse bound violated: counting bug")
     return a

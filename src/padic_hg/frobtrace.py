@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DenominatorDivisibleByP, HypothesisViolation
+from .errors import DenominatorDivisibleByP, HypothesisViolation, InvariantViolation
 from .ffield import (
     CurveSpec,
     FqElem,
@@ -267,7 +267,8 @@ def rational_curve_trace(theorem: str, p: int, r: int, param):
 
     counted = trace_of_frobenius(curve(field), field)
     ap = trace_of_frobenius(curve(base), base)
-    assert counted == trace_power(ap, p, r), "power-sum recurrence broken"
+    if counted != trace_power(ap, p, r):
+        raise InvariantViolation("power-sum recurrence broken")
     ap_partner = trace_of_frobenius(partner(base), base)
     if ap_partner != 0:
         raise HypothesisViolation(

@@ -14,10 +14,10 @@ from fractions import Fraction
 from .errors import (
     DenominatorDivisibleByP,
     HypothesisViolation,
+    InvariantViolation,
     NonUnitInverse,
     ZeroInput,
 )
-from .ffield import FqElem
 
 GAMMA_TABLE_CAP = 10**7  # densest gamma table we are willing to hold
 
@@ -40,8 +40,8 @@ def a0(x, p: int) -> int:
 class PadicCtx:
     """GR(p^N, r) tied to a companion FqField (same modulus, lifted).
 
-    Immutable after construction apart from the gamma table, which is
-    built once under a lock and then only read.
+    Immutable after construction apart from its memos: the gamma table,
+    built once under a lock and then only read, and the Teichmuller powers.
     """
 
     def __init__(self, field, N: int):
@@ -55,6 +55,7 @@ class PadicCtx:
         self.pN = field.p**N
         self.modulus = field.modulus
         self._gamma_table = None
+        self._teich_pows = None
         self._gamma_memo = {}
         self._inv_memo = {}
         self._lock = threading.Lock()
@@ -115,6 +116,16 @@ class PadicCtx:
     def gamma(self, x) -> int:
         """Gamma_p(x) mod p^N for x in Q intersect Z_p, as a bare residue."""
         return self.gamma_at_residue(self.rational_residue(x))
+
+    def teichmuller_powers(self):
+        """[omega(g)^k for k in 0..q-2], g the field generator; built once."""
+        if self._teich_pows is None:
+            w = teichmuller(self.field.generator, self)
+            pows = [self.gr_one()]
+            for _ in range(self.q - 2):
+                pows.append(pows[-1] * w)
+            self._teich_pows = pows
+        return self._teich_pows
 
     # -- Galois ring elements -------------------------------------------------
 
@@ -202,6 +213,8 @@ class GrElem:
         return any(c % p for c in self.coeffs)
 
     def __add__(self, other):
+        if other.ctx is not self.ctx:
+            raise ValueError("operands lie in different Galois-ring contexts")
         pN = self.ctx.pN
         return GrElem(
             tuple((a + b) % pN for a, b in zip(self.coeffs, other.coeffs)),
@@ -209,11 +222,7 @@ class GrElem:
         )
 
     def __sub__(self, other):
-        pN = self.ctx.pN
-        return GrElem(
-            tuple((a - b) % pN for a, b in zip(self.coeffs, other.coeffs)),
-            self.ctx,
-        )
+        return self + -other
 
     def __neg__(self):
         pN = self.ctx.pN
@@ -225,6 +234,8 @@ class GrElem:
             return GrElem(
                 tuple(a * other % ctx.pN for a in self.coeffs), ctx
             )
+        if other.ctx is not ctx:
+            raise ValueError("operands lie in different Galois-ring contexts")
         return GrElem(
             _gr_mul(self.coeffs, other.coeffs, ctx.modulus, ctx.pN), ctx
         )
@@ -239,13 +250,13 @@ class GrElem:
         if not self.is_unit():
             raise NonUnitInverse("element is divisible by p")
         ctx = self.ctx
-        reduced = FqElem(tuple(c % ctx.p for c in self.coeffs), ctx.field)
-        y = ctx.gr_from_field(reduced.inverse())
+        y = ctx.gr_from_field(ctx.field.from_coeffs(self.coeffs).inverse())
         two = ctx.gr_scalar(2)
         # each Newton step doubles the modulus of agreement
         for _ in range(ctx.N.bit_length() + 1):
             y = y * (two - self * y)
-        assert (self * y).coeffs == ctx.gr_one().coeffs, "Newton inversion failed"
+        if (self * y).coeffs != ctx.gr_one().coeffs:
+            raise InvariantViolation("Newton inversion failed")
         return y
 
     def __eq__(self, other):
@@ -283,7 +294,8 @@ def teichmuller(t, ctx: PadicCtx) -> GrElem:
     z = ctx.gr_from_field(t)
     for _ in range(ctx.N):
         z = gr_pow(z, ctx.q)
-    assert gr_pow(z, ctx.q - 1) == ctx.gr_one(), "Teichmuller lift failed"
+    if gr_pow(z, ctx.q - 1) != ctx.gr_one():
+        raise InvariantViolation("Teichmuller lift failed")
     return z
 
 

@@ -89,3 +89,68 @@ def naive_G(top, bottom, t, field, N, shift_extra=3):
         "integral": integral,
         "coeffs": coeffs,
     }
+
+
+class TupleField:
+    """F_{p^r} as residue-polynomial coefficient tuples (constant term
+    first) reduced by a monic modulus: schoolbook polynomial arithmetic,
+    no logarithm tables, the slow reference for the integer-encoded field.
+    """
+
+    def __init__(self, p, modulus):
+        self.p = p
+        self.r = len(modulus) - 1
+        self.q = p**self.r
+        self.modulus = tuple(modulus)
+        self.zero = (0,) * self.r
+        self.one = (1,) + (0,) * (self.r - 1)
+
+    def decode(self, v):
+        """The tuple of base-p digits of v, lowest first."""
+        return tuple(v // self.p**i % self.p for i in range(self.r))
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x % self.p for x in a)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        p, r, mod = self.p, self.r, self.modulus
+        prod = [0] * (2 * r - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for i in range(2 * r - 2, r - 1, -1):
+            c = prod[i]
+            for j in range(r + 1):
+                prod[i - r + j] -= c * mod[j]
+        return tuple(c % p for c in prod[:r])
+
+    def pow(self, a, e):
+        if e < 0:
+            return self.pow(self.inverse(a), -e)
+        result = self.one
+        for _ in range(e):
+            result = self.mul(result, a)
+        return result
+
+    def inverse(self, a):
+        """By exhaustive search, so it trusts no exponent bookkeeping."""
+        for v in range(1, self.q):
+            b = self.decode(v)
+            if self.mul(a, b) == self.one:
+                return b
+        raise ZeroDivisionError("0 has no inverse")
+
+    def trace(self, a):
+        """a + a^p + ... + a^(p^(r-1)), which must be a constant."""
+        acc, frob = a, a
+        for _ in range(self.r - 1):
+            frob = self.pow(frob, self.p)
+            acc = self.add(acc, frob)
+        assert not any(acc[1:]), "trace must land in F_p"
+        return acc[0]

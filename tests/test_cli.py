@@ -1,6 +1,8 @@
 import json
 
+from padic_hg import frobtrace
 from padic_hg.cli import main
+from padic_hg.errors import NonConstantResult, SingularCurve
 
 
 def run(capsys, *argv):
@@ -152,10 +154,46 @@ def test_usage_error_exit_code(capsys):
                  "--t", "bogus"]) == 2
 
 
-def test_thread_pool_path(capsys, monkeypatch):
-    monkeypatch.setenv("PADIC_HG_THREADS", "3")
+def test_verify_t13_pmax7(capsys):
     code, out = run(capsys, "verify", "--suite", "t13", "--pmax", "7", "--rmax", "1")
     assert code == 0
     payload = json.loads(out)
     assert payload["failed"] == 0
     assert payload["total"] == 2 + 4  # F_5 and F_7 lambdas
+    assert payload["skipped"] == {"total": 0, "by_class": {}}
+
+
+def test_verify_counts_skips_by_class(capsys, monkeypatch):
+    calls = []
+
+    def every_other_singular(inst):
+        calls.append(inst)
+        if len(calls) % 2:
+            raise SingularCurve("injected")
+        return 1, 1
+
+    monkeypatch.setattr(frobtrace, "trace_sum_pair", every_other_singular)
+    code, out = run(capsys, "verify", "--suite", "t14", "--pmax", "5", "--rmax", "1",
+                    "--trials", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["total"] == 3
+    assert payload["skipped"] == {"total": 3, "by_class": {"SingularCurve": 3}}
+
+
+def test_verify_evaluator_failure_is_not_a_skip(capsys, monkeypatch):
+    calls = []
+
+    def second_call_broken(inst):
+        calls.append(inst)
+        if len(calls) == 2:
+            raise NonConstantResult("injected")
+        return 1, 1
+
+    monkeypatch.setattr(frobtrace, "trace_sum_pair", second_call_broken)
+    code, out = run(capsys, "verify", "--suite", "t14", "--pmax", "5", "--rmax", "1",
+                    "--trials", "3")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "NonConstantResult"
+    assert payload["skipped"]["total"] == 0

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import padic_hg
 from padic_hg.errors import (
     DegreeTooLarge,
     HypothesisViolation,
@@ -15,7 +20,7 @@ from padic_hg.ffield import (
     quad_char,
     trace_of_frobenius,
 )
-from oracles import enumerate_legendre_points, multiplicative_order
+from oracles import TupleField, enumerate_legendre_points, multiplicative_order
 
 
 def test_f5_generator_is_smallest():
@@ -70,6 +75,75 @@ def test_frobenius_fixes_field(p, r):
     for v in range(field.q):
         x = field.elem(v)
         assert x**field.q == x
+
+
+@pytest.mark.parametrize("p,r", [(5, 2), (3, 3), (7, 2), (11, 2)])
+def test_arithmetic_matches_tuple_oracle(p, r):
+    field = build_field(p, r)
+    ref = TupleField(p, field.modulus)
+    q = field.q
+    elems = [field.elem(v) for v in range(q)]
+    tups = [ref.decode(v) for v in range(q)]
+    invs = {t: ref.inverse(t) for t in tups[1:]}
+    for x, tx in zip(elems, tups):
+        assert x.coeffs == tx
+        assert (-x).coeffs == ref.neg(tx)
+        assert field.absolute_trace(x) == ref.trace(tx)
+        for y, ty in zip(elems, tups):
+            assert (x + y).coeffs == ref.add(tx, ty)
+            assert (x - y).coeffs == ref.sub(tx, ty)
+            assert (x * y).coeffs == ref.mul(tx, ty)
+            if not y.is_zero():
+                assert (x / y).coeffs == ref.mul(tx, invs[ty])
+        # every exponent class mod q-1, and its negative for units
+        cur = ref.one
+        for e in range(q):
+            assert (x**e).coeffs == cur
+            if not x.is_zero():
+                assert (x**-e).coeffs == invs[cur]
+            cur = ref.mul(cur, tx)
+
+
+def test_zech_edge_case_sums_to_zero():
+    for p, r in [(5, 2), (3, 3), (7, 2), (11, 2)]:
+        field = build_field(p, r)
+        half = field.generator ** ((field.q - 1) // 2)
+        assert half == -field.one
+        assert field.one + half == field.zero
+        assert half + field.one == field.zero
+        assert field.one - (-half) == field.zero
+
+
+def test_mixed_field_arithmetic_rejected():
+    f25, f5, f49 = build_field(5, 2), build_field(5, 1), build_field(7, 2)
+    for x, y in [(f25.one, f5.one), (f25.elem(7), f49.elem(7))]:
+        for op in (
+            lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y,
+        ):
+            with pytest.raises(ValueError):
+                op()
+
+
+def test_invariant_checks_survive_optimize():
+    script = (
+        "if __debug__: raise SystemExit('not running under -O')\n"
+        "from padic_hg import ffield\n"
+        "from padic_hg.errors import InvariantViolation\n"
+        "field = ffield.build_field(5, 1)\n"
+        "ffield.count_points = lambda curve, fld: 100\n"
+        "try:\n"
+        "    ffield.trace_of_frobenius(ffield.CurveSpec.legendre(field.from_int(2)), field)\n"
+        "except InvariantViolation as exc:\n"
+        "    print('InvariantViolation:', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(padic_hg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InvariantViolation: Hasse bound"), proc.stdout
 
 
 def test_absolute_trace_additive():

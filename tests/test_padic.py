@@ -171,6 +171,15 @@ def test_gr_ring_axioms():
                 assert x * (y + z) == x * y + x * z
 
 
+def test_gr_mixed_context_arithmetic_rejected():
+    field = build_field(5, 2)
+    x, y = PadicCtx(field, 3).gr((2, 1)), PadicCtx(field, 4).gr((2, 1))
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y):
+        with pytest.raises(ValueError):
+            op()
+    assert (x * 3).ctx is x.ctx  # integer scalars stay allowed
+
+
 def test_gr_inverse_random_units():
     field = build_field(7, 3)
     ctx = PadicCtx(field, 3)
