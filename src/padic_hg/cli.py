@@ -27,14 +27,17 @@ from .ffield import (
 )
 from .gfunc import GParams, PadicCtx, choose_precision, evaluate_G, trace_bound
 
-SUITES = (
-    "t13", "t14", "t15", "t16", "t17", "t18", "t19", "t110", "t111",
+PAIR_SUITES = ("t13", "t14", "t15", "t16", "t17")
+RATIONAL_SUITES = ("t18", "t19", "t110", "t111")
+SUITES = PAIR_SUITES + RATIONAL_SUITES + (
     "corollary", "identity-splitting", "identity-reduction", "lemmas", "oracle",
 )
 
 # the only errors a suite may count as skipped instances; any other package
 # error is an evaluator failure and fails the suite
 SKIPPABLE = (HypothesisViolation, SingularCurve)
+
+PRIMES = (5, 7, 11, 13, 17, 19, 23)
 
 
 def _parse_rational(text):
@@ -179,7 +182,7 @@ def cmd_oracle(args, fmt):
 # verification suites
 
 def _pair_fields(pmax, rmax):
-    for p in (5, 7, 11, 13, 17, 19, 23):
+    for p in PRIMES:
         if p > pmax:
             break
         for r in range(1, rmax + 1):
@@ -188,7 +191,7 @@ def _pair_fields(pmax, rmax):
 
 def _suite_t13(pmax, rmax):
     rows = []
-    for field in _pair_fields(min(pmax, 13), min(rmax, 2)):
+    for field in _pair_fields(pmax, rmax):
         for v in range(2, field.q):
             lam = field.elem(v)
             if lam == field.one or lam == -field.one:
@@ -219,7 +222,7 @@ def _random_pair_params(name, field, rng, skipped):
 
 def _suite_pairs_random(name, pmax, rmax, trials, rng, skipped):
     rows = []
-    for field in _pair_fields(min(pmax, 13), min(rmax, 2)):
+    for field in _pair_fields(pmax, rmax):
         for _ in range(trials):
             got = _random_pair_params(name, field, rng, skipped)
             if got is None:
@@ -249,7 +252,7 @@ def _suite_rational(name, pmax, rmax, skipped):
     for p in _RATIONAL_PRIMES[name]:
         if p > pmax:
             continue
-        for r in range(1, min(rmax, 3) + 1):
+        for r in range(1, rmax + 1):
             for par in params:
                 try:
                     predicted, counted = frobtrace.rational_curve_trace(name, p, r, par)
@@ -454,20 +457,54 @@ def _suite_oracle():
     return rows
 
 
+def _effective_range(suite, pmax, rmax):
+    """The pmax and rmax a ranged suite actually runs, or None for a suite
+    that takes no range: the pair suites stop at q = 13^2, the rational
+    ones at r = 3, and no suite has primes above PRIMES[-1]."""
+    if suite in PAIR_SUITES:
+        return {"pmax": min(pmax, 13), "rmax": min(rmax, 2)}
+    if suite in RATIONAL_SUITES:
+        return {"pmax": min(pmax, PRIMES[-1]), "rmax": min(rmax, 3)}
+    return None
+
+
+def _cache_infos():
+    return {
+        "build_field": build_field.cache_info(),
+        "gamma_steps": padic._gamma_steps.cache_info(),
+    }
+
+
+def _cache_activity(before):
+    """Hits and misses of the shared caches since before, plus the number
+    of G-function kernels held."""
+    activity = {
+        name: {
+            "hits": info.hits - before[name].hits,
+            "misses": info.misses - before[name].misses,
+        }
+        for name, info in _cache_infos().items()
+    }
+    activity["kernels"] = len(gfunc._KERNELS)
+    return activity
+
+
 def cmd_verify(args, fmt):
     rng = random.Random(args.seed)
     suite = args.suite
     skipped = Counter()
-    payload = {"suite": suite}
+    used = _effective_range(suite, args.pmax, args.rmax)
+    payload = {"suite": suite, "range": used}
+    caches_before = _cache_infos()
     try:
         if suite == "t13":
-            rows = _suite_t13(args.pmax, args.rmax)
-        elif suite in ("t14", "t15", "t16", "t17"):
+            rows = _suite_t13(used["pmax"], used["rmax"])
+        elif suite in PAIR_SUITES:
             rows = _suite_pairs_random(
-                suite, args.pmax, args.rmax, args.trials, rng, skipped
+                suite, used["pmax"], used["rmax"], args.trials, rng, skipped
             )
-        elif suite in ("t18", "t19", "t110", "t111"):
-            rows = _suite_rational(suite, args.pmax, args.rmax, skipped)
+        elif suite in RATIONAL_SUITES:
+            rows = _suite_rational(suite, used["pmax"], used["rmax"], skipped)
         elif suite == "corollary":
             rows = _suite_corollary()
         elif suite == "identity-splitting":
@@ -489,6 +526,7 @@ def cmd_verify(args, fmt):
     payload["skipped"] = {
         "total": sum(skipped.values()), "by_class": dict(sorted(skipped.items())),
     }
+    payload["caches"] = _cache_activity(caches_before)
     _emit(payload, fmt)
     return 0 if rows and all(r["pass"] for r in rows) else 1
 

@@ -1,15 +1,16 @@
 """Exact arithmetic mod p^N in the Galois ring GR(p^N, r).
 
-Holds the p-adic gamma function (table-backed), Teichmuller lifts, and the
-exact-rational floor/fractional identities that the G-function evaluator
-and its test oracles consume.  Floating point is forbidden throughout:
-the floor identities are exact-arithmetic-fragile.
+Holds the p-adic gamma function (baby-step/giant-step tables shared by
+(p, N)), Teichmuller lifts, and the exact-rational floor/fractional
+identities that the G-function evaluator and its test oracles consume.
+Floating point is forbidden throughout: the floor identities are
+exact-arithmetic-fragile.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     DenominatorDivisibleByP,
@@ -18,8 +19,6 @@ from .errors import (
     NonUnitInverse,
     ZeroInput,
 )
-
-GAMMA_TABLE_CAP = 10**7  # densest gamma table we are willing to hold
 
 
 def frac(x):
@@ -37,11 +36,49 @@ def a0(x, p: int) -> int:
     return p if v == 0 else v
 
 
+@lru_cache(maxsize=32)
+def _gamma_steps(p: int, N: int):
+    """Baby-step/giant-step tables for Gamma_p mod p^N, shared by every
+    context with the same (p, N).
+
+    With L = ceil(N/2) and B = p^L, write m = k*B + s with 0 <= s < B, and
+    let P_s(z) be the product of z + t over the 0 < t < s prime to p.  Then
+    Gamma_p(m) = (-1)^m * giant[k] * P_s(k*B), where giant[k] is the product
+    of the 0 < j < k*B prime to p.  Since p^L divides k*B and 2L >= N, only
+    the linear part c0[s] + c1[s]*z of P_s(z) matters at z = k*B.  With the
+    signs (-1)^s and (-1)^(kB) and the factor k*B folded into the tables,
+
+        Gamma_p(m) = giant0[k] * c0[s] + giant1[k] * c1[s]  mod p^N.
+
+    Returns (B, c0, c1, giant0, giant1); building costs O(p^ceil(N/2)).
+    """
+    pN = p**N
+    B = p ** ((N + 1) // 2)
+    c0, c1 = [0] * B, [0] * B
+    u0, u1 = 1, 0  # P_s(z) mod (z^2, p^N)
+    for s in range(B):
+        c0[s] = u0 if s % 2 == 0 else -u0 % pN
+        c1[s] = u1 if s % 2 == 0 else -u1 % pN
+        if s % p:
+            u0, u1 = u0 * s % pN, (u1 * s + u0) % pN
+    # (u0, u1) is now P_B(z), the product over a whole block
+    giant0, giant1 = [], []
+    g = 1  # giant[k]
+    for k in range(pN // B):
+        z = k * B
+        sign = -1 if z % 2 else 1
+        giant0.append(sign * g % pN)
+        giant1.append(sign * g * z % pN)
+        g = g * (u0 + u1 * z) % pN
+    return B, c0, c1, giant0, giant1
+
+
 class PadicCtx:
     """GR(p^N, r) tied to a companion FqField (same modulus, lifted).
 
-    Immutable after construction apart from its memos: the gamma table,
-    built once under a lock and then only read, and the Teichmuller powers.
+    Immutable after construction apart from its memos: the gamma values
+    looked up so far, on top of the gamma tables shared by (p, N), and the
+    Teichmuller powers.
     """
 
     def __init__(self, field, N: int):
@@ -54,11 +91,10 @@ class PadicCtx:
         self.N = N
         self.pN = field.p**N
         self.modulus = field.modulus
-        self._gamma_table = None
+        self._gamma_tables = None
         self._teich_pows = None
         self._gamma_memo = {}
         self._inv_memo = {}
-        self._lock = threading.Lock()
 
     # -- scalar helpers -------------------------------------------------------
 
@@ -80,37 +116,19 @@ class PadicCtx:
     # -- p-adic gamma ---------------------------------------------------------
 
     def warm_gamma_table(self):
-        """Populate the gamma table; call before any parallel section."""
-        if self._gamma_table is None and self.pN <= GAMMA_TABLE_CAP:
-            with self._lock:
-                if self._gamma_table is None:
-                    self._gamma_table = self._build_gamma_table()
-
-    def _build_gamma_table(self):
-        # Gamma_p(m+1) = -Gamma_p(m) * (m if p does not divide m else 1)
-        p, pN = self.p, self.pN
-        table = [0] * pN
-        table[0] = 1
-        g = 1
-        for m in range(pN - 1):
-            g = -g * (m if m % p else 1) % pN
-            table[m + 1] = g
-        return table
+        """Fetch the gamma tables shared by (p, N), building them if needed."""
+        if self._gamma_tables is None:
+            self._gamma_tables = _gamma_steps(self.p, self.N)
+        return self._gamma_tables
 
     def gamma_at_residue(self, m: int) -> int:
         """Gamma_p(m) mod p^N for the integer residue m in [0, p^N)."""
-        if self.pN <= GAMMA_TABLE_CAP:
-            if self._gamma_table is None:
-                self.warm_gamma_table()
-            return self._gamma_table[m]
         hit = self._gamma_memo.get(m)
         if hit is None:
-            p, pN = self.p, self.pN
-            g = 1
-            for j in range(1, m):
-                if j % p:
-                    g = g * j % pN
-            hit = self._gamma_memo[m] = (-1) ** m * g % pN
+            B, c0, c1, giant0, giant1 = self._gamma_tables or self.warm_gamma_table()
+            k, s = divmod(m, B)
+            hit = giant0[k] * c0[s] + giant1[k] * c1[s]
+            hit = self._gamma_memo[m] = hit % self.pN
         return hit
 
     def gamma(self, x) -> int:
@@ -326,7 +344,8 @@ def product_formula_check(x, m: int, ctx: PadicCtx, field) -> bool:
         for h in range(1, m):
             rhs = rhs * ctx.gamma(frac(Fraction(h * pi, m))) % ctx.pN
     e = (1 - x) * (1 - q)
-    assert e.denominator == 1
+    if e.denominator != 1:
+        raise InvariantViolation("Teichmuller exponent (1-x)(1-q) is not an integer")
     w = teichmuller(field.from_int(m) ** int(e), ctx)
     return ctx.gr_scalar(lhs) == w * rhs
 

@@ -41,6 +41,18 @@ def gamma_by_direct_product(m, p, pN):
     return (-1) ** m * g % pN
 
 
+def gamma_table_by_recurrence(p, pN):
+    """[Gamma_p(m) mod pN for m in 0..pN-1], one step at a time from
+    Gamma_p(0) = 1 and Gamma_p(m+1) = -Gamma_p(m) * (m if p does not
+    divide m else 1): the dense table, O(pN) time and memory."""
+    table = [1] * pN
+    g = 1
+    for m in range(pN - 1):
+        g = -g * (m if m % p else 1) % pN
+        table[m + 1] = g
+    return table
+
+
 def naive_G(top, bottom, t, field, N, shift_extra=3):
     """Fraction-based transcription of the defining G sum.
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import padic_hg
 from padic_hg import frobtrace
 from padic_hg.cli import main
 from padic_hg.errors import NonConstantResult, SingularCurve
@@ -23,6 +27,26 @@ def test_eval_g_known_value(capsys):
     assert payload["precision"] == 3
     # round trip
     assert json.loads(json.dumps(payload)) == payload
+
+
+def test_eval_g_above_the_old_gamma_cap():
+    # p^N = 31^5 > 10^7 is too large for a dense gamma table; a subprocess
+    # makes a slow gamma path fail by timeout instead of hanging the suite
+    src = os.path.dirname(os.path.dirname(padic_hg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    values = {}
+    for precision in ("4", "5"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "padic_hg.cli", "eval-g", "--p", "31",
+             "--top", "0,1/2", "--bottom", "1/4,3/4", "--t", "4",
+             "--precision", precision],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["precision"] == int(precision)
+        values[precision] = payload["integer"]
+    assert values == {"4": -2, "5": -2}
 
 
 def test_eval_g_zero_argument(capsys):
@@ -161,6 +185,32 @@ def test_verify_t13_pmax7(capsys):
     assert payload["failed"] == 0
     assert payload["total"] == 2 + 4  # F_5 and F_7 lambdas
     assert payload["skipped"] == {"total": 0, "by_class": {}}
+
+
+def test_verify_reports_the_range_it_ran(capsys):
+    code, out = run(capsys, "verify", "--suite", "t13", "--pmax", "17", "--rmax", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["range"] == {"pmax": 13, "rmax": 1}
+    assert payload["total"] == 2 + 4 + 8 + 10  # q = 5, 7, 11, 13; no q = 17
+    code, out = run(capsys, "verify", "--suite", "t18", "--pmax", "7", "--rmax", "5")
+    assert json.loads(out)["range"] == {"pmax": 7, "rmax": 3}
+    code, out = run(capsys, "verify", "--suite", "corollary")
+    assert json.loads(out)["range"] is None
+
+
+def test_verify_reports_cache_activity(capsys):
+    code, out = run(capsys, "verify", "--suite", "identity-splitting", "--trials", "3")
+    assert code == 0
+    caches = json.loads(out)["caches"]
+    assert set(caches) == {"build_field", "gamma_steps", "kernels"}
+    for name in ("build_field", "gamma_steps"):
+        assert set(caches[name]) == {"hits", "misses"}
+        assert all(isinstance(v, int) and v >= 0 for v in caches[name].values())
+    # the suite looks up its three fields once
+    assert caches["build_field"]["hits"] + caches["build_field"]["misses"] == 3
+    assert caches["gamma_steps"]["hits"] + caches["gamma_steps"]["misses"] >= 1
+    assert isinstance(caches["kernels"], int) and caches["kernels"] >= 2
 
 
 def test_verify_counts_skips_by_class(capsys, monkeypatch):

@@ -15,6 +15,7 @@ from padic_hg.ffield import build_field
 from padic_hg.gfunc import (
     GParams,
     PadicCtx,
+    _kernel,
     check_reduction_identity,
     check_splitting_identity,
     choose_precision,
@@ -219,6 +220,23 @@ def test_splitting_identity_random():
                 coeffs.append(Fraction(rng.randrange(d), d))
             x = field.elem(rng.randrange(1, field.q))
             assert check_splitting_identity(*coeffs, x, field, ctx)
+
+
+@pytest.mark.parametrize("p,r,coeffs,shift", [
+    (11, 2, (HALF, HALF, HALF, HALF), 4),
+    (7, 3, (HALF, Fraction(2, 3), HALF, Fraction(1, 3)), 6),
+])
+def test_splitting_identity_at_high_working_precision(p, r, coeffs, shift):
+    # a kernel works modulo p^(3 + shift) > 10^7, too large for a dense
+    # gamma table
+    field = build_field(p, r)
+    assert check_splitting_identity(*coeffs, field.elem(3), field, PadicCtx(field, 3))
+    a1, a2, a3, a4 = coeffs
+    top4 = (a1 / 2, (1 + a1) / 2, a2 / 2, (1 + a2) / 2)
+    bot4 = (a3 / 2, (1 + a3) / 2, a4 / 2, (1 + a4) / 2)
+    shifts = [_kernel(top, bot, field, 3).shift
+              for top, bot in (((a1, a2), (a3, a4)), (top4, bot4))]
+    assert max(shifts) == shift
 
 
 def test_splitting_identity_hypotheses():

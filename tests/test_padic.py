@@ -1,8 +1,11 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+import padic_hg
 from padic_hg.errors import (
     DenominatorDivisibleByP,
     HypothesisViolation,
@@ -29,7 +32,7 @@ from padic_hg.padic import (
     reflection_check,
     teichmuller,
 )
-from oracles import gamma_by_direct_product
+from oracles import gamma_by_direct_product, gamma_table_by_recurrence
 
 
 def ctx_of(p, r, N):
@@ -65,6 +68,50 @@ def test_gamma_table_matches_direct_product(p, N):
     rng = random.Random(p)
     for m in [0, 1, 2, p, p + 1, ctx.pN - 1] + [rng.randrange(ctx.pN) for _ in range(20)]:
         assert ctx.gamma_at_residue(m) == gamma_by_direct_product(m, p, ctx.pN)
+
+
+@pytest.mark.parametrize(
+    "p,N", [(3, 1), (3, 2), (5, 3), (7, 4), (11, 3), (5, 7), (3, 10)]
+)
+def test_gamma_matches_dense_recurrence_everywhere(p, N):
+    # N = 1, even and odd N, and block sizes p^ceil(N/2) != p^floor(N/2)
+    ctx = ctx_of(p, 1, N)
+    table = gamma_table_by_recurrence(p, ctx.pN)
+    assert [ctx.gamma_at_residue(m) for m in range(ctx.pN)] == table
+
+
+@pytest.mark.parametrize("p,N", [(11, 7), (13, 7), (7, 9)])
+def test_gamma_above_dense_range(p, N):
+    # p^N is 2e7..6e7 here, too large for the dense table: check the
+    # functional equation, at block edges m = -1 mod p^ceil(N/2) too, and
+    # the reflection formula on seeded residues
+    ctx = ctx_of(p, 1, N)
+    pN, B = ctx.pN, p ** ((N + 1) // 2)
+    rng = random.Random(pN)
+    edges = [k * B - 1 for k in (1, 2, p, p + 1)] + [pN - 1]
+    edges += [rng.randrange(1, pN // B) * B - 1 for _ in range(40)]
+    points = [0, 1, p - 1, p, B] + [rng.randrange(pN) for _ in range(200)]
+    for m in edges + points:
+        step = m if m % p else 1
+        nxt = ctx.gamma_at_residue((m + 1) % pN)
+        assert nxt == -ctx.gamma_at_residue(m) * step % pN, m
+        expected = (-1) ** a0(m, p) % pN
+        assert ctx.gamma_at_residue(m) * ctx.gamma_at_residue((1 - m) % pN) % pN == expected
+
+
+def test_gamma_tables_shared_by_p_and_N():
+    a, b = ctx_of(5, 1, 4), ctx_of(5, 2, 4)
+    assert a.warm_gamma_table() is b.warm_gamma_table()
+    assert a.warm_gamma_table() is not ctx_of(5, 1, 3).warm_gamma_table()
+
+
+def test_src_has_no_assert_statements():
+    # invariant checks raise InvariantViolation so that they survive python -O
+    src = pathlib.Path(padic_hg.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        asserts = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not asserts, f"{path.name}: assert at lines {asserts}"
 
 
 def test_gamma_values_are_units():
