@@ -168,13 +168,14 @@ def jacobi_sum_padic(a: int, b: int, field, ctx: PadicCtx):
     q = field.q
     pows = ctx.teichmuller_powers()
     logs = field.log_table
-    total = ctx.gr_scalar(0)
+    acc = [0] * ctx.r
     one = field.one
     for v in range(2, q):  # x = 0, 1 contribute 0 by convention
-        kx = -a * logs[v] % (q - 1)
-        ky = -b * logs[(one - field.elem(v)).enc] % (q - 1)
-        total = total + pows[kx] * pows[ky]
-    return total
+        # omega-bar^a(x) omega-bar^b(1 - x) is one power of omega(g)
+        k = (-a * logs[v] - b * logs[(one - field.elem(v)).enc]) % (q - 1)
+        for j, c in enumerate(pows[k]):
+            acc[j] += c
+    return ctx.gr(acc)
 
 
 def gross_koblitz_jacobi_check(a: int, b: int, field, ctx: PadicCtx) -> bool:

@@ -472,6 +472,7 @@ def _cache_infos():
     return {
         "build_field": build_field.cache_info(),
         "gamma_steps": padic._gamma_steps.cache_info(),
+        "teichmuller_tables": padic._teich_table.cache_info(),
     }
 
 

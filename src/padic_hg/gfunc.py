@@ -4,6 +4,9 @@ The defining sum runs over a in [0, q-2]; for each summand the power of
 (-p) comes from exact floor bookkeeping and the unit part from quotients
 of p-adic gamma values.  Coefficient tables depend only on the parameter
 lists and the field, so they are cached and reused across arguments t.
+With t = g^l the character value omega-bar(t)^a is omega(g)^(-al mod q-1),
+one entry of the Teichmuller power table shared by (field, N): a value
+at t costs O(q r) integer multiply-adds and no Galois-ring product.
 
 Individual summands may carry a negative power of (-p) for some parameter
 lists.  The evaluator measures the worst exponent first and works at a
@@ -12,7 +15,6 @@ terms leave Z_p.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +28,7 @@ from .errors import (
     ZeroArgument,
 )
 from .ffield import FqElem, FqField, prime_factors
-from .padic import PadicCtx, PadicInt, _gr_mul, frac, teichmuller
+from .padic import PadicCtx, PadicInt, _teich_table, frac
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,7 @@ class _GKernel:
         work = PadicCtx(field, N + self.shift)
         work.warm_gamma_table()
         self.work = work
+        self.teich = _teich_table(field, work.N)
         pNw = work.pN
         nw = work.N
 
@@ -147,38 +150,48 @@ class _GKernel:
     def raw_eval(self, t):
         """Return (vec, shift): the value is the GR element vec / (-p)^shift.
 
-        The vector is kept whole because G-values for parameter rows that
-        are not closed under multiplication by p mod 1 genuinely live in
-        the extension ring, not in Z_p.
+        With l = log(t), omega-bar(t)^a is entry -a*l mod (q-1) of the
+        shared Teichmuller power table, so the sum walks that index in
+        steps of -l and accumulates coefficient times table entry; nothing
+        is lifted per argument.  The vector is kept whole because G-values
+        for parameter rows that are not closed under multiplication by p
+        mod 1 genuinely live in the extension ring, not in Z_p.
         """
+        field = self.field
+        if t.field is not field:
+            raise ValueError("argument t lives in a different field")
         if t.is_zero():
             raise ZeroArgument("t = 0 is rejected")
-        work = self.work
-        pNw, r, mod = work.pN, work.r, work.modulus
-        wbar = teichmuller(t.inverse(), work).coeffs
-        acc = [0] * r
-        cur = (1,) + (0,) * (r - 1)
+        m = field.q - 1
+        step = -field.log_table[t.enc] % m
+        table = self.teich
+        acc = [0] * field.r
+        k = 0
         for c in self.coeffs:
             if c:
-                for j in range(r):
-                    acc[j] += c * cur[j]
-            cur = _gr_mul(cur, wbar, mod, pNw)
-        lead = -work.inv(self.field.q - 1) % pNw
+                for j, w in enumerate(table[k]):
+                    acc[j] += c * w
+            k += step
+            if k >= m:
+                k -= m
+        pNw = self.work.pN
+        lead = -self.work.inv(m) % pNw
         return tuple(v * lead % pNw for v in acc), self.shift
 
 
+KERNEL_CACHE_SIZE = 256
 _KERNELS = {}
-_KERNEL_LOCK = threading.Lock()
 
 
 def _kernel(top, bottom, field, N):
-    key = (top, bottom, field.p, field.r, N)
+    """The cached kernel of these rows over field at precision N; a new
+    kernel evicts the oldest once KERNEL_CACHE_SIZE are held."""
+    key = (top, bottom, field, N)
     kern = _KERNELS.get(key)
     if kern is None:
-        with _KERNEL_LOCK:
-            kern = _KERNELS.get(key)
-            if kern is None:
-                kern = _KERNELS[key] = _GKernel(top, bottom, field, N)
+        if len(_KERNELS) >= KERNEL_CACHE_SIZE:
+            del _KERNELS[next(iter(_KERNELS))]
+        kern = _KERNELS[key] = _GKernel(top, bottom, field, N)
     return kern
 
 
@@ -285,6 +298,10 @@ def check_splitting_identity(a1, a2, a3, a4, x: FqElem, field: FqField,
     their lcm.  Comparison is exact mod p^N even when individual values
     leave Z_p.
     """
+    if x.field is not field:
+        raise ValueError("argument x lives in a different field")
+    if ctx.field is not field:
+        raise ValueError("field and p-adic context disagree")
     coeffs = tuple(Fraction(c) for c in (a1, a2, a3, a4))
     p, q = field.p, field.q
     d = math.lcm(*(c.denominator for c in coeffs))

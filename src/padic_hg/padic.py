@@ -1,7 +1,8 @@
 """Exact arithmetic mod p^N in the Galois ring GR(p^N, r).
 
 Holds the p-adic gamma function (baby-step/giant-step tables shared by
-(p, N)), Teichmuller lifts, and the exact-rational floor/fractional
+(p, N)), Teichmuller lifts and the table of Teichmuller powers shared by
+(field, N), and the exact-rational floor/fractional
 identities that the G-function evaluator and its test oracles consume.
 Floating point is forbidden throughout: the floor identities are
 exact-arithmetic-fragile.
@@ -77,8 +78,7 @@ class PadicCtx:
     """GR(p^N, r) tied to a companion FqField (same modulus, lifted).
 
     Immutable after construction apart from its memos: the gamma values
-    looked up so far, on top of the gamma tables shared by (p, N), and the
-    Teichmuller powers.
+    looked up so far, on top of the gamma tables shared by (p, N).
     """
 
     def __init__(self, field, N: int):
@@ -92,7 +92,6 @@ class PadicCtx:
         self.pN = field.p**N
         self.modulus = field.modulus
         self._gamma_tables = None
-        self._teich_pows = None
         self._gamma_memo = {}
         self._inv_memo = {}
 
@@ -136,14 +135,9 @@ class PadicCtx:
         return self.gamma_at_residue(self.rational_residue(x))
 
     def teichmuller_powers(self):
-        """[omega(g)^k for k in 0..q-2], g the field generator; built once."""
-        if self._teich_pows is None:
-            w = teichmuller(self.field.generator, self)
-            pows = [self.gr_one()]
-            for _ in range(self.q - 2):
-                pows.append(pows[-1] * w)
-            self._teich_pows = pows
-        return self._teich_pows
+        """The coefficient tuples of omega(g)^k for k in 0..q-2, g the field
+        generator: the table shared by every context with this (field, N)."""
+        return _teich_table(self.field, self.N)
 
     # -- Galois ring elements -------------------------------------------------
 
@@ -315,6 +309,26 @@ def teichmuller(t, ctx: PadicCtx) -> GrElem:
     if gr_pow(z, ctx.q - 1) != ctx.gr_one():
         raise InvariantViolation("Teichmuller lift failed")
     return z
+
+
+@lru_cache(maxsize=32)
+def _teich_table(field, N: int):
+    """The coefficient tuples of omega(g)^k mod p^N for k in 0..q-2, g the
+    generator of field: one lift and q-2 ring products.
+
+    Since omega(g^l) = omega(g)^l, every Teichmuller power is the lookup
+    table[k * log(t) mod (q-1)].  The table is shared by every context and
+    G-function kernel with the same (field, N).
+    """
+    ctx = PadicCtx(field, N)
+    mod, pN = ctx.modulus, ctx.pN
+    w = teichmuller(field.generator, ctx).coeffs
+    table = [ctx.gr_one().coeffs, w]
+    for _ in range(field.q - 3):
+        table.append(_gr_mul(table[-1], w, mod, pN))
+    if _gr_mul(table[-1], w, mod, pN) != table[0]:
+        raise InvariantViolation("omega(g) must have order q-1")
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,9 @@ def naive_G(top, bottom, t, field, N, shift_extra=3):
 
     Accumulates in GR(p^(N+shift_extra), r) so that summands with
     negative (-p)-exponent stay exact, then divides the shift back out.
-    Returns a dict with the scaled coefficient vector and, when the sum
-    is Galois-stable and a p-adic integer, its residue mod p^N.
+    Returns a dict with the scaled coefficient vector, the least
+    (-p)-exponent of any summand and, when the sum is Galois-stable and a
+    p-adic integer, its residue mod p^N.
     """
     q, p, r = field.q, field.p, field.r
     n = len(top)
@@ -68,6 +69,7 @@ def naive_G(top, bottom, t, field, N, shift_extra=3):
     wbar = teichmuller(t.inverse(), work)
     total = work.gr_scalar(0)
     wpow = work.gr_one()
+    min_exponent = None
     for a in range(q - 1):
         e = 0
         unit = 1
@@ -83,6 +85,7 @@ def naive_G(top, bottom, t, field, N, shift_extra=3):
                 unit = unit * work.gamma(frac((-bk + Fraction(a, q - 1)) * pi)) % pNw
                 unit = unit * work.inv(work.gamma(frac(-bk * pi))) % pNw
         assert e + shift_extra >= 0, "oracle shift_extra too small"
+        min_exponent = e if min_exponent is None else min(min_exponent, e)
         scal = pow(-p, e + shift_extra, pNw) * unit % pNw
         if (a * n) % 2:
             scal = pNw - scal
@@ -100,6 +103,7 @@ def naive_G(top, bottom, t, field, N, shift_extra=3):
         "stable": stable,
         "integral": integral,
         "coeffs": coeffs,
+        "min_exponent": min_exponent,
     }
 
 

@@ -203,13 +203,15 @@ def test_verify_reports_cache_activity(capsys):
     code, out = run(capsys, "verify", "--suite", "identity-splitting", "--trials", "3")
     assert code == 0
     caches = json.loads(out)["caches"]
-    assert set(caches) == {"build_field", "gamma_steps", "kernels"}
-    for name in ("build_field", "gamma_steps"):
+    assert set(caches) == {"build_field", "gamma_steps", "teichmuller_tables", "kernels"}
+    for name in ("build_field", "gamma_steps", "teichmuller_tables"):
         assert set(caches[name]) == {"hits", "misses"}
         assert all(isinstance(v, int) and v >= 0 for v in caches[name].values())
     # the suite looks up its three fields once
     assert caches["build_field"]["hits"] + caches["build_field"]["misses"] == 3
     assert caches["gamma_steps"]["hits"] + caches["gamma_steps"]["misses"] >= 1
+    tables = caches["teichmuller_tables"]
+    assert tables["hits"] + tables["misses"] >= 1
     assert isinstance(caches["kernels"], int) and caches["kernels"] >= 2
 
 

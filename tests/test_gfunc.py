@@ -11,7 +11,8 @@ from padic_hg.errors import (
     PrecisionUnderflow,
     ZeroArgument,
 )
-from padic_hg.ffield import build_field
+from padic_hg import gfunc, padic
+from padic_hg.ffield import FqField, build_field
 from padic_hg.gfunc import (
     GParams,
     PadicCtx,
@@ -91,6 +92,91 @@ def test_evaluator_matches_naive_reference(p, r, top, bottom):
         else:
             got = evaluate_G(GParams(top, bottom, t), field, ctx)
             assert got.padic.value == ref["value"]
+
+
+@pytest.mark.parametrize("p,r,top,bottom,shift,stable", [
+    (5, 1, TOP4, QUARTERS, 0, True),
+    (13, 1, (Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 4), Fraction(3, 4)), 1, True),
+    # Galois-unstable rows: vectors with nonzero extension-ring coordinates
+    (5, 2, (Fraction(1, 3), Fraction(1, 6)), (Fraction(3, 4), HALF), 1, False),
+    (3, 3, (HALF, HALF), (HALF, HALF), 6, True),
+    (7, 2, (HALF, Fraction(1, 3)), (Fraction(0), Fraction(3, 4)), 1, False),
+])
+def test_raw_eval_matches_naive_sum_at_every_t(p, r, top, bottom, shift, stable):
+    # the table lookups against a fresh Teichmuller lift of 1/t per t
+    field = build_field(p, r)
+    kern = _kernel(top, bottom, field, 2)
+    assert kern.shift == shift
+    unstable = 0
+    for v in range(1, field.q):
+        t = field.elem(v)
+        vec, s = kern.raw_eval(t)
+        ref = naive_G(top, bottom, t, field, 2, shift_extra=s)
+        assert s == max(0, -ref["min_exponent"])
+        assert list(vec) == ref["coeffs"]
+        unstable += not ref["stable"]
+    assert (unstable == 0) == stable
+
+
+def test_kernels_share_one_teichmuller_table():
+    field = build_field(7, 2)
+    k1 = _kernel(TOP4, QUARTERS, field, 3)
+    k2 = _kernel((HALF, HALF), (Fraction(0), Fraction(0)), field, 3)
+    assert k1.shift == k2.shift == 0
+    assert k1.teich is k2.teich
+    assert PadicCtx(field, 3).teichmuller_powers() is k1.teich
+
+
+def test_evaluate_G_lifts_at_most_once(monkeypatch):
+    calls = []
+    lift = padic.teichmuller
+
+    def counting(t, ctx):
+        calls.append(t)
+        return lift(t, ctx)
+
+    monkeypatch.setattr(padic, "teichmuller", counting)
+    gfunc._KERNELS.clear()
+    padic._teich_table.cache_clear()
+    field = build_field(5, 2)
+    ctx = PadicCtx(field, 3)
+    for v in range(1, 11):
+        evaluate_G(GParams(TOP4, QUARTERS, field.elem(v)), field, ctx)
+    assert len(calls) <= 1
+
+
+def test_mixed_fields_rejected():
+    # a second F_25 built apart from build_field: integer encodings index
+    # its own tables, so its elements must not reach another field's kernel
+    field, other = build_field(5, 2), FqField(5, 2)
+    kern = _kernel(TOP4, QUARTERS, field, 2)
+    with pytest.raises(ValueError):
+        kern.raw_eval(other.elem(7))
+    ctx = PadicCtx(field, 3)
+    with pytest.raises(ValueError):
+        check_splitting_identity(HALF, HALF, Fraction(0), Fraction(0),
+                                 other.elem(7), field, ctx)
+    with pytest.raises(ValueError):
+        check_splitting_identity(HALF, HALF, Fraction(0), Fraction(0),
+                                 field.elem(7), field, PadicCtx(other, 3))
+
+
+def test_kernel_cache_evicts_the_oldest():
+    gfunc._KERNELS.clear()
+    field = build_field(5, 1)
+    rows = [((Fraction(i, 257),), (Fraction(0),))
+            for i in range(gfunc.KERNEL_CACHE_SIZE + 1)]
+    first = _kernel(*rows[0], field, 1)
+    for top, bottom in rows[1:-1]:
+        _kernel(top, bottom, field, 1)
+    assert len(gfunc._KERNELS) == gfunc.KERNEL_CACHE_SIZE
+    assert _kernel(*rows[0], field, 1) is first  # a hit evicts nothing
+    _kernel(*rows[-1], field, 1)
+    assert len(gfunc._KERNELS) == gfunc.KERNEL_CACHE_SIZE
+    held = [(top, bottom, field, 1) in gfunc._KERNELS for top, bottom in rows]
+    assert held == [False] + [True] * gfunc.KERNEL_CACHE_SIZE
+    gfunc._KERNELS.clear()
+    assert len(gfunc._KERNELS) == 0
 
 
 def test_known_value_over_f5():

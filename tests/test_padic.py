@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 import padic_hg
+from padic_hg import padic
 from padic_hg.errors import (
     DenominatorDivisibleByP,
     HypothesisViolation,
+    InvariantViolation,
     NonUnitInverse,
     ZeroInput,
 )
@@ -191,6 +193,26 @@ def test_teichmuller_root_of_unity():
         w = teichmuller(field.elem(v), ctx)
         assert gr_pow(w, field.q - 1) == ctx.gr_one()
         assert tuple(c % 11 for c in w.coeffs) == field.elem(v).coeffs
+
+
+@pytest.mark.parametrize("p,r", [(5, 2), (3, 3), (7, 2)])
+@pytest.mark.parametrize("N", [1, 3])
+def test_teichmuller_table_matches_lifts(p, r, N):
+    field = build_field(p, r)
+    ctx = PadicCtx(field, N)
+    table = padic._teich_table(field, N)
+    assert len(table) == field.q - 1
+    for k in range(field.q - 1):
+        assert table[k] == teichmuller(field.exp(k), ctx).coeffs
+    assert ctx.teichmuller_powers() is table
+
+
+def test_teichmuller_table_checks_the_order(monkeypatch):
+    # omega(g) replaced by the plain lift of g, whose order mod 25 is 20
+    field = build_field(5, 1)
+    monkeypatch.setattr(padic, "teichmuller", lambda t, ctx: ctx.gr_from_field(t))
+    with pytest.raises(InvariantViolation):
+        padic._teich_table.__wrapped__(field, 2)
 
 
 def test_gr_pow_and_inverse():
