@@ -22,6 +22,7 @@ from .ffield import (
     CurveSpec,
     build_field,
     count_points,
+    family_traces,
     quad_char,
     trace_of_frobenius,
 )
@@ -473,6 +474,7 @@ def _cache_infos():
         "build_field": build_field.cache_info(),
         "gamma_steps": padic._gamma_steps.cache_info(),
         "teichmuller_tables": padic._teich_table.cache_info(),
+        "family_traces": family_traces.cache_info(),
     }
 
 

@@ -4,12 +4,16 @@ discrete-log, exp and Zech-logarithm tables.
 Fields are built deterministically (lexicographically smallest monic
 irreducible modulus, smallest generator) so that every run of the package
 produces identical tables.  Point counting over the supported Weierstrass
-families is the ground-truth oracle for the trace formulas.
+families is the ground-truth oracle for the trace formulas; the traces of
+a whole family come from one additive correlation (family_traces).
 """
 
 import itertools
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .errors import (
     DegreeTooLarge,
@@ -478,6 +482,175 @@ def count_points_exhaustive(curve: CurveSpec, field: FqField) -> int:
 def trace_of_frobenius(curve: CurveSpec, field: FqField) -> int:
     """a_q = q + 1 - #E(F_q); validated against the Hasse bound."""
     a = field.q + 1 - count_points(curve, field)
+    if a * a > 4 * field.q:
+        raise InvariantViolation("Hasse bound violated: counting bug")
+    return a
+
+
+# ---------------------------------------------------------------------------
+# the traces of a whole family from one correlation
+
+def _digit_positions(p, r, sign):
+    """Where each encoding lands in the Kronecker packing: its base-p digits
+    d_i, times sign mod p, weighted by (2p-1)^i."""
+    pos = [0]
+    for i in range(r):
+        step = (2 * p - 1) ** i
+        pos = [x + sign * d % p * step for d in range(p) for x in pos]
+    return pos
+
+
+def _fold(slots, p, r):
+    """Fold each digit axis of 2p-1 slots back to p: slot s of an axis adds
+    into digit s mod p.  Digit p-1 keeps its own slot alone, as an axis has
+    no slot 2p-1."""
+    width = 2 * p - 1
+    for i in reversed(range(r)):
+        inner = width**i
+        edge, span = (p - 1) * inner, width * inner
+        out = []
+        for start in range(0, len(slots), span):
+            block = slots[start:start + span]
+            out += map(add, block[:edge], block[edge + inner:])
+            out += block[edge:edge + inner]
+        slots = out
+    return slots
+
+
+def _correlate(h, f, p, r):
+    """c[m] = sum_v h[v] * f[v + m] for integer lists indexed by the
+    encodings of F_{p^r}, v + m adding base-p digits mod p, by one
+    big-integer product (Kronecker substitution).
+
+    h lands at the negated digits of v, so the product holds the cyclic
+    convolution of h(-v) with f, each digit axis unfolded to 2p-1 slots so
+    that no digit sum carries into the next axis.  Both lists are offset to
+    be non-negative first, so that no slot borrows; the offsets add the
+    same constant to every c[m], taken off at the end.
+    """
+    q = p**r
+    lo_h, lo_f = min(h), min(f)
+    h_off = [v - lo_h for v in h]
+    f_off = [v - lo_f for v in f]
+    bound = sum(h_off) * max(f_off)  # no slot of the product exceeds it
+    code = next(c for c in "BHIQ" if bound >> 8 * array(c).itemsize == 0)
+    size = (2 * p - 1) ** r
+
+    def pack(values, pos):
+        slots = [0] * size
+        for v, k in zip(values, pos):
+            slots[k] = v
+        packed = array(code, slots)
+        if sys.byteorder == "big":
+            packed.byteswap()
+        return int.from_bytes(packed.tobytes(), "little")
+
+    product = pack(h_off, _digit_positions(p, r, -1)) * pack(
+        f_off, _digit_positions(p, r, 1)
+    )
+    slots = array(code)
+    slots.frombytes(product.to_bytes(size * slots.itemsize, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    shift = lo_f * sum(h) + lo_h * sum(f) - q * lo_h * lo_f
+    return [c + shift for c in _fold(slots.tolist(), p, r)]
+
+
+def _histogram(family, field):
+    """(h, c) with a_q = c - sum_v h[v] * phi(v + m) for the family's member
+    with parameter m (m != 0 for a1a3).  Over x = g^k, with x + 1 = g^z by
+    the Zech table (z is None at x = -1, where the power below is 0):
+
+    * legendre, x(x-1)(x-m) at x = -v: h[v] = phi(-1) phi(v) phi(v+1);
+    * fg, x(x^2 + x + m): phi(x) at v = x(x+1);
+    * cd, x^3 + x^2 + m: 1 at v = x^2(x+1), x = 0 included;
+    * a1a3, 4x^3 + (x + m)^2 at x = m s: phi(s) at v = (s+1)^2 / (4 s^3),
+      and s = 0 gives c = -1.
+    """
+    q, n = field.q, field.q - 1
+    exp = field.exp_table
+    h = [0] * q
+    c = 0
+    if family == LEGENDRE:
+        minus_one = 1 - 2 * (n // 2 & 1)
+        for k, z in enumerate(field.zech_table):
+            if z is not None:
+                h[exp[k]] = minus_one * (1 - 2 * ((k + z) & 1))
+    elif family == FG:
+        for k, z in enumerate(field.zech_table):
+            h[0 if z is None else exp[(k + z) % n]] += 1 - 2 * (k & 1)
+    elif family == CD:
+        h[0] = 1
+        for k, z in enumerate(field.zech_table):
+            h[0 if z is None else exp[(2 * k + z) % n]] += 1
+    elif family == A1A3:
+        log4 = field.log_table[4 % field.p]
+        for k, z in enumerate(field.zech_table):
+            h[0 if z is None else exp[(2 * z - 3 * k - log4) % n]] += 1 - 2 * (k & 1)
+        c = -1
+    else:
+        raise ValueError(f"no family table for {family!r}")
+    return h, c
+
+
+# y^2 = rhs(x, m) for each family's member with parameter m, the square
+# completed (a1a3) and a1, f or c scaled to 1
+_MEMBER_RHS = {
+    LEGENDRE: lambda x, m, one: x * (x - one) * (x - m),
+    FG: lambda x, m, one: ((x + one) * x + m) * x,
+    CD: lambda x, m, one: (x + one) * x * x + m,
+    A1A3: lambda x, m, one: (x + x + x + x) * x * x + (x + m) * (x + m),
+}
+
+
+@lru_cache(maxsize=32)
+def family_traces(family: str, field: FqField) -> tuple:
+    """a_q of every member of a family over field, indexed by the encoding
+    of its parameter m: the Legendre curve y^2 = x(x-1)(x-m), and fg(1, m),
+    cd(1, m), a1a3(1, m).  Entries at singular m are not traces.
+
+    One O(q) histogram over the Zech table and one correlation with phi
+    give every entry; two of them are then recomputed as direct sums and
+    must agree.
+    """
+    h, c = _histogram(family, field)
+    log = field.log_table
+    phi = [0] + [1 - 2 * (log[e] & 1) for e in range(1, field.q)]
+    table = tuple(c - v for v in _correlate(h, phi, field.p, field.r))
+    rhs = _MEMBER_RHS[family]
+    for m in {1, field.q - 1}:
+        member = field.elem(m)
+        direct = -sum(quad_char(rhs(x, member, field.one)) for x in field.elements())
+        if table[m] != direct:
+            raise InvariantViolation(
+                f"{family} table disagrees with the direct sum at m = {m}"
+            )
+    return table
+
+
+def family_trace(curve: CurveSpec, field: FqField) -> int:
+    """a_q of a Legendre, a1a3, fg or cd curve, read from its family's
+    table: a1a3(a1, a3) is isomorphic to a1a3(1, a3/a1^3), and x -> f x
+    (c x) makes fg(f, g) (cd(c, d)) the twist by f (c) of fg(1, g/f^2)
+    (cd(1, d/c^3)).  Validated against the Hasse bound."""
+    if discriminant(curve, field).is_zero():
+        raise SingularCurve(f"{curve.family} parameters give a singular curve")
+    family = curve.family
+    if family == LEGENDRE:
+        (m,) = curve.params
+        twist = 1
+    elif family == A1A3:
+        a1, a3 = curve.params
+        m, twist = a3 / a1**3, 1
+    elif family == FG:
+        f, g = curve.params
+        m, twist = g / (f * f), quad_char(f)
+    elif family == CD:
+        c, d = curve.params
+        m, twist = d / c**3, quad_char(c)
+    else:
+        raise ValueError(f"no family table for {family!r}")
+    a = twist * family_traces(family, field)[m.enc]
     if a * a > 4 * field.q:
         raise InvariantViolation("Hasse bound violated: counting bug")
     return a

@@ -1,9 +1,10 @@
 """Trace-of-Frobenius formulas: each side computed independently.
 
-The G-function side goes through the evaluator; the trace side through
-brute-force point counting.  For curves over Q the F_p trace propagates
-to F_{p^r} through the two power-sum recurrences below; both sides of
-every formula are exact integers and must agree exactly.
+The G-function side goes through the evaluator.  The trace side of the
+pair formulas is read from the family tables of ffield, and that of the
+formulas over Q comes from point counting: for curves over Q the F_p
+trace propagates to F_{p^r} through the two power-sum recurrences below.
+Both sides of every formula are exact integers and must agree exactly.
 """
 
 import math
@@ -16,6 +17,7 @@ from .ffield import (
     FqElem,
     FqField,
     build_field,
+    family_trace,
     quad_char,
     trace_of_frobenius,
 )
@@ -89,9 +91,9 @@ def _g_integer(field, top, bottom, arg, extra_bound=0):
 def trace_sum_pair(inst: TheoremInstance):
     """(lhs, rhs) of the pair-of-curves trace formulas, both exact.
 
-    lhs sums the two point-count traces; rhs is the stated prefactor
-    times the G-value (plus the additive correction where the formula
-    carries one).
+    lhs sums the two curves' traces, read from their family's table; rhs
+    is the stated prefactor times the G-value (plus the additive
+    correction where the formula carries one).
     """
     f = inst.field
     name = inst.theorem
@@ -141,7 +143,7 @@ def trace_sum_pair(inst: TheoremInstance):
     else:
         raise ValueError(f"unknown pair theorem {inst.theorem!r}")
 
-    lhs = sum(trace_of_frobenius(c, f) for c in curves)
+    lhs = sum(family_trace(c, f) for c in curves)
     rhs = prefactor * _g_integer(f, top, bottom, arg) + correction
     return lhs, rhs
 

@@ -170,3 +170,17 @@ class TupleField:
             acc = self.add(acc, frob)
         assert not any(acc[1:]), "trace must land in F_p"
         return acc[0]
+
+
+def correlation_by_definition(h, f, p, r):
+    """[sum_v h[v] * f[v + m] for every m], lists indexed by the encodings
+    of F_{p^r} and v + m added digit by digit mod p: the O(q^2) sum."""
+    q = p**r
+
+    def digits(v):
+        return [v // p**i % p for i in range(r)]
+
+    def plus(v, m):
+        return sum((a + b) % p * p**i for i, (a, b) in enumerate(zip(digits(v), digits(m))))
+
+    return [sum(h[v] * f[plus(v, m)] for v in range(q)) for m in range(q)]

@@ -203,8 +203,10 @@ def test_verify_reports_cache_activity(capsys):
     code, out = run(capsys, "verify", "--suite", "identity-splitting", "--trials", "3")
     assert code == 0
     caches = json.loads(out)["caches"]
-    assert set(caches) == {"build_field", "gamma_steps", "teichmuller_tables", "kernels"}
-    for name in ("build_field", "gamma_steps", "teichmuller_tables"):
+    assert set(caches) == {
+        "build_field", "gamma_steps", "teichmuller_tables", "family_traces", "kernels",
+    }
+    for name in ("build_field", "gamma_steps", "teichmuller_tables", "family_traces"):
         assert set(caches[name]) == {"hits", "misses"}
         assert all(isinstance(v, int) and v >= 0 for v in caches[name].values())
     # the suite looks up its three fields once
@@ -213,6 +215,14 @@ def test_verify_reports_cache_activity(capsys):
     tables = caches["teichmuller_tables"]
     assert tables["hits"] + tables["misses"] >= 1
     assert isinstance(caches["kernels"], int) and caches["kernels"] >= 2
+    # this suite reads no family table; a pair suite reads two entries per row
+    assert caches["family_traces"] == {"hits": 0, "misses": 0}
+    code, out = run(capsys, "verify", "--suite", "t13", "--pmax", "7", "--rmax", "1")
+    assert code == 0
+    payload = json.loads(out)
+    tables = payload["caches"]["family_traces"]
+    assert tables["misses"] <= 2
+    assert tables["hits"] + tables["misses"] == 2 * payload["total"]
 
 
 def test_verify_counts_skips_by_class(capsys, monkeypatch):

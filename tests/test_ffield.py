@@ -1,10 +1,12 @@
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import padic_hg
+from padic_hg import ffield
 from padic_hg.errors import (
     DegreeTooLarge,
     HypothesisViolation,
@@ -17,10 +19,18 @@ from padic_hg.ffield import (
     count_points,
     count_points_exhaustive,
     discriminant,
+    family_trace,
+    family_traces,
     quad_char,
     trace_of_frobenius,
 )
-from oracles import TupleField, enumerate_legendre_points, multiplicative_order
+from padic_hg.frobtrace import TheoremInstance, trace_sum_pair
+from oracles import (
+    TupleField,
+    correlation_by_definition,
+    enumerate_legendre_points,
+    multiplicative_order,
+)
 
 
 def test_f5_generator_is_smallest():
@@ -276,3 +286,162 @@ def test_special_legendre_traces_vanish(p):
     half = field.from_int(2).inverse()
     assert trace_of_frobenius(CurveSpec.legendre(field.from_int(2)), field) == 0
     assert trace_of_frobenius(CurveSpec.legendre(half), field) == 0
+
+
+# -- family tables -------------------------------------------------------------
+
+@pytest.mark.parametrize("p,r", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
+def test_correlation_matches_the_definition(p, r):
+    # every m is compared, so every digit p - 1 (the fold edge, where an
+    # axis has no slot 2p - 1) on every axis is covered
+    rng = random.Random(p * 10 + r)
+    q = p**r
+    for lo, hi in ((-3, 3), (0, 5), (-7, -1)):
+        h = [rng.randint(lo, hi) for _ in range(q)]
+        f = [rng.randint(-1, 1) for _ in range(q)]
+        assert ffield._correlate(h, f, p, r) == correlation_by_definition(h, f, p, r)
+
+
+FAMILY_MEMBERS = {
+    "legendre": lambda field, m: CurveSpec.legendre(m),
+    "fg": lambda field, m: CurveSpec.fg(field.one, m),
+    "cd": lambda field, m: CurveSpec.cd(field.one, m),
+    "a1a3": lambda field, m: CurveSpec.a1a3(field.one, m),
+}
+TWO_PARAMETER_FAMILIES = (CurveSpec.fg, CurveSpec.cd, CurveSpec.a1a3)
+
+
+def _members(field):
+    """(family, m, curve) for every nonsingular member of every family that
+    exists over field (a1a3 and cd need p > 3)."""
+    for family, make in FAMILY_MEMBERS.items():
+        for v in range(field.q):
+            try:
+                curve = make(field, field.elem(v))
+            except HypothesisViolation:
+                continue
+            if not discriminant(curve, field).is_zero():
+                yield family, v, curve
+
+
+@pytest.mark.parametrize("p,r", [(3, 2), (5, 2), (3, 3), (7, 2), (11, 2), (5, 3), (13, 2)])
+def test_family_tables_match_point_counts(p, r):
+    field = build_field(p, r)
+    checked = set()
+    for family, v, curve in _members(field):
+        assert family_traces(family, field)[v] == trace_of_frobenius(curve, field)
+        checked.add(family)
+    assert checked == ({"legendre", "fg"} if p == 3 else set(FAMILY_MEMBERS))
+
+
+def _same_trace_or_both_singular(curve, field):
+    try:
+        expected = trace_of_frobenius(curve, field)
+    except SingularCurve:
+        with pytest.raises(SingularCurve):
+            family_trace(curve, field)
+        return
+    assert family_trace(curve, field) == expected
+
+
+@pytest.mark.parametrize("p,r", [(5, 2), (3, 3)])
+def test_family_trace_every_parameter_pair(p, r):
+    field = build_field(p, r)
+    for v in range(field.q):
+        _same_trace_or_both_singular(CurveSpec.legendre(field.elem(v)), field)
+    for make in TWO_PARAMETER_FAMILIES:
+        for x in range(1, field.q):
+            for y in range(1, field.q):
+                try:
+                    curve = make(field.elem(x), field.elem(y))
+                except HypothesisViolation:
+                    break  # a1a3 and cd at p = 3
+                _same_trace_or_both_singular(curve, field)
+
+
+@pytest.mark.parametrize("p,r", [(11, 2), (5, 3), (13, 2)])
+def test_family_trace_seeded_pairs(p, r):
+    # the scaling of a1a3 and the twists of fg and cd by seeded (x, y)
+    field = build_field(p, r)
+    rng = random.Random(p * 100 + r)
+    for make in TWO_PARAMETER_FAMILIES:
+        for _ in range(40):
+            x, y = (field.elem(rng.randrange(1, field.q)) for _ in range(2))
+            _same_trace_or_both_singular(make(x, y), field)
+
+
+def test_family_trace_rejects_general_weierstrass():
+    field = build_field(5, 1)
+    curve = CurveSpec.weierstrass(
+        field.one, field.zero, field.from_int(2), field.from_int(3), field.one
+    )
+    with pytest.raises(ValueError):
+        family_trace(curve, field)
+
+
+def test_t13_sweep_counts_no_points(monkeypatch):
+    calls = []
+    counted = ffield.count_points
+    monkeypatch.setattr(
+        ffield, "count_points", lambda curve, fld: calls.append(curve) or counted(curve, fld)
+    )
+    family_traces.cache_clear()
+    field = build_field(5, 3)
+    swept = 0
+    for v in range(2, field.q):
+        lam = field.elem(v)
+        if lam == -field.one:
+            continue
+        lhs, rhs = trace_sum_pair(TheoremInstance("t13", field, (lam,)))
+        assert lhs == rhs
+        swept += 1
+    assert swept == 122
+    assert calls == []
+    info = family_traces.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * swept - 1)
+
+
+def test_family_table_cache_evicts_past_its_bound():
+    family_traces.cache_clear()
+    bound = family_traces.cache_info().maxsize
+    keys = [
+        (family, build_field(p, 1))
+        for p in (5, 7, 11, 13, 17, 19, 23, 29, 31)
+        for family in FAMILY_MEMBERS
+    ]
+    assert len(keys) > bound
+    for key in keys:
+        family_traces(*key)
+    info = family_traces.cache_info()
+    assert (info.currsize, info.misses) == (bound, len(keys))
+    family_traces(*keys[0])  # evicted, so built again
+    assert family_traces.cache_info().misses == len(keys) + 1
+
+
+def test_family_table_check_survives_optimize():
+    script = (
+        "if __debug__: raise SystemExit('not running under -O')\n"
+        "from padic_hg import ffield\n"
+        "from padic_hg.errors import InvariantViolation\n"
+        "fold = ffield._fold\n"
+        "def corrupted(slots, p, r):\n"
+        "    # every entry whose lowest digit is p - 1 gains 1\n"
+        "    return [c + (m % p == p - 1) for m, c in enumerate(fold(slots, p, r))]\n"
+        "ffield._fold = corrupted\n"
+        "for family in ('legendre', 'fg', 'cd', 'a1a3'):\n"
+        "    try:\n"
+        "        ffield.family_traces(family, ffield.build_field(5, 2))\n"
+        "    except InvariantViolation as exc:\n"
+        "        print('InvariantViolation:', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(padic_hg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4, proc.stdout
+    for line, family in zip(lines, ("legendre", "fg", "cd", "a1a3")):
+        assert line.startswith(f"InvariantViolation: {family} table disagrees"), line
