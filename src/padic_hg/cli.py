@@ -28,8 +28,8 @@ from .ffield import (
 )
 from .gfunc import GParams, PadicCtx, choose_precision, evaluate_G, trace_bound
 
-PAIR_SUITES = ("t13", "t14", "t15", "t16", "t17")
-RATIONAL_SUITES = ("t18", "t19", "t110", "t111")
+PAIR_SUITES = frobtrace.PAIR_THEOREMS
+RATIONAL_SUITES = tuple(frobtrace.RATIONAL_THEOREMS)
 SUITES = PAIR_SUITES + RATIONAL_SUITES + (
     "corollary", "identity-splitting", "identity-reduction", "lemmas", "oracle",
 )
@@ -239,22 +239,14 @@ def _suite_pairs_random(name, pmax, rmax, trials, rng, skipped):
     return rows
 
 
-_RATIONAL_PRIMES = {
-    "t18": [p for p in (7, 11, 19, 23) if p % 4 == 3],
-    "t19": [p for p in (5, 11, 23) if p % 12 in (5, 11)],
-    "t110": [p for p in (5, 11, 17, 23) if p % 12 in (5, 11)],
-    "t111": [p for p in (7, 11, 19, 23) if p % 12 in (7, 11)],
-}
-
-
 def _suite_rational(name, pmax, rmax, skipped):
     rows = []
-    params = [Fraction(2), Fraction(1, 2)] if name == "t18" else [Fraction(2), Fraction(3)]
-    for p in _RATIONAL_PRIMES[name]:
-        if p > pmax:
+    theorem = frobtrace.RATIONAL_THEOREMS[name]
+    for p in PRIMES:
+        if p > pmax or not theorem.holds_at(p):
             continue
         for r in range(1, rmax + 1):
-            for par in params:
+            for par in theorem.params:
                 try:
                     predicted, counted = frobtrace.rational_curve_trace(name, p, r, par)
                 except SKIPPABLE as exc:

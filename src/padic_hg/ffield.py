@@ -453,11 +453,18 @@ def count_points(curve: CurveSpec, field: FqField) -> int:
     """
     if discriminant(curve, field).is_zero():
         raise SingularCurve(f"{curve.family} parameters give a singular curve")
+    return 1 + field.q + _phi_sum(curve, field)
+
+
+def _phi_sum(curve, field):
+    """sum_x phi(4x^3 + b2 x^2 + 2 b4 x + b6), which is -a_q when the curve
+    is nonsingular.  No discriminant check, so that the family tables can
+    check members at singular parameters too."""
     b2, b4, b6, _ = _b_invariants(curve, field)
     four = field.from_int(4)
     two = field.from_int(2)
     c2, c1 = b2, two * b4
-    total = 1 + field.q
+    total = 0
     for x in field.elements():
         rhs = ((four * x + c2) * x + c1) * x + b6
         total += quad_char(rhs)
@@ -593,16 +600,6 @@ def _histogram(family, field):
     return h, c
 
 
-# y^2 = rhs(x, m) for each family's member with parameter m, the square
-# completed (a1a3) and a1, f or c scaled to 1
-_MEMBER_RHS = {
-    LEGENDRE: lambda x, m, one: x * (x - one) * (x - m),
-    FG: lambda x, m, one: ((x + one) * x + m) * x,
-    CD: lambda x, m, one: (x + one) * x * x + m,
-    A1A3: lambda x, m, one: (x + x + x + x) * x * x + (x + m) * (x + m),
-}
-
-
 @lru_cache(maxsize=32)
 def family_traces(family: str, field: FqField) -> tuple:
     """a_q of every member of a family over field, indexed by the encoding
@@ -617,11 +614,10 @@ def family_traces(family: str, field: FqField) -> tuple:
     log = field.log_table
     phi = [0] + [1 - 2 * (log[e] & 1) for e in range(1, field.q)]
     table = tuple(c - v for v in _correlate(h, phi, field.p, field.r))
-    rhs = _MEMBER_RHS[family]
     for m in {1, field.q - 1}:
         member = field.elem(m)
-        direct = -sum(quad_char(rhs(x, member, field.one)) for x in field.elements())
-        if table[m] != direct:
+        params = (member,) if family == LEGENDRE else (field.one, member)
+        if table[m] != -_phi_sum(CurveSpec(family, params), field):
             raise InvariantViolation(
                 f"{family} table disagrees with the direct sum at m = {m}"
             )

@@ -10,11 +10,11 @@ Both sides of every formula are exact integers and must agree exactly.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from .errors import DenominatorDivisibleByP, HypothesisViolation, InvariantViolation
+from .errors import HypothesisViolation, InvariantViolation
 from .ffield import (
     CurveSpec,
-    FqElem,
     FqField,
     build_field,
     family_trace,
@@ -36,7 +36,37 @@ BOT6 = (
 )
 
 PAIR_THEOREMS = ("t13", "t14", "t15", "t16", "t17")
-RATIONAL_THEOREMS = ("t18", "t19", "t110", "t111")
+
+
+class RationalTheorem(NamedTuple):
+    """A formula for a curve over Q: the pair formula `pair` at the
+    parameters pair_params(alpha), for the primes p with holds_at(p).  The
+    pair's second curve is then defined over Q and has a_p = 0."""
+
+    pair: str
+    holds_at: Callable[[int], bool]
+    pair_params: Callable[[Fraction], tuple]
+    params: tuple  # the alphas the verify suite runs
+
+
+RATIONAL_THEOREMS = {
+    "t18": RationalTheorem(
+        "t13", lambda p: p >= 5 and p % 4 == 3, lambda lam: (-lam,),
+        (Fraction(2), Fraction(1, 2)),
+    ),
+    "t19": RationalTheorem(
+        "t14", lambda p: p % 12 in (5, 11) and p != 17,
+        lambda a: (a, -a**3 / 24), (Fraction(2), Fraction(3)),
+    ),
+    "t110": RationalTheorem(
+        "t15", lambda p: p % 12 in (5, 11),
+        lambda a: (a, -a**2 / 3), (Fraction(2), Fraction(3)),
+    ),
+    "t111": RationalTheorem(
+        "t16", lambda p: p % 12 in (7, 11),
+        lambda a: (a, 2 * a**3 / 27), (Fraction(2), Fraction(3)),
+    ),
+}
 
 
 def ordp(x, p: int):
@@ -57,23 +87,6 @@ def ordp(x, p: int):
 
 
 @dataclass(frozen=True)
-class RationalModP:
-    """An exact rational together with its reduction to F_q."""
-
-    value: Fraction
-    reduced: FqElem
-
-    @staticmethod
-    def reduce(x, field: FqField) -> "RationalModP":
-        x = Fraction(x)
-        if ordp(x, field.p) < 0:
-            raise DenominatorDivisibleByP(
-                f"{x} has negative valuation at {field.p}"
-            )
-        return RationalModP(x, field.from_rational(x))
-
-
-@dataclass(frozen=True)
 class TheoremInstance:
     """One theorem applied to one field and one parameter tuple."""
 
@@ -88,44 +101,40 @@ def _g_integer(field, top, bottom, arg, extra_bound=0):
     return evaluate_G(GParams(top, bottom, arg), field, ctx, bound=bound).integer
 
 
-def trace_sum_pair(inst: TheoremInstance):
-    """(lhs, rhs) of the pair-of-curves trace formulas, both exact.
-
-    lhs sums the two curves' traces, read from their family's table; rhs
-    is the stated prefactor times the G-value (plus the additive
-    correction where the formula carries one).
+def _pair_formula(name, f, params):
+    """(curves, top, bottom, arg, prefactor, correction) of one pair-of-curves
+    formula over f: the two curves' traces sum to prefactor * G(top; bottom
+    | arg) + correction.  Raises HypothesisViolation outside its hypotheses.
     """
-    f = inst.field
-    name = inst.theorem
     correction = 0
     if name == "t13":
-        (lam,) = inst.params
+        (lam,) = params
         if lam.is_zero() or lam == f.one or lam == -f.one:
             raise HypothesisViolation("lambda must avoid {0, 1, -1}")
         curves = (CurveSpec.legendre(lam), CurveSpec.legendre(-lam))
         top, bottom, arg = TOP4, BOT_QUARTERS, lam * lam
         prefactor = quad_char(f.from_int(-1))
     elif name == "t14":
-        a1, a3 = inst.params
+        a1, a3 = params
         curves = (CurveSpec.a1a3(a1, a3), CurveSpec.a1a3(a1, -a3))
         top, bottom = TOP4, BOT_SIXTHS
         arg = f.from_int(729) * a3 * a3 * (a1**-6)
         prefactor = 1
     elif name == "t15":
-        fcoef, gcoef = inst.params
+        fcoef, gcoef = params
         curves = (CurveSpec.fg(fcoef, gcoef), CurveSpec.fg(fcoef, -gcoef))
         top, bottom = TOP4, BOT_EIGHTHS
         arg = f.from_int(16) * gcoef * gcoef * (fcoef**-4)
         prefactor = quad_char(fcoef)
     elif name == "t16":
-        c, d = inst.params
+        c, d = params
         curves = (CurveSpec.cd(c, d), CurveSpec.cd(c, -d))
         top, bottom = TOP6, BOT6
         arg = f.from_int(729) * d * d * (f.from_int(16) * c**6) ** -1
         prefactor = quad_char(c)
         correction = -quad_char(d) - quad_char(-d)
     elif name == "t17":
-        c, d = inst.params
+        c, d = params
         curves = (CurveSpec.cd(c, d), CurveSpec.cd(c, -d))
         top, bottom = TOP4, BOT_TWELFTHS
         arg = f.from_int(729) * d * d * (f.from_int(16) * c**6) ** -1
@@ -141,8 +150,21 @@ def trace_sum_pair(inst: TheoremInstance):
                 f"q = {f.q} is outside the stated congruence classes"
             )
     else:
-        raise ValueError(f"unknown pair theorem {inst.theorem!r}")
+        raise ValueError(f"unknown pair theorem {name!r}")
+    return curves, top, bottom, arg, prefactor, correction
 
+
+def trace_sum_pair(inst: TheoremInstance):
+    """(lhs, rhs) of the pair-of-curves trace formulas, both exact.
+
+    lhs sums the two curves' traces, read from their family's table; rhs
+    is the stated prefactor times the G-value (plus the additive
+    correction where the formula carries one).
+    """
+    f = inst.field
+    curves, top, bottom, arg, prefactor, correction = _pair_formula(
+        inst.theorem, f, inst.params
+    )
     lhs = sum(family_trace(c, f) for c in curves)
     rhs = prefactor * _g_integer(f, top, bottom, arg) + correction
     return lhs, rhs
@@ -175,120 +197,79 @@ def trace_power(ap: int, p: int, r: int) -> int:
     return cur
 
 
-def _parity_correction(p: int, r: int) -> int:
-    """Trace of the zero-a_p partner curve over F_{p^r}: 0 for odd r,
-    2*(-p)^(r/2) for even r.  Subtracted from the pair sum."""
-    if r % 2:
-        return 0
-    return 2 * (-p) ** (r // 2)
+def _rational_pair(theorem, alpha, field, base):
+    """The pair formula that a rational theorem at alpha reduces to over
+    field, and that formula's two curves over the prime field base."""
+    if theorem not in RATIONAL_THEOREMS:
+        raise ValueError(f"unknown rational-curve theorem {theorem!r}")
+    pair, holds_at, pair_params, _ = RATIONAL_THEOREMS[theorem]
+    alpha = Fraction(alpha)
+    if theorem == "t18" and alpha not in (Fraction(2), Fraction(1, 2)):
+        raise HypothesisViolation("lambda must be 2 or 1/2")
+    if not holds_at(base.p):
+        raise HypothesisViolation(f"p = {base.p} is outside the primes of {theorem}")
+    if ordp(alpha, base.p) != 0:
+        raise HypothesisViolation("requires ord_p(alpha) = 0")
+
+    def reduced(f):
+        params = tuple(f.from_rational(x) for x in pair_params(alpha))
+        return _pair_formula(pair, f, params)
+
+    return reduced(field), reduced(base)[0]
 
 
 def rational_curve_trace(theorem: str, p: int, r: int, param):
     """(predicted, counted) for the curves defined over Q.
 
-    predicted combines the G-value formula with the parity correction;
-    counted is the direct point count over F_{p^r}.  The count is also
-    cross-checked against trace_power applied to the F_p count.
+    predicted is the pair formula less the trace of the partner curve over
+    F_{p^r}; counted is the direct point count over F_{p^r}.  The count is
+    also cross-checked against trace_power applied to the F_p count.
     """
     field = build_field(p, r)
     base = build_field(p, 1)
-
-    if theorem == "t18":
-        lam = Fraction(param)
-        if lam not in (Fraction(2), Fraction(1, 2)):
-            raise HypothesisViolation("lambda must be 2 or 1/2")
-        if p < 5 or p % 4 != 3:
-            raise HypothesisViolation("requires p >= 5 and p = 3 mod 4")
-        curve = lambda fld: CurveSpec.legendre(fld.from_rational(-lam))
-        partner = lambda fld: CurveSpec.legendre(fld.from_rational(lam))
-        top, bottom = TOP4, BOT_QUARTERS
-        arg = field.from_rational(lam * lam)
-        prefactor = quad_char(field.from_int(-1))
-        correction = 0
-    elif theorem == "t19":
-        alpha = Fraction(param)
-        if p % 12 not in (5, 11):
-            raise HypothesisViolation("requires p = 5, 11 mod 12")
-        if p == 17:
-            raise HypothesisViolation("p = 17 is excluded")
-        if ordp(alpha, p) != 0:
-            raise HypothesisViolation("requires ord_p(alpha) = 0")
-        a3 = alpha**3 / 24
-        curve = lambda fld: CurveSpec.a1a3(
-            fld.from_rational(alpha), fld.from_rational(-a3)
-        )
-        partner = lambda fld: CurveSpec.a1a3(
-            fld.from_rational(alpha), fld.from_rational(a3)
-        )
-        top, bottom = TOP4, BOT_SIXTHS
-        arg = field.from_rational(Fraction(81, 64))
-        prefactor = 1
-        correction = 0
-    elif theorem == "t110":
-        alpha = Fraction(param)
-        if p % 12 not in (5, 11):
-            raise HypothesisViolation("requires p = 5, 11 mod 12")
-        if ordp(alpha, p) != 0:
-            raise HypothesisViolation("requires ord_p(alpha) = 0")
-        g2 = alpha**2 / 3
-        curve = lambda fld: CurveSpec.fg(
-            fld.from_rational(alpha), fld.from_rational(-g2)
-        )
-        partner = lambda fld: CurveSpec.fg(
-            fld.from_rational(alpha), fld.from_rational(g2)
-        )
-        top, bottom = TOP4, BOT_EIGHTHS
-        arg = field.from_rational(Fraction(16, 9))
-        prefactor = quad_char(field.from_rational(alpha))
-        correction = 0
-    elif theorem == "t111":
-        alpha = Fraction(param)
-        if p % 12 not in (7, 11):
-            raise HypothesisViolation("requires p = 7, 11 mod 12")
-        if ordp(alpha, p) != 0:
-            raise HypothesisViolation("requires ord_p(alpha) = 0")
-        d2 = 2 * alpha**3 / 27
-        curve = lambda fld: CurveSpec.cd(
-            fld.from_rational(alpha), fld.from_rational(d2)
-        )
-        partner = lambda fld: CurveSpec.cd(
-            fld.from_rational(alpha), fld.from_rational(-d2)
-        )
-        top, bottom = TOP6, BOT6
-        arg = field.from_rational(Fraction(1, 4))
-        prefactor = quad_char(field.from_rational(alpha))
-        six_alpha = 6 * alpha
-        correction = -quad_char(field.from_rational(six_alpha)) - quad_char(
-            field.from_rational(-six_alpha)
-        )
-    else:
-        raise ValueError(f"unknown rational-curve theorem {theorem!r}")
+    formula, (curve_p, partner_p) = _rational_pair(theorem, param, field, base)
+    (curve, _), top, bottom, arg, prefactor, correction = formula
 
     g_int = _g_integer(field, top, bottom, arg, extra_bound=4)
-    predicted = prefactor * g_int + correction - _parity_correction(p, r)
-
-    counted = trace_of_frobenius(curve(field), field)
-    ap = trace_of_frobenius(curve(base), base)
+    counted = trace_of_frobenius(curve, field)
+    ap = trace_of_frobenius(curve_p, base)
     if counted != trace_power(ap, p, r):
         raise InvariantViolation("power-sum recurrence broken")
-    ap_partner = trace_of_frobenius(partner(base), base)
+    ap_partner = trace_of_frobenius(partner_p, base)
     if ap_partner != 0:
         raise HypothesisViolation(
             f"partner curve has a_p = {ap_partner} != 0 at p = {p}"
         )
+    predicted = prefactor * g_int + correction - trace_power(ap_partner, p, r)
     return predicted, counted
+
+
+# (label, theorem, p, alpha) of the four headline G-values, each a rational
+# formula over F_{p^3}
+_HEADLINE_ROWS = (
+    ("quarters@4", "t18", 11, Fraction(2)),
+    ("sixths@81/64", "t19", 11, Fraction(2)),
+    ("eighths@16/9", "t110", 5, Fraction(3)),
+    ("sixth-order@1/4", "t111", 11, Fraction(3)),
+)
 
 
 def corollary_g_values():
     """The four headline G-values, each checked against the trace route.
 
     Every expected integer is derived on the spot from an F_p point
-    count pushed through trace_power, never hard-coded here.
+    count pushed through trace_power, never hard-coded here.  The partner
+    curve's trace over F_{p^3} is trace_power(0, p, 3) = 0.
     """
     report = []
-
-    def emit(label, field, top, bottom, arg, expect):
+    for label, theorem, p, alpha in _HEADLINE_ROWS:
+        field = build_field(p, 3)
+        base = build_field(p, 1)
+        formula, (curve_p, _) = _rational_pair(theorem, alpha, field, base)
+        _, top, bottom, arg, prefactor, correction = formula
         got = _g_integer(field, top, bottom, arg, extra_bound=4)
+        ap = trace_of_frobenius(curve_p, base)
+        expect = prefactor * (trace_power(ap, p, 3) - correction)
         report.append(
             {
                 "item": label,
@@ -298,44 +279,4 @@ def corollary_g_values():
                 "ok": got == expect,
             }
         )
-
-    # (1) q = 11^3, argument 4: trace route through the Legendre pair
-    f = build_field(11, 3)
-    base = build_field(11, 1)
-    ap = trace_of_frobenius(CurveSpec.legendre(base.from_int(-2)), base)
-    expect = quad_char(f.from_int(-1)) * trace_power(ap, 11, 3)
-    emit("quarters@4", f, TOP4, BOT_QUARTERS, f.from_int(4), expect)
-
-    # (2) q = 11^3, argument 81/64: the a1/a3 cubic pair
-    ap = trace_of_frobenius(
-        CurveSpec.a1a3(base.from_int(2), -base.from_rational(Fraction(1, 3))),
-        base,
-    )
-    emit(
-        "sixths@81/64", f, TOP4, BOT_SIXTHS,
-        f.from_rational(Fraction(81, 64)), trace_power(ap, 11, 3),
-    )
-
-    # (3) q = 5^3, argument 16/9: the quartic-free pair with alpha = 3
-    f125 = build_field(5, 3)
-    base5 = build_field(5, 1)
-    ap = trace_of_frobenius(
-        CurveSpec.fg(base5.from_int(3), base5.from_int(-3)), base5
-    )
-    expect = quad_char(f125.from_int(3)) * trace_power(ap, 5, 3)
-    emit(
-        "eighths@16/9", f125, TOP4, BOT_EIGHTHS,
-        f125.from_rational(Fraction(16, 9)), expect,
-    )
-
-    # (4) q = 11^3, argument 1/4: the c/d form with alpha = 3
-    ap = trace_of_frobenius(
-        CurveSpec.cd(base.from_int(3), base.from_int(2)), base
-    )
-    expect = quad_char(f.from_int(3)) * (
-        trace_power(ap, 11, 3)
-        + quad_char(f.from_int(18))
-        + quad_char(f.from_int(-18))
-    )
-    emit("sixth-order@1/4", f, TOP6, BOT6, f.from_rational(Fraction(1, 4)), expect)
     return report

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import padic_hg
 from padic_hg import frobtrace
 from padic_hg.cli import main
@@ -185,6 +187,22 @@ def test_verify_t13_pmax7(capsys):
     assert payload["failed"] == 0
     assert payload["total"] == 2 + 4  # F_5 and F_7 lambdas
     assert payload["skipped"] == {"total": 0, "by_class": {}}
+
+
+@pytest.mark.parametrize("suite,primes,total", [
+    ("t18", [7, 11, 19, 23], 24),
+    ("t19", [5, 11, 23], 18),
+    ("t110", [5, 11, 17, 23], 24),
+    ("t111", [7, 11, 19, 23], 24),
+])
+def test_verify_rational_suites_choose_their_primes(capsys, suite, primes, total):
+    code, out = run(capsys, "verify", "--suite", suite, "--pmax", "23", "--rmax", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["total"] == total  # primes x r = 1..3 x two parameters
+    assert payload["failed"] == 0
+    assert payload["skipped"] == {"total": 0, "by_class": {}}
+    assert sorted({row["p"] for row in payload["instances"]}) == primes
 
 
 def test_verify_reports_the_range_it_ran(capsys):

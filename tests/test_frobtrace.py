@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from padic_hg.errors import DenominatorDivisibleByP, HypothesisViolation
+from padic_hg.cli import PRIMES
+from padic_hg.errors import HypothesisViolation
 from padic_hg.ffield import CurveSpec, build_field, quad_char, trace_of_frobenius
 from padic_hg.frobtrace import (
-    RationalModP,
+    RATIONAL_THEOREMS,
     TheoremInstance,
     corollary_g_values,
     frobenius_power_series,
@@ -24,14 +25,6 @@ def test_ordp():
     assert ordp(Fraction(50), 5) == 2
     assert ordp(Fraction(3, 98), 7) == -2
     assert ordp(Fraction(49, 2), 7) == 2
-
-
-def test_rational_mod_p():
-    field = build_field(11, 1)
-    rm = RationalModP.reduce(Fraction(1, 3), field)
-    assert rm.reduced == field.from_int(4)  # 3 * 4 = 12 = 1 mod 11
-    with pytest.raises(DenominatorDivisibleByP):
-        RationalModP.reduce(Fraction(1, 22), field)
 
 
 def test_frobenius_power_series_examples():
@@ -186,6 +179,32 @@ def test_rational_curve_hypotheses():
         rational_curve_trace("t110", 11, 1, Fraction(11))  # ord_p != 0
     with pytest.raises(HypothesisViolation):
         rational_curve_trace("t111", 5, 1, Fraction(2))  # 5 = 5 mod 12
+
+
+@pytest.mark.parametrize("name,primes", [
+    ("t18", [7, 11, 19, 23]),
+    ("t19", [5, 11, 23]),
+    ("t110", [5, 11, 17, 23]),
+    ("t111", [7, 11, 19, 23]),
+])
+def test_rational_rows_reduce_to_pair_rows(name, primes):
+    # a rational row is its pair row less the a_p = 0 partner's trace
+    theorem = RATIONAL_THEOREMS[name]
+    for p in (3,) + PRIMES:
+        if p not in primes:
+            with pytest.raises(HypothesisViolation):
+                rational_curve_trace(name, p, 1, theorem.params[0])
+            continue
+        assert theorem.holds_at(p)
+        for r in (1, 2):
+            field = build_field(p, r)
+            partner = trace_power(0, p, r)
+            for alpha in theorem.params:
+                params = tuple(field.from_rational(x) for x in theorem.pair_params(alpha))
+                lhs, rhs = trace_sum_pair(TheoremInstance(theorem.pair, field, params))
+                predicted, counted = rational_curve_trace(name, p, r, alpha)
+                assert lhs == counted + partner
+                assert rhs - partner == predicted
 
 
 def test_partner_traces_vanish_at_r1():
