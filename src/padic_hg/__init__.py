@@ -22,7 +22,7 @@ from .gfunc import (
     evaluate_G,
     reconstruct_integer,
 )
-from .padic import GrElem, PadicCtx, PadicInt, frac, gamma_p, gr_pow, teichmuller
+from .padic import PadicCtx, PadicInt, frac, gamma_p, teichmuller
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "FqField",
     "GParams",
     "GValue",
-    "GrElem",
     "PadicCtx",
     "PadicHGError",
     "PadicInt",
@@ -44,7 +43,6 @@ __all__ = [
     "evaluate_G",
     "frac",
     "gamma_p",
-    "gr_pow",
     "quad_char",
     "reconstruct_integer",
     "teichmuller",

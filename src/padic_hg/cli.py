@@ -157,7 +157,7 @@ def cmd_oracle(args, fmt):
         if args.padic:
             ctx = PadicCtx(field, args.precision or 3)
             val = charsum.jacobi_sum_padic(args.a, args.b, field, ctx)
-            payload = {"coeffs": list(val.coeffs), "modulus": ctx.pN}
+            payload = {"coeffs": list(val), "modulus": ctx.pN}
         else:
             z = charsum.jacobi_sum_complex(args.a, args.b, field)
             payload = {"re": z.real, "im": z.imag, "abs": abs(z)}

@@ -29,10 +29,6 @@ class ZeroInput(PadicHGError):
     """Teichmuller lift of 0 requested (excluded by the chi(0)=0 convention)."""
 
 
-class NonUnitInverse(PadicHGError):
-    """Inversion of a non-unit in the Galois ring."""
-
-
 class ZeroArgument(PadicHGError):
     """G-function argument t = 0 (rejected; see gfunc design notes)."""
 

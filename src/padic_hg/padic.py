@@ -17,7 +17,6 @@ from .errors import (
     DenominatorDivisibleByP,
     HypothesisViolation,
     InvariantViolation,
-    NonUnitInverse,
     ZeroInput,
 )
 
@@ -139,24 +138,6 @@ class PadicCtx:
         generator: the table shared by every context with this (field, N)."""
         return _teich_table(self.field, self.N)
 
-    # -- Galois ring elements -------------------------------------------------
-
-    def gr(self, coeffs) -> "GrElem":
-        coeffs = tuple(c % self.pN for c in coeffs)
-        if len(coeffs) != self.r:
-            raise ValueError(f"expected {self.r} coefficients")
-        return GrElem(coeffs, self)
-
-    def gr_scalar(self, v: int) -> "GrElem":
-        return GrElem((v % self.pN,) + (0,) * (self.r - 1), self)
-
-    def gr_one(self) -> "GrElem":
-        return self.gr_scalar(1)
-
-    def gr_from_field(self, x) -> "GrElem":
-        """The coefficientwise integer lift of an FqElem."""
-        return GrElem(tuple(x.coeffs) + (0,) * (self.r - len(x.coeffs)), self)
-
     def __repr__(self):
         return f"PadicCtx(p={self.p}, r={self.r}, N={self.N})"
 
@@ -185,7 +166,8 @@ def gamma_p(x, ctx: PadicCtx) -> PadicInt:
 
 
 # ---------------------------------------------------------------------------
-# Galois ring arithmetic
+# Galois ring arithmetic: an element of GR(p^N, r) is the tuple of its r
+# coefficients mod p^N, constant term first, reduced by the lifted modulus
 
 def _gr_mul(a, b, mod, pN):
     r = len(a)
@@ -205,108 +187,30 @@ def _gr_mul(a, b, mod, pN):
     return tuple(v % pN for v in prod[:r])
 
 
-class GrElem:
-    """Element of GR(p^N, r) as a length-r coefficient tuple mod p^N."""
-
-    __slots__ = ("coeffs", "ctx")
-
-    def __init__(self, coeffs, ctx):
-        self.coeffs = coeffs
-        self.ctx = ctx
-
-    def is_constant(self):
-        return not any(self.coeffs[1:])
-
-    def constant_value(self) -> int:
-        return self.coeffs[0]
-
-    def is_unit(self):
-        p = self.ctx.p
-        return any(c % p for c in self.coeffs)
-
-    def __add__(self, other):
-        if other.ctx is not self.ctx:
-            raise ValueError("operands lie in different Galois-ring contexts")
-        pN = self.ctx.pN
-        return GrElem(
-            tuple((a + b) % pN for a, b in zip(self.coeffs, other.coeffs)),
-            self.ctx,
-        )
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        pN = self.ctx.pN
-        return GrElem(tuple(-a % pN for a in self.coeffs), self.ctx)
-
-    def __mul__(self, other):
-        ctx = self.ctx
-        if isinstance(other, int):
-            return GrElem(
-                tuple(a * other % ctx.pN for a in self.coeffs), ctx
-            )
-        if other.ctx is not ctx:
-            raise ValueError("operands lie in different Galois-ring contexts")
-        return GrElem(
-            _gr_mul(self.coeffs, other.coeffs, ctx.modulus, ctx.pN), ctx
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        return gr_pow(self, e)
-
-    def inverse(self):
-        """Newton lift of the mod-p inverse; requires a unit."""
-        if not self.is_unit():
-            raise NonUnitInverse("element is divisible by p")
-        ctx = self.ctx
-        y = ctx.gr_from_field(ctx.field.from_coeffs(self.coeffs).inverse())
-        two = ctx.gr_scalar(2)
-        # each Newton step doubles the modulus of agreement
-        for _ in range(ctx.N.bit_length() + 1):
-            y = y * (two - self * y)
-        if (self * y).coeffs != ctx.gr_one().coeffs:
-            raise InvariantViolation("Newton inversion failed")
-        return y
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GrElem)
-            and self.ctx is other.ctx
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.coeffs, self.ctx.p, self.ctx.N))
-
-    def __repr__(self):
-        return f"GrElem({list(self.coeffs)} mod {self.ctx.p}^{self.ctx.N})"
-
-
-def gr_pow(base: GrElem, e: int) -> GrElem:
-    """base^e in GR(p^N, r), square-and-multiply; negative e via inversion."""
-    if e < 0:
-        return gr_pow(base.inverse(), -e)
-    result = base.ctx.gr_one()
+def _ring_pow(base, e, mod, pN):
+    """base^e in GR(p^N, r) for e >= 0, square-and-multiply over _gr_mul."""
+    result = (1,) + (0,) * (len(base) - 1)
     while e:
         if e & 1:
-            result = result * base
-        base = base * base
+            result = _gr_mul(result, base, mod, pN)
+        base = _gr_mul(base, base, mod, pN)
         e >>= 1
     return result
 
 
-def teichmuller(t, ctx: PadicCtx) -> GrElem:
-    """The Teichmuller lift of t in F_q^x: the (q-1)-th root of unity in
-    GR(p^N, r) congruent to t mod p, by iterating z -> z^q N times."""
+def teichmuller(t, ctx: PadicCtx) -> tuple:
+    """The Teichmuller lift of t in F_q^x as a coefficient tuple: the
+    (q-1)-th root of unity in GR(p^N, r) congruent to t mod p, by iterating
+    z -> z^q N times.  The independent lift behind the shared table."""
+    if t.field is not ctx.field:
+        raise ValueError("t and the p-adic context lie over different fields")
     if t.is_zero():
         raise ZeroInput("omega(0) is excluded; callers handle t = 0 separately")
-    z = ctx.gr_from_field(t)
+    mod, pN = ctx.modulus, ctx.pN
+    z = t.coeffs
     for _ in range(ctx.N):
-        z = gr_pow(z, ctx.q)
-    if gr_pow(z, ctx.q - 1) != ctx.gr_one():
+        z = _ring_pow(z, ctx.q, mod, pN)
+    if _ring_pow(z, ctx.q - 1, mod, pN) != (1,) + (0,) * (ctx.r - 1):
         raise InvariantViolation("Teichmuller lift failed")
     return z
 
@@ -322,8 +226,8 @@ def _teich_table(field, N: int):
     """
     ctx = PadicCtx(field, N)
     mod, pN = ctx.modulus, ctx.pN
-    w = teichmuller(field.generator, ctx).coeffs
-    table = [ctx.gr_one().coeffs, w]
+    w = teichmuller(field.generator, ctx)
+    table = [(1,) + (0,) * (field.r - 1), w]
     for _ in range(field.q - 3):
         table.append(_gr_mul(table[-1], w, mod, pN))
     if _gr_mul(table[-1], w, mod, pN) != table[0]:
@@ -340,6 +244,8 @@ def product_formula_check(x, m: int, ctx: PadicCtx, field) -> bool:
     Both sides live in GR(p^N, r) because of the Teichmuller factor
     omega(m^((1-x)(1-q))); requires p coprime to m and x(q-1) integral.
     """
+    if ctx.field is not field:
+        raise ValueError("field and p-adic context disagree")
     x = Fraction(x)
     if m < 1 or m % ctx.p == 0:
         raise HypothesisViolation("m must be positive and prime to p")
@@ -360,8 +266,8 @@ def product_formula_check(x, m: int, ctx: PadicCtx, field) -> bool:
     e = (1 - x) * (1 - q)
     if e.denominator != 1:
         raise InvariantViolation("Teichmuller exponent (1-x)(1-q) is not an integer")
-    w = teichmuller(field.from_int(m) ** int(e), ctx)
-    return ctx.gr_scalar(lhs) == w * rhs
+    w = ctx.teichmuller_powers()[field.log(field.from_int(m) ** int(e))]
+    return tuple(c * rhs % ctx.pN for c in w) == (lhs,) + (0,) * (r - 1)
 
 
 def reflection_check(x, ctx: PadicCtx) -> bool:
@@ -373,6 +279,8 @@ def reflection_check(x, ctx: PadicCtx) -> bool:
 
 def gamma_product_downshift_check(t: int, a: int, ctx: PadicCtx, field) -> bool:
     """Gamma products for the orbit of -t*a/(q-1), downshifted by h/t."""
+    if ctx.field is not field:
+        raise ValueError("field and p-adic context disagree")
     if t < 1 or t % ctx.p == 0:
         raise HypothesisViolation("t must be positive and prime to p")
     q, r, p = ctx.q, ctx.r, ctx.p
@@ -386,12 +294,14 @@ def gamma_product_downshift_check(t: int, a: int, ctx: PadicCtx, field) -> bool:
             lhs_scalar = lhs_scalar * ctx.gamma(frac(Fraction(h * pi, t))) % ctx.pN
         for h in range(t):
             rhs = rhs * ctx.gamma(frac((Fraction(1 + h, t) - nu) * pi)) % ctx.pN
-    w = teichmuller(field.from_int(t) ** (-t * a), ctx)
-    return w * lhs_scalar == ctx.gr_scalar(rhs)
+    w = ctx.teichmuller_powers()[field.log(field.from_int(t) ** (-t * a))]
+    return tuple(c * lhs_scalar % ctx.pN for c in w) == (rhs,) + (0,) * (r - 1)
 
 
 def gamma_product_upshift_check(t: int, a: int, ctx: PadicCtx, field) -> bool:
     """Companion identity with +t*a/(q-1) and upshift by h/t."""
+    if ctx.field is not field:
+        raise ValueError("field and p-adic context disagree")
     if t < 1 or t % ctx.p == 0:
         raise HypothesisViolation("t must be positive and prime to p")
     q, r, p = ctx.q, ctx.r, ctx.p
@@ -405,8 +315,8 @@ def gamma_product_upshift_check(t: int, a: int, ctx: PadicCtx, field) -> bool:
             lhs_scalar = lhs_scalar * ctx.gamma(frac(Fraction(h * pi, t))) % ctx.pN
         for h in range(t):
             rhs = rhs * ctx.gamma(frac((Fraction(h, t) + nu) * pi)) % ctx.pN
-    w = teichmuller(field.from_int(t) ** (t * a), ctx)
-    return w * lhs_scalar == ctx.gr_scalar(rhs)
+    w = ctx.teichmuller_powers()[field.log(field.from_int(t) ** (t * a))]
+    return tuple(c * lhs_scalar % ctx.pN for c in w) == (rhs,) + (0,) * (r - 1)
 
 
 def gamma_complement_product_check(a: int, ctx: PadicCtx) -> bool:

@@ -8,7 +8,7 @@ deliberately shares no bookkeeping with the package internals it checks.
 import math
 from fractions import Fraction
 
-from padic_hg.padic import PadicCtx, frac, teichmuller
+from padic_hg.padic import PadicCtx, _gr_mul, frac, teichmuller
 
 
 def multiplicative_order(elem, field):
@@ -67,8 +67,8 @@ def naive_G(top, bottom, t, field, N, shift_extra=3):
     work = PadicCtx(field, N + shift_extra)
     pNw = work.pN
     wbar = teichmuller(t.inverse(), work)
-    total = work.gr_scalar(0)
-    wpow = work.gr_one()
+    total = (0,) * r
+    wpow = (1,) + (0,) * (r - 1)
     min_exponent = None
     for a in range(q - 1):
         e = 0
@@ -89,10 +89,10 @@ def naive_G(top, bottom, t, field, N, shift_extra=3):
         scal = pow(-p, e + shift_extra, pNw) * unit % pNw
         if (a * n) % 2:
             scal = pNw - scal
-        total = total + wpow * scal
-        wpow = wpow * wbar
+        total = tuple((c + w * scal) % pNw for c, w in zip(total, wpow))
+        wpow = _gr_mul(wpow, wbar, work.modulus, pNw)
     lead = -work.inv(q - 1) % pNw
-    coeffs = [c * lead % pNw for c in total.coeffs]
+    coeffs = [c * lead % pNw for c in total]
     stable = not any(coeffs[1:])
     integral = stable and coeffs[0] % p**shift_extra == 0
     value = None

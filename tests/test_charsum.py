@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from padic_hg import charsum
 from padic_hg.charsum import (
     binomial_complex,
     davenport_hasse_check,
@@ -13,7 +14,7 @@ from padic_hg.charsum import (
     mccarthy_Fstar,
 )
 from padic_hg.errors import FieldTooLarge, HypothesisViolation
-from padic_hg.ffield import CurveSpec, build_field, quad_char, trace_of_frobenius
+from padic_hg.ffield import CurveSpec, FqField, build_field, quad_char, trace_of_frobenius
 from padic_hg.padic import PadicCtx
 
 
@@ -125,11 +126,24 @@ def test_field_too_large_for_complex():
         gauss_sum(1, field)
 
 
+def test_complex_tables_evict_the_oldest_field():
+    charsum._tables.cache_clear()
+    fields = [FqField(3, 1) for _ in range(33)]
+    for field in fields:
+        assert abs(gauss_sum(1, field) ** 2 + 3) < 1e-9
+    info = charsum._tables.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (32, 32, 33)
+    gauss_sum(1, fields[-1])
+    gauss_sum(1, fields[0])  # evicted by the 33rd field, so built again
+    info = charsum._tables.cache_info()
+    assert (info.hits, info.misses) == (1, 34)
+
+
 def test_jacobi_padic_trivial():
     field = build_field(5, 2)
     ctx = PadicCtx(field, 3)
     value = jacobi_sum_padic(0, 0, field, ctx)
-    assert value == ctx.gr_scalar(23)
+    assert value == (23, 0)
 
 
 def test_jacobi_padic_magnitude_consistency():

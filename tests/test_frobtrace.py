@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from padic_hg import frobtrace
 from padic_hg.cli import PRIMES
 from padic_hg.errors import HypothesisViolation
 from padic_hg.ffield import CurveSpec, build_field, quad_char, trace_of_frobenius
 from padic_hg.frobtrace import (
     RATIONAL_THEOREMS,
     TheoremInstance,
+    _rational_sides,
     corollary_g_values,
     frobenius_power_series,
     ordp,
@@ -205,6 +207,43 @@ def test_rational_rows_reduce_to_pair_rows(name, primes):
                 predicted, counted = rational_curve_trace(name, p, r, alpha)
                 assert lhs == counted + partner
                 assert rhs - partner == predicted
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_THEOREMS))
+def test_rational_sides_solve_for_G(name):
+    # the headline expectation is the rational formula solved for G: it
+    # needs the partner's trace, which is 0 at odd r only
+    theorem = RATIONAL_THEOREMS[name]
+    rows = 0
+    for p in PRIMES:
+        if p > 23 or not theorem.holds_at(p):
+            continue
+        for r in (1, 2, 3):
+            for alpha in theorem.params:
+                g, prefactor, correction, counted, partner = _rational_sides(
+                    name, p, r, alpha
+                )
+                assert prefactor in (1, -1)
+                assert partner == trace_power(0, p, r)
+                assert g == prefactor * (counted - correction + partner)
+                rows += 1
+    assert rows == {"t18": 24, "t19": 18, "t110": 24, "t111": 24}[name]
+
+
+def test_rational_sides_need_the_partner_trace(monkeypatch):
+    # t111 at p = 7, alpha = 2 over F_49: correction and partner are nonzero
+    g, prefactor, correction, counted, partner = _rational_sides(
+        "t111", 7, 2, Fraction(2)
+    )
+    assert g == -22
+    assert correction != 0 and partner != 0
+    assert prefactor * (counted - correction) == -8
+    # the headline expectation, run at this row: at r = 3 both terms vanish
+    sides = frobtrace._rational_sides
+    monkeypatch.setattr(frobtrace, "_HEADLINE_ROWS", (("t111@49", "t111", 7, Fraction(2)),))
+    monkeypatch.setattr(frobtrace, "_rational_sides", lambda t, p, r, a: sides(t, p, 2, a))
+    (item,) = corollary_g_values()
+    assert (item["value"], item["expected_from_counts"], item["ok"]) == (-22, -22, True)
 
 
 def test_partner_traces_vanish_at_r1():

@@ -11,10 +11,9 @@ from padic_hg.errors import (
     DenominatorDivisibleByP,
     HypothesisViolation,
     InvariantViolation,
-    NonUnitInverse,
     ZeroInput,
 )
-from padic_hg.ffield import build_field
+from padic_hg.ffield import FqField, build_field
 from padic_hg.padic import (
     PadicCtx,
     a0,
@@ -28,7 +27,6 @@ from padic_hg.padic import (
     gamma_p,
     gamma_product_downshift_check,
     gamma_product_upshift_check,
-    gr_pow,
     product_formula_check,
     quarter_gamma_product_check,
     reflection_check,
@@ -164,12 +162,12 @@ def test_reflection_random_rationals():
 def test_teichmuller_basics():
     field = build_field(7, 1)
     ctx = PadicCtx(field, 2)
-    assert teichmuller(field.one, ctx).coeffs == (1,)
-    assert teichmuller(field.from_int(-1), ctx).coeffs == (48,)
+    assert teichmuller(field.one, ctx) == (1,)
+    assert teichmuller(field.from_int(-1), ctx) == (48,)
     # iterate z -> z^7 by hand from 2: 2^7 = 128 = 30 mod 49, then fixed
     assert pow(2, 7, 49) == 30
     assert pow(30, 7, 49) == 30
-    assert teichmuller(field.from_int(2), ctx).coeffs == (30,)
+    assert teichmuller(field.from_int(2), ctx) == (30,)
     assert pow(30, 3, 49) == 1
     with pytest.raises(ZeroInput):
         teichmuller(field.zero, ctx)
@@ -183,7 +181,7 @@ def test_teichmuller_multiplicative(p, r):
     for v in range(1, field.q):
         for w in range(1, field.q):
             prod = (field.elem(v) * field.elem(w)).encode()
-            assert lifts[v] * lifts[w] == lifts[prod]
+            assert padic._gr_mul(lifts[v], lifts[w], ctx.modulus, ctx.pN) == lifts[prod]
 
 
 def test_teichmuller_root_of_unity():
@@ -191,8 +189,11 @@ def test_teichmuller_root_of_unity():
     ctx = PadicCtx(field, 3)
     for v in (1, 2, 17, 100):
         w = teichmuller(field.elem(v), ctx)
-        assert gr_pow(w, field.q - 1) == ctx.gr_one()
-        assert tuple(c % 11 for c in w.coeffs) == field.elem(v).coeffs
+        power = (1, 0)
+        for _ in range(field.q - 1):
+            power = padic._gr_mul(power, w, ctx.modulus, ctx.pN)
+        assert power == (1, 0)
+        assert tuple(c % 11 for c in w) == field.elem(v).coeffs
 
 
 @pytest.mark.parametrize("p,r", [(5, 2), (3, 3), (7, 2)])
@@ -203,63 +204,89 @@ def test_teichmuller_table_matches_lifts(p, r, N):
     table = padic._teich_table(field, N)
     assert len(table) == field.q - 1
     for k in range(field.q - 1):
-        assert table[k] == teichmuller(field.exp(k), ctx).coeffs
+        assert table[k] == teichmuller(field.exp(k), ctx)
     assert ctx.teichmuller_powers() is table
 
 
 def test_teichmuller_table_checks_the_order(monkeypatch):
     # omega(g) replaced by the plain lift of g, whose order mod 25 is 20
     field = build_field(5, 1)
-    monkeypatch.setattr(padic, "teichmuller", lambda t, ctx: ctx.gr_from_field(t))
+    monkeypatch.setattr(padic, "teichmuller", lambda t, ctx: t.coeffs)
     with pytest.raises(InvariantViolation):
         padic._teich_table.__wrapped__(field, 2)
-
-
-def test_gr_pow_and_inverse():
-    field = build_field(5, 1)
-    ctx = PadicCtx(field, 2)
-    two = ctx.gr_scalar(2)
-    assert gr_pow(two, 0) == ctx.gr_one()
-    inv = gr_pow(two, -1)
-    assert inv == ctx.gr_scalar(13)
-    assert 2 * 13 % 25 == 1
-    with pytest.raises(NonUnitInverse):
-        gr_pow(ctx.gr_scalar(5), -1)
 
 
 def test_gr_ring_axioms():
     field = build_field(11, 2)
     ctx = PadicCtx(field, 2)
     rng = random.Random(3)
-    elems = [ctx.gr(tuple(rng.randrange(ctx.pN) for _ in range(2))) for _ in range(8)]
+    elems = [tuple(rng.randrange(ctx.pN) for _ in range(2)) for _ in range(8)]
+
+    def mul(x, y):
+        return padic._gr_mul(x, y, ctx.modulus, ctx.pN)
+
+    def add(x, y):
+        return tuple((a + b) % ctx.pN for a, b in zip(x, y))
+
+    # x^2 = -(m_0 + m_1 x) for the lifted modulus x^2 + m_1 x + m_0
+    assert mul((0, 1), (0, 1)) == tuple(-m % ctx.pN for m in ctx.modulus[:2])
     for x in elems:
+        assert mul(x, (1, 0)) == x
         for y in elems:
-            assert x * y == y * x
+            assert mul(x, y) == mul(y, x)
             for z in elems:
-                assert (x * y) * z == x * (y * z)
-                assert x * (y + z) == x * y + x * z
+                assert mul(mul(x, y), z) == mul(x, mul(y, z))
+                assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
 
 
-def test_gr_mixed_context_arithmetic_rejected():
-    field = build_field(5, 2)
-    x, y = PadicCtx(field, 3).gr((2, 1)), PadicCtx(field, 4).gr((2, 1))
-    for op in (lambda: x + y, lambda: x - y, lambda: x * y):
-        with pytest.raises(ValueError):
-            op()
-    assert (x * 3).ctx is x.ctx  # integer scalars stay allowed
-
-
-def test_gr_inverse_random_units():
-    field = build_field(7, 3)
+def test_teichmuller_rejects_other_fields():
+    field, other = build_field(5, 2), FqField(5, 2)
     ctx = PadicCtx(field, 3)
-    rng = random.Random(9)
-    found = 0
-    while found < 10:
-        x = ctx.gr(tuple(rng.randrange(ctx.pN) for _ in range(3)))
-        if not x.is_unit():
-            continue
-        assert x * x.inverse() == ctx.gr_one()
-        found += 1
+    with pytest.raises(ValueError):
+        teichmuller(other.elem(7), ctx)
+    with pytest.raises(ValueError):
+        teichmuller(build_field(5, 1).one, ctx)
+
+
+def test_gamma_product_checks_reject_other_fields():
+    # a context over F_25 must not be read with the log tables of F_5
+    field, small = build_field(5, 2), build_field(5, 1)
+    ctx = PadicCtx(field, 3)
+    with pytest.raises(ValueError):
+        product_formula_check(Fraction(1, 4), 2, ctx, small)
+    with pytest.raises(ValueError):
+        gamma_product_downshift_check(2, 1, ctx, small)
+    with pytest.raises(ValueError):
+        gamma_product_upshift_check(2, 1, ctx, small)
+    with pytest.raises(ValueError):
+        product_formula_check(Fraction(1, 4), 2, ctx, FqField(5, 2))
+
+
+def test_gamma_product_checks_lift_at_most_once(monkeypatch):
+    calls = []
+    lift = padic.teichmuller
+
+    def counting(t, ctx):
+        calls.append((t.field, ctx.N))
+        return lift(t, ctx)
+
+    monkeypatch.setattr(padic, "teichmuller", counting)
+    padic._teich_table.cache_clear()
+    field = build_field(5, 2)
+    for N in (2, 3):
+        ctx = PadicCtx(field, N)
+        for k in range(0, 24, 3):
+            assert product_formula_check(Fraction(k, 24), 2, ctx, field)
+        for a in range(0, 24, 5):
+            assert gamma_product_downshift_check(3, a, ctx, field)
+            assert gamma_product_upshift_check(3, a, ctx, field)
+    assert calls == [(field, 2), (field, 3)]
+
+
+def test_public_names_resolve():
+    for name in padic_hg.__all__:
+        assert getattr(padic_hg, name) is not None, name
+    assert not hasattr(padic_hg, "GrElem") and not hasattr(padic_hg, "gr_pow")
 
 
 @pytest.mark.parametrize("p,r,m", [(7, 1, 1), (7, 1, 2), (11, 3, 4), (5, 2, 3)])
