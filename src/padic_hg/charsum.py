@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import FieldTooLarge, HypothesisViolation, InvariantViolation
-from .padic import PadicCtx, frac
+from .padic import PadicCtx, gamma_orbit
 
 COMPLEX_CAP = 2500  # double precision headroom for q^2-size sums
 
@@ -189,19 +189,17 @@ def gross_koblitz_jacobi_check(a: int, b: int, field, ctx: PadicCtx) -> bool:
     q, r, p = field.q, field.r, field.p
     if a % (q - 1) == 0 or b % (q - 1) == 0 or (a + b) % (q - 1) == 0:
         raise HypothesisViolation("characters and their product must be nontrivial")
-    e_frac = Fraction(0)
-    unit = 1
-    for i in range(r):
-        pi = p**i
-        fa = frac(Fraction(a * pi, q - 1))
-        fb = frac(Fraction(b * pi, q - 1))
-        fab = frac(Fraction((a + b) * pi, q - 1))
-        e_frac += fa + fb - fab
-        unit = unit * ctx.gamma(fa) % ctx.pN
-        unit = unit * ctx.gamma(fb) % ctx.pN
-        unit = unit * ctx.inv(ctx.gamma(fab)) % ctx.pN
-    if e_frac.denominator != 1 or e_frac < 0:
+    # e sums the carries <a p^i/(q-1)> + <b p^i/(q-1)> - <(a+b) p^i/(q-1)>,
+    # each 0 or 1; e_num is e times q-1
+    e_num = sum(
+        a * p**i % (q - 1) + b * p**i % (q - 1) - (a + b) * p**i % (q - 1)
+        for i in range(r)
+    )
+    e, rem = divmod(e_num, q - 1)
+    if rem or e < 0:
+        e_frac = Fraction(e_num, q - 1)
         raise InvariantViolation(f"Gross-Koblitz exponent {e_frac} not in N")
-    e = int(e_frac)
+    unit = gamma_orbit(ctx, Fraction(a, q - 1), Fraction(b, q - 1))
+    unit = unit * ctx.inv(gamma_orbit(ctx, Fraction(a + b, q - 1))) % ctx.pN
     rhs = -pow(-p, e, ctx.pN) * unit % ctx.pN
     return jacobi_sum_padic(a, b, field, ctx) == (rhs,) + (0,) * (r - 1)

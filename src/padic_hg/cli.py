@@ -52,6 +52,14 @@ def _parse_rational_list(text):
     return tuple(_parse_rational(part) for part in text.split(","))
 
 
+def _precision(text):
+    """An --precision value: an integer N >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("precision N must be >= 1")
+    return n
+
+
 def _parse_field_elem(text, field):
     """Either an encoding 0..q-1 (base-p digits) or a rational num/den."""
     if "/" in text:
@@ -551,7 +559,7 @@ def _build_parser():
     pe.add_argument("--top", required=True)
     pe.add_argument("--bottom", required=True)
     pe.add_argument("--t", required=True)
-    pe.add_argument("--precision", type=int)
+    pe.add_argument("--precision", type=_precision)
     pe.add_argument("--bound", type=int)
 
     pt = sub.add_parser("trace", help="count points / trace of Frobenius")
@@ -583,7 +591,7 @@ def _build_parser():
     po.add_argument("--m", type=int, default=2)
     po.add_argument("--psi", type=int)
     po.add_argument("--padic", action="store_true")
-    po.add_argument("--precision", type=int)
+    po.add_argument("--precision", type=_precision)
     po.add_argument("--top")
     po.add_argument("--bottom")
     po.add_argument("--x", default="1")

@@ -58,7 +58,7 @@ def prime_factors(n):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_p (coefficient tuples, low degree first)
+# polynomial helpers (coefficient tuples, low degree first)
 
 def _poly_trim(c):
     i = len(c)
@@ -67,31 +67,34 @@ def _poly_trim(c):
     return c[:i]
 
 
-def _poly_mulmod(a, b, mod, p):
-    """a*b reduced by the monic polynomial mod, all over F_p."""
-    deg = len(mod) - 1
-    prod = [0] * (len(a) + len(b) - 1)
+def _poly_mulmod(a, b, mod, m):
+    """a*b reduced by the monic polynomial mod, coefficients mod m: F_q for
+    m = p, the Galois ring GR(p^N, r) for m = p^N."""
+    r = len(mod) - 1
+    if r == 1:
+        return (a[0] * b[0] % m,)
+    prod = [0] * (2 * r - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for i in range(len(prod) - 1, deg - 1, -1):
-        c = prod[i]
+                prod[i + j] += ai * bj
+    for i in range(2 * r - 2, r - 1, -1):
+        c = prod[i] % m
         if c:
-            prod[i] = 0
-            for j in range(deg + 1):
-                prod[i - deg + j] = (prod[i - deg + j] - c * mod[j]) % p
-    return tuple(prod[:deg]) + (0,) * (deg - min(len(prod), deg))
+            for j in range(r):
+                prod[i - r + j] -= c * mod[j]
+        prod[i] = 0
+    # tuple() of a list: a generator here left ~1000 more blocks allocated
+    return tuple([v % m for v in prod[:r]])
 
 
-def _poly_powmod(base, e, mod, p):
-    deg = len(mod) - 1
-    result = (1,) + (0,) * (deg - 1)
-    base = tuple(base[:deg]) + (0,) * (deg - len(base))
+def _poly_powmod(base, e, mod, m):
+    """base^e for e >= 0, square-and-multiply over _poly_mulmod."""
+    result = (1,) + (0,) * (len(mod) - 2)
     while e:
         if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
+            result = _poly_mulmod(result, base, mod, m)
+        base = _poly_mulmod(base, base, mod, m)
         e >>= 1
     return result
 

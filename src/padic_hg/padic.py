@@ -2,8 +2,8 @@
 
 Holds the p-adic gamma function (baby-step/giant-step tables shared by
 (p, N)), Teichmuller lifts and the table of Teichmuller powers shared by
-(field, N), and the exact-rational floor/fractional
-identities that the G-function evaluator and its test oracles consume.
+(field, N), and the Gross-Koblitz gamma-product and floor identities,
+stated in integers, that serve the G-function evaluator as test oracles.
 Floating point is forbidden throughout: the floor identities are
 exact-arithmetic-fragile.
 """
@@ -19,6 +19,7 @@ from .errors import (
     InvariantViolation,
     ZeroInput,
 )
+from .ffield import _poly_mulmod, _poly_powmod
 
 
 def frac(x):
@@ -168,35 +169,7 @@ def gamma_p(x, ctx: PadicCtx) -> PadicInt:
 # ---------------------------------------------------------------------------
 # Galois ring arithmetic: an element of GR(p^N, r) is the tuple of its r
 # coefficients mod p^N, constant term first, reduced by the lifted modulus
-
-def _gr_mul(a, b, mod, pN):
-    r = len(a)
-    if r == 1:
-        return (a[0] * b[0] % pN,)
-    prod = [0] * (2 * r - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    for i in range(2 * r - 2, r - 1, -1):
-        c = prod[i] % pN
-        if c:
-            for j in range(r):
-                prod[i - r + j] -= c * mod[j]
-        prod[i] = 0
-    return tuple(v % pN for v in prod[:r])
-
-
-def _ring_pow(base, e, mod, pN):
-    """base^e in GR(p^N, r) for e >= 0, square-and-multiply over _gr_mul."""
-    result = (1,) + (0,) * (len(base) - 1)
-    while e:
-        if e & 1:
-            result = _gr_mul(result, base, mod, pN)
-        base = _gr_mul(base, base, mod, pN)
-        e >>= 1
-    return result
-
+# (ffield's polynomial product with m = p^N)
 
 def teichmuller(t, ctx: PadicCtx) -> tuple:
     """The Teichmuller lift of t in F_q^x as a coefficient tuple: the
@@ -209,8 +182,8 @@ def teichmuller(t, ctx: PadicCtx) -> tuple:
     mod, pN = ctx.modulus, ctx.pN
     z = t.coeffs
     for _ in range(ctx.N):
-        z = _ring_pow(z, ctx.q, mod, pN)
-    if _ring_pow(z, ctx.q - 1, mod, pN) != (1,) + (0,) * (ctx.r - 1):
+        z = _poly_powmod(z, ctx.q, mod, pN)
+    if _poly_powmod(z, ctx.q - 1, mod, pN) != (1,) + (0,) * (ctx.r - 1):
         raise InvariantViolation("Teichmuller lift failed")
     return z
 
@@ -229,14 +202,48 @@ def _teich_table(field, N: int):
     w = teichmuller(field.generator, ctx)
     table = [(1,) + (0,) * (field.r - 1), w]
     for _ in range(field.q - 3):
-        table.append(_gr_mul(table[-1], w, mod, pN))
-    if _gr_mul(table[-1], w, mod, pN) != table[0]:
+        table.append(_poly_mulmod(table[-1], w, mod, pN))
+    if _poly_mulmod(table[-1], w, mod, pN) != table[0]:
         raise InvariantViolation("omega(g) must have order q-1")
     return tuple(table)
 
 
 # ---------------------------------------------------------------------------
-# gamma-product and floor identities (the test oracles of the evaluator)
+# gamma-product and floor identities (the test oracles of the evaluator),
+# each stated through the two Gross-Koblitz orbit quantities below.  Both
+# are computed in integers: for x = n/d, <x p^i> = (n p^i mod d)/d.
+
+def gamma_orbit(ctx: PadicCtx, *xs) -> int:
+    """prod over x in xs and i < r of Gamma_p(<x p^i>) mod p^N.
+
+    Each x is an int or a Fraction n/d with p prime to d; the residue of
+    <x p^i> mod p^N is (n p^i mod d) * d^-1.
+    """
+    p, pN, gam = ctx.p, ctx.pN, ctx.gamma_at_residue
+    prod = 1
+    for x in xs:
+        n, d = x.numerator, x.denominator
+        if d % p == 0:
+            raise DenominatorDivisibleByP(f"{x} is not in Z_{p}")
+        inv_d = ctx.inv(d)
+        for i in range(ctx.r):
+            prod = prod * gam(n * p**i % d * inv_d % pN) % pN
+    return prod
+
+
+def floor_orbit(x, e: int, i: int, p: int, q: int) -> int:
+    """floor(<x p^i> + e p^i/(q-1)) for an int or Fraction x = n/d."""
+    n, d = x.numerator, x.denominator
+    pi = p**i
+    return (n * pi % d * (q - 1) + e * pi * d) // (d * (q - 1))
+
+
+def _omega_scaled_is(ctx: PadicCtx, field, b: int, e: int, scalar, value) -> bool:
+    """omega(b)^e * scalar == value in GR(p^N, r), for b prime to p and the
+    residues scalar and value in Z_p."""
+    w = ctx.teichmuller_powers()[e * field.log(field.from_int(b)) % (ctx.q - 1)]
+    return tuple(c * scalar % ctx.pN for c in w) == (value,) + (0,) * (ctx.r - 1)
+
 
 def product_formula_check(x, m: int, ctx: PadicCtx, field) -> bool:
     """Multiplication-type identity for Gamma_p along the orbit of x.
@@ -251,23 +258,12 @@ def product_formula_check(x, m: int, ctx: PadicCtx, field) -> bool:
         raise HypothesisViolation("m must be positive and prime to p")
     if (x * (ctx.q - 1)).denominator != 1:
         raise HypothesisViolation("x(q-1) must be an integer")
-    q, r = ctx.q, ctx.r
-    lhs = 1
-    for i in range(r):
-        pi = ctx.p**i
-        for h in range(m):
-            lhs = lhs * ctx.gamma(frac((x + h) / m * pi)) % ctx.pN
-    rhs = 1
-    for i in range(r):
-        pi = ctx.p**i
-        rhs = rhs * ctx.gamma(frac(x * pi)) % ctx.pN
-        for h in range(1, m):
-            rhs = rhs * ctx.gamma(frac(Fraction(h * pi, m))) % ctx.pN
-    e = (1 - x) * (1 - q)
+    lhs = gamma_orbit(ctx, *((x + h) / m for h in range(m)))
+    rhs = gamma_orbit(ctx, x, *(Fraction(h, m) for h in range(1, m)))
+    e = (1 - x) * (1 - ctx.q)
     if e.denominator != 1:
         raise InvariantViolation("Teichmuller exponent (1-x)(1-q) is not an integer")
-    w = ctx.teichmuller_powers()[field.log(field.from_int(m) ** int(e))]
-    return tuple(c * rhs % ctx.pN for c in w) == (lhs,) + (0,) * (r - 1)
+    return _omega_scaled_is(ctx, field, m, int(e), rhs, lhs)
 
 
 def reflection_check(x, ctx: PadicCtx) -> bool:
@@ -277,46 +273,32 @@ def reflection_check(x, ctx: PadicCtx) -> bool:
     return lhs == (-1) ** a0(x, ctx.p) % ctx.pN
 
 
-def gamma_product_downshift_check(t: int, a: int, ctx: PadicCtx, field) -> bool:
-    """Gamma products for the orbit of -t*a/(q-1), downshifted by h/t."""
+def _shift_identity(t: int, a: int, ctx: PadicCtx, field) -> bool:
+    """omega(t)^(t a) prod_i Gamma(<t nu p^i>) prod_{0<h<t} Gamma(<h p^i/t>)
+    equals prod_i prod_{h<t} Gamma(<(h/t + nu) p^i>), with nu = a/(q-1)."""
     if ctx.field is not field:
         raise ValueError("field and p-adic context disagree")
     if t < 1 or t % ctx.p == 0:
         raise HypothesisViolation("t must be positive and prime to p")
-    q, r, p = ctx.q, ctx.r, ctx.p
-    nu = Fraction(a, q - 1)
-    lhs_scalar = 1
-    rhs = 1
-    for i in range(r):
-        pi = p**i
-        lhs_scalar = lhs_scalar * ctx.gamma(frac(-t * nu * pi)) % ctx.pN
-        for h in range(1, t):
-            lhs_scalar = lhs_scalar * ctx.gamma(frac(Fraction(h * pi, t))) % ctx.pN
-        for h in range(t):
-            rhs = rhs * ctx.gamma(frac((Fraction(1 + h, t) - nu) * pi)) % ctx.pN
-    w = ctx.teichmuller_powers()[field.log(field.from_int(t) ** (-t * a))]
-    return tuple(c * lhs_scalar % ctx.pN for c in w) == (rhs,) + (0,) * (r - 1)
+    nu = Fraction(a, ctx.q - 1)
+    hs = [Fraction(h, t) for h in range(1, t)]
+    lhs = gamma_orbit(ctx, t * nu, *hs)
+    rhs = gamma_orbit(ctx, nu, *(h + nu for h in hs))
+    return _omega_scaled_is(ctx, field, t, t * a, lhs, rhs)
+
+
+def gamma_product_downshift_check(t: int, a: int, ctx: PadicCtx, field) -> bool:
+    """Gamma products for the orbit of -t*a/(q-1), downshifted by h/t.
+
+    Its offsets (1+h)/t - nu for h < t are the upshift's h/t - nu
+    re-indexed, since <(1 + y) p^i> = <y p^i>: this is the upshift at -a.
+    """
+    return _shift_identity(t, -a, ctx, field)
 
 
 def gamma_product_upshift_check(t: int, a: int, ctx: PadicCtx, field) -> bool:
     """Companion identity with +t*a/(q-1) and upshift by h/t."""
-    if ctx.field is not field:
-        raise ValueError("field and p-adic context disagree")
-    if t < 1 or t % ctx.p == 0:
-        raise HypothesisViolation("t must be positive and prime to p")
-    q, r, p = ctx.q, ctx.r, ctx.p
-    nu = Fraction(a, q - 1)
-    lhs_scalar = 1
-    rhs = 1
-    for i in range(r):
-        pi = p**i
-        lhs_scalar = lhs_scalar * ctx.gamma(frac(t * nu * pi)) % ctx.pN
-        for h in range(1, t):
-            lhs_scalar = lhs_scalar * ctx.gamma(frac(Fraction(h * pi, t))) % ctx.pN
-        for h in range(t):
-            rhs = rhs * ctx.gamma(frac((Fraction(h, t) + nu) * pi)) % ctx.pN
-    w = ctx.teichmuller_powers()[field.log(field.from_int(t) ** (t * a))]
-    return tuple(c * lhs_scalar % ctx.pN for c in w) == (rhs,) + (0,) * (r - 1)
+    return _shift_identity(t, a, ctx, field)
 
 
 def gamma_complement_product_check(a: int, ctx: PadicCtx) -> bool:
@@ -324,12 +306,7 @@ def gamma_complement_product_check(a: int, ctx: PadicCtx) -> bool:
     if not 0 < a <= ctx.q - 2:
         raise HypothesisViolation("need 0 < a <= q-2")
     nu = Fraction(a, ctx.q - 1)
-    lhs = 1
-    for i in range(ctx.r):
-        pi = ctx.p**i
-        lhs = lhs * ctx.gamma(frac((1 - nu) * pi)) % ctx.pN
-        lhs = lhs * ctx.gamma(frac(nu * pi)) % ctx.pN
-    return lhs == (-1) ** ctx.r * (-1) ** a % ctx.pN
+    return gamma_orbit(ctx, 1 - nu, nu) == (-1) ** ctx.r * (-1) ** a % ctx.pN
 
 
 def gamma_half_shift_check(a: int, ctx: PadicCtx) -> bool:
@@ -338,48 +315,33 @@ def gamma_half_shift_check(a: int, ctx: PadicCtx) -> bool:
         raise HypothesisViolation("a = (q-1)/2 is excluded")
     nu = Fraction(a, ctx.q - 1)
     half = Fraction(1, 2)
-    lhs = 1
-    rhs = (-1) ** a % ctx.pN
-    for i in range(ctx.r):
-        pi = ctx.p**i
-        lhs = lhs * ctx.gamma(frac((half - nu) * pi)) % ctx.pN
-        lhs = lhs * ctx.gamma(frac((half + nu) * pi)) % ctx.pN
-        rhs = rhs * ctx.gamma(frac(half * pi)) ** 2 % ctx.pN
-    return lhs == rhs
+    lhs = gamma_orbit(ctx, half - nu, half + nu)
+    return lhs == (-1) ** a * gamma_orbit(ctx, half, half) % ctx.pN
 
 
 def floor_negative_multiple_check(d: int, a: int, i: int, p: int, q: int) -> bool:
     """floor(a p^i/(q-1)) + floor(-d a p^i/(q-1)) matches the h/d shift sum."""
-    nu = Fraction(a * p**i, q - 1)
-    lhs = math.floor(nu) + math.floor(-d * nu)
-    rhs = sum(
-        math.floor(frac(Fraction(h * p**i, d)) - nu) for h in range(1, d)
-    ) - 1
+    lhs = floor_orbit(0, a, i, p, q) + floor_orbit(0, -d * a, i, p, q)
+    rhs = sum(floor_orbit(Fraction(h, d), -a, i, p, q) for h in range(1, d)) - 1
     return lhs == rhs
 
 
 def floor_positive_multiple_check(l: int, a: int, i: int, p: int, q: int) -> bool:
     """floor(l a p^i/(q-1)) matches the -h/l shift sum."""
-    nu = Fraction(a * p**i, q - 1)
-    lhs = math.floor(l * nu)
-    rhs = sum(
-        math.floor(frac(Fraction(-h * p**i, l)) + nu) for h in range(l)
-    )
+    lhs = floor_orbit(0, l * a, i, p, q)
+    rhs = sum(floor_orbit(Fraction(-h, l), a, i, p, q) for h in range(l))
     return lhs == rhs
 
 
 def floor_halving_check(x, j: int, i: int, p: int, q: int) -> bool:
     """Both halving identities for floor(<x p^i> -+ 2j p^i/(q-1))."""
     x = Fraction(x)
-    pi = p**i
-    nu = Fraction(j * pi, q - 1)
-    minus_ok = math.floor(frac(x * pi) - 2 * nu) == math.floor(
-        frac(x / 2 * pi) - nu
-    ) + math.floor(frac((1 + x) / 2 * pi) - nu)
-    plus_ok = math.floor(frac(x * pi) + 2 * nu) == math.floor(
-        frac(x / 2 * pi) + nu
-    ) + math.floor(frac((1 + x) / 2 * pi) + nu)
-    return minus_ok and plus_ok
+    y, z = x / 2, (1 + x) / 2
+    return all(
+        floor_orbit(x, 2 * e, i, p, q)
+        == floor_orbit(y, e, i, p, q) + floor_orbit(z, e, i, p, q)
+        for e in (-j, j)
+    )
 
 
 def quarter_gamma_product_check(n: int, ctx: PadicCtx) -> bool:
@@ -391,23 +353,16 @@ def quarter_gamma_product_check(n: int, ctx: PadicCtx) -> bool:
         raise HypothesisViolation("n on the quarter points is excluded")
     quarter, three_quarter = Fraction(1, 4), Fraction(3, 4)
     nu = Fraction(n, q - 1)
-    s = 0
-    num = 1
-    den = 1
-    for i in range(ctx.r):
-        pi = ctx.p**i
-        nui = nu * pi
-        s -= (
-            math.floor(three_quarter - nui)
-            + math.floor(quarter + nui)
-            + math.floor(three_quarter + nui)
-            + math.floor(quarter - nui)
-        )
-        for c in (quarter + nu, three_quarter - nu, quarter - nu, three_quarter + nu):
-            num = num * ctx.gamma(frac(c * pi)) % ctx.pN
-        g1 = ctx.gamma(frac(quarter * pi))
-        g3 = ctx.gamma(frac(three_quarter * pi))
-        den = den * g1 * g1 % ctx.pN * g3 % ctx.pN * g3 % ctx.pN
+    # p is odd, so {<p^i/4>, <3p^i/4>} = {1/4, 3/4} and the constant
+    # quarters of the exponent are the orbit floors of 1/4 and 3/4
+    s = -sum(
+        floor_orbit(c, e, i, ctx.p, q)
+        for c in (quarter, three_quarter) for e in (n, -n) for i in range(ctx.r)
+    )
+    num = gamma_orbit(
+        ctx, quarter + nu, three_quarter - nu, quarter - nu, three_quarter + nu
+    )
+    den = gamma_orbit(ctx, quarter, quarter, three_quarter, three_quarter)
     if s >= 0:
         return pow(-ctx.p, s, ctx.pN) * num % ctx.pN == den
     return num == pow(-ctx.p, -s, ctx.pN) * den % ctx.pN
@@ -422,14 +377,5 @@ def dth_root_gamma_quotient_check(d: int, n: int, ctx: PadicCtx) -> bool:
         raise HypothesisViolation("requires p = -1 mod d")
     nu = Fraction(n, p - 1)
     od = Fraction(1, d)
-    lhs = (
-        ctx.gamma(frac(-od + nu))
-        * ctx.gamma(frac(-(1 - od) + nu))
-        % ctx.pN
-        * ctx.gamma(frac(od - nu))
-        % ctx.pN
-        * ctx.gamma(frac((1 - od) - nu))
-        % ctx.pN
-    )
-    rhs = ctx.gamma(od) ** 2 * ctx.gamma(1 - od) ** 2 % ctx.pN
-    return lhs == rhs
+    lhs = gamma_orbit(ctx, nu - od, nu - (1 - od), od - nu, (1 - od) - nu)
+    return lhs == gamma_orbit(ctx, od, od, 1 - od, 1 - od)

@@ -8,7 +8,8 @@ deliberately shares no bookkeeping with the package internals it checks.
 import math
 from fractions import Fraction
 
-from padic_hg.padic import PadicCtx, _gr_mul, frac, teichmuller
+from padic_hg.ffield import _poly_mulmod
+from padic_hg.padic import PadicCtx, frac, teichmuller
 
 
 def multiplicative_order(elem, field):
@@ -53,6 +54,21 @@ def gamma_table_by_recurrence(p, pN):
     return table
 
 
+def gamma_orbit_by_fractions(ctx, *xs):
+    """prod over x in xs and i < r of Gamma_p(<x p^i>) mod p^N, one
+    Fraction fractional part per factor."""
+    prod = 1
+    for x in xs:
+        for i in range(ctx.r):
+            prod = prod * ctx.gamma(frac(Fraction(x) * ctx.p**i)) % ctx.pN
+    return prod
+
+
+def floor_orbit_by_fractions(x, e, i, p, q):
+    """floor(<x p^i> + e p^i/(q-1)) in Fractions."""
+    return math.floor(frac(Fraction(x) * p**i) + Fraction(e * p**i, q - 1))
+
+
 def naive_G(top, bottom, t, field, N, shift_extra=3):
     """Fraction-based transcription of the defining G sum.
 
@@ -90,7 +106,7 @@ def naive_G(top, bottom, t, field, N, shift_extra=3):
         if (a * n) % 2:
             scal = pNw - scal
         total = tuple((c + w * scal) % pNw for c, w in zip(total, wpow))
-        wpow = _gr_mul(wpow, wbar, work.modulus, pNw)
+        wpow = _poly_mulmod(wpow, wbar, work.modulus, pNw)
     lead = -work.inv(q - 1) % pNw
     coeffs = [c * lead % pNw for c in total]
     stable = not any(coeffs[1:])

@@ -180,6 +180,15 @@ def test_usage_error_exit_code(capsys):
                  "--t", "bogus"]) == 2
 
 
+@pytest.mark.parametrize("precision", ["0", "-3"])
+def test_precision_below_one_is_a_usage_error(capsys, precision):
+    assert main(["eval-g", "--p", "5", "--r", "2", "--top", "1/2,1/2",
+                 "--bottom", "0,0", "--t", "3", "--precision", precision]) == 2
+    assert main(["oracle", "jacobi", "--p", "5", "--r", "2", "--a", "3",
+                 "--b", "5", "--padic", "--precision", precision]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_t13_pmax7(capsys):
     code, out = run(capsys, "verify", "--suite", "t13", "--pmax", "7", "--rmax", "1")
     assert code == 0
@@ -203,6 +212,36 @@ def test_verify_rational_suites_choose_their_primes(capsys, suite, primes, total
     assert payload["failed"] == 0
     assert payload["skipped"] == {"total": 0, "by_class": {}}
     assert sorted({row["p"] for row in payload["instances"]}) == primes
+
+
+LEMMA_ROWS = [
+    (check, q)
+    for q in (25, 27, 49, 121)
+    for check in (
+        "reflection", "product-formula", "downshift", "upshift", "complement",
+        "half-shift", "floor-negative-multiple", "floor-positive-multiple",
+        "floor-halving",
+    ) + (("quarter-product",) if q % 4 == 1 else ())
+] + [
+    ("dth-root d=4", 11), ("dth-root d=12", 11), ("dth-root d=3", 5),
+    ("dth-root d=6", 5), ("dth-root d=4", 7),
+]
+ORACLE_ROWS = [
+    (check, q)
+    for q in (13, 25)
+    for check in ("conjugate-product", "davenport-hasse", "koike-bridge")
+] + [("gross-koblitz-jacobi", 25), ("gross-koblitz-jacobi", 27)]
+
+
+@pytest.mark.parametrize("suite,rows", [("lemmas", LEMMA_ROWS), ("oracle", ORACLE_ROWS)])
+def test_verify_identity_checker_suites(capsys, suite, rows):
+    code, out = run(capsys, "verify", "--suite", suite)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["failed"] == 0
+    assert payload["skipped"] == {"total": 0, "by_class": {}}
+    assert [(row["check"], row["q"]) for row in payload["instances"]] == rows
+    assert payload["total"] == len(rows) == {"lemmas": 44, "oracle": 8}[suite]
 
 
 def test_verify_reports_the_range_it_ran(capsys):

@@ -11,7 +11,7 @@ from padic_hg.errors import (
     PrecisionUnderflow,
     ZeroArgument,
 )
-from padic_hg import gfunc, padic
+from padic_hg import frobtrace, gfunc, padic
 from padic_hg.ffield import FqField, build_field
 from padic_hg.gfunc import (
     GParams,
@@ -323,6 +323,43 @@ def test_splitting_identity_at_high_working_precision(p, r, coeffs, shift):
     shifts = [_kernel(top, bot, field, 3).shift
               for top, bot in (((a1, a2), (a3, a4)), (top4, bot4))]
     assert max(shifts) == shift
+
+
+def doubled_row(a1, a2, a3, a4):
+    """The 4-row of the splitting identity for the 2-row (a1, a2; a3, a4)."""
+    return (
+        (a1 / 2, (1 + a1) / 2, a2 / 2, (1 + a2) / 2),
+        (a3 / 2, (1 + a3) / 2, a4 / 2, (1 + a4) / 2),
+    )
+
+
+@pytest.mark.parametrize("p,r", [(5, 2), (3, 3), (7, 2), (11, 2)])
+def test_kernel_shift_matches_floor_orbit_sums(p, r):
+    # pass 1 of the kernel inlines padic.floor_orbit over precomputed rows
+    field = build_field(p, r)
+    q = field.q
+    rows = [
+        (frobtrace.TOP4, frobtrace.BOT_QUARTERS),
+        (frobtrace.TOP4, frobtrace.BOT_SIXTHS),
+        (frobtrace.TOP4, frobtrace.BOT_EIGHTHS),
+        (frobtrace.TOP6, frobtrace.BOT6),
+        doubled_row(HALF, HALF, HALF, HALF),
+        doubled_row(HALF, Fraction(2, 3), HALF, Fraction(1, 3)),
+    ]
+    checked = 0
+    for top, bottom in rows:
+        if any(c.denominator % p == 0 for c in top + bottom):
+            continue
+        exps = [
+            -sum(
+                padic.floor_orbit(ak, -a, i, p, q) + padic.floor_orbit(-bk, a, i, p, q)
+                for ak, bk in zip(top, bottom) for i in range(r)
+            )
+            for a in range(q - 1)
+        ]
+        assert gfunc._GKernel(top, bottom, field, 1).shift == max(0, -min(exps))
+        checked += 1
+    assert checked >= 3
 
 
 def test_splitting_identity_hypotheses():

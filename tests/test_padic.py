@@ -13,17 +13,19 @@ from padic_hg.errors import (
     InvariantViolation,
     ZeroInput,
 )
-from padic_hg.ffield import FqField, build_field
+from padic_hg.ffield import FqField, _poly_mulmod, build_field
 from padic_hg.padic import (
     PadicCtx,
     a0,
     dth_root_gamma_quotient_check,
     floor_halving_check,
     floor_negative_multiple_check,
+    floor_orbit,
     floor_positive_multiple_check,
     frac,
     gamma_complement_product_check,
     gamma_half_shift_check,
+    gamma_orbit,
     gamma_p,
     gamma_product_downshift_check,
     gamma_product_upshift_check,
@@ -32,7 +34,12 @@ from padic_hg.padic import (
     reflection_check,
     teichmuller,
 )
-from oracles import gamma_by_direct_product, gamma_table_by_recurrence
+from oracles import (
+    floor_orbit_by_fractions,
+    gamma_by_direct_product,
+    gamma_orbit_by_fractions,
+    gamma_table_by_recurrence,
+)
 
 
 def ctx_of(p, r, N):
@@ -159,6 +166,44 @@ def test_reflection_random_rationals():
         seen += 1
 
 
+ORBIT_FIELDS = [(5, 2), (3, 3), (7, 2)]
+ORBIT_DENOMS = (1, 2, 3, 4, 6, 8, 12)
+
+
+def orbit_points(p):
+    """Every m/d with d in ORBIT_DENOMS prime to p and -2d <= m <= 2d."""
+    return [
+        Fraction(m, d) for d in ORBIT_DENOMS if d % p for m in range(-2 * d, 2 * d + 1)
+    ]
+
+
+@pytest.mark.parametrize("p,r", ORBIT_FIELDS)
+@pytest.mark.parametrize("N", [1, 3, 5])
+def test_gamma_orbit_matches_fraction_route(p, r, N):
+    ctx = ctx_of(p, r, N)
+    xs = orbit_points(p)
+    for x in xs:
+        assert gamma_orbit(ctx, x) == gamma_orbit_by_fractions(ctx, x), x
+    assert gamma_orbit(ctx, -3, 2) == gamma_orbit_by_fractions(ctx, -3, 2)
+    assert gamma_orbit(ctx, *xs) == gamma_orbit_by_fractions(ctx, *xs)
+    assert gamma_orbit(ctx) == 1
+    for d in ORBIT_DENOMS:
+        with pytest.raises(DenominatorDivisibleByP):
+            gamma_orbit(ctx, Fraction(1, 2), Fraction(1, p * d))
+
+
+@pytest.mark.parametrize("p,r", ORBIT_FIELDS)
+def test_floor_orbit_matches_fraction_route(p, r):
+    q = p**r
+    for x in orbit_points(p):
+        for i in range(r):
+            got = [floor_orbit(x, e, i, p, q) for e in range(-2 * (q - 1), 2 * q - 1)]
+            assert got == [
+                floor_orbit_by_fractions(x, e, i, p, q)
+                for e in range(-2 * (q - 1), 2 * q - 1)
+            ], (x, i)
+
+
 def test_teichmuller_basics():
     field = build_field(7, 1)
     ctx = PadicCtx(field, 2)
@@ -181,7 +226,7 @@ def test_teichmuller_multiplicative(p, r):
     for v in range(1, field.q):
         for w in range(1, field.q):
             prod = (field.elem(v) * field.elem(w)).encode()
-            assert padic._gr_mul(lifts[v], lifts[w], ctx.modulus, ctx.pN) == lifts[prod]
+            assert _poly_mulmod(lifts[v], lifts[w], ctx.modulus, ctx.pN) == lifts[prod]
 
 
 def test_teichmuller_root_of_unity():
@@ -191,7 +236,7 @@ def test_teichmuller_root_of_unity():
         w = teichmuller(field.elem(v), ctx)
         power = (1, 0)
         for _ in range(field.q - 1):
-            power = padic._gr_mul(power, w, ctx.modulus, ctx.pN)
+            power = _poly_mulmod(power, w, ctx.modulus, ctx.pN)
         assert power == (1, 0)
         assert tuple(c % 11 for c in w) == field.elem(v).coeffs
 
@@ -223,7 +268,7 @@ def test_gr_ring_axioms():
     elems = [tuple(rng.randrange(ctx.pN) for _ in range(2)) for _ in range(8)]
 
     def mul(x, y):
-        return padic._gr_mul(x, y, ctx.modulus, ctx.pN)
+        return _poly_mulmod(x, y, ctx.modulus, ctx.pN)
 
     def add(x, y):
         return tuple((a + b) % ctx.pN for a, b in zip(x, y))
