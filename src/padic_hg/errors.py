@@ -17,6 +17,10 @@ class DegreeTooLarge(PadicHGError):
     """Requested field exceeds the desk-scale table cap."""
 
 
+class PrecisionTooLarge(PadicHGError):
+    """Requested p-adic precision needs gamma tables beyond the table cap."""
+
+
 class SingularCurve(PadicHGError):
     """Weierstrass discriminant vanishes over the field."""
 

@@ -459,19 +459,37 @@ def count_points(curve: CurveSpec, field: FqField) -> int:
     return 1 + field.q + _phi_sum(curve, field)
 
 
+def _plus_table(c, p, r):
+    """[v + c for every encoding v], the base-p digits added mod p."""
+    table = [0]
+    for i in range(r):
+        pi = p**i
+        ci = c // pi % p
+        table = [v + (d + ci) % p * pi for d in range(p) for v in table]
+    return table
+
+
 def _phi_sum(curve, field):
     """sum_x phi(4x^3 + b2 x^2 + 2 b4 x + b6), which is -a_q when the curve
     is nonsingular.  No discriminant check, so that the family tables can
-    check members at singular parameters too."""
+    check members at singular parameters too.
+
+    Horner's rule over every encoding x at once: a product is one exp
+    lookup at a sum of logs, where log 0 = 2(q-1) and every exp index from
+    2(q-1) on holds 0, and adding a constant is one lookup in its table.
+    """
     b2, b4, b6, _ = _b_invariants(curve, field)
-    four = field.from_int(4)
-    two = field.from_int(2)
-    c2, c1 = b2, two * b4
-    total = 0
-    for x in field.elements():
-        rhs = ((four * x + c2) * x + c1) * x + b6
-        total += quad_char(rhs)
-    return total
+    p, r, n = field.p, field.r, field.q - 1
+    log = [2 * n] + field.log_table[1:]
+    exp = field.exp_table * 2 + [0] * (2 * n + 1)
+    four = log[4 % p]
+    ys = [exp[four + lx] for lx in log]
+    for c in (b2, field.from_int(2) * b4):
+        plus = _plus_table(c.enc, p, r)
+        ys = [exp[log[plus[y]] + lx] for y, lx in zip(ys, log)]
+    plus = _plus_table(b6.enc, p, r)
+    phi = [0] + [1 - 2 * (k & 1) for k in field.log_table[1:]]
+    return sum([phi[plus[y]] for y in ys])
 
 
 def count_points_exhaustive(curve: CurveSpec, field: FqField) -> int:
@@ -610,8 +628,8 @@ def family_traces(family: str, field: FqField) -> tuple:
     cd(1, m), a1a3(1, m).  Entries at singular m are not traces.
 
     One O(q) histogram over the Zech table and one correlation with phi
-    give every entry; two of them are then recomputed as direct sums and
-    must agree.
+    give every entry; two of them are then recomputed as direct sums over
+    the encodings (_phi_sum) and must agree.
     """
     h, c = _histogram(family, field)
     log = field.log_table

@@ -5,8 +5,11 @@ The defining sum runs over a in [0, q-2]; for each summand the power of
 of p-adic gamma values.  Coefficient tables depend only on the parameter
 lists and the field, so they are cached and reused across arguments t.
 With t = g^l the character value omega-bar(t)^a is omega(g)^(-al mod q-1),
-one entry of the Teichmuller power table shared by (field, N): a value
-at t costs O(q r) integer multiply-adds and no Galois-ring product.
+one entry of the Teichmuller power table shared by (field, N).  Each entry
+is also packed into one integer, its r coefficients in slots wide enough
+that no sum of q-1 products carries (Kronecker substitution), so a value
+at t costs one big-integer dot product over the nonzero coefficients and
+no Galois-ring product.
 
 Individual summands may carry a negative power of (-p) for some parameter
 lists.  The evaluator measures the worst exponent first and works at a
@@ -17,6 +20,7 @@ terms leave Z_p.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     DenominatorDivisibleByP,
@@ -40,8 +44,8 @@ class GParams:
     t: FqElem
 
     def __post_init__(self):
-        top = tuple(Fraction(x) for x in self.top)
-        bottom = tuple(Fraction(x) for x in self.bottom)
+        top = tuple(x if type(x) is Fraction else Fraction(x) for x in self.top)
+        bottom = tuple(x if type(x) is Fraction else Fraction(x) for x in self.bottom)
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "bottom", bottom)
         if len(top) != len(bottom) or not top:
@@ -73,8 +77,9 @@ class GValue:
 class _GKernel:
     """Summand coefficients for fixed parameter rows over a fixed field.
 
-    coeffs[a] is the scalar multiplying omega-bar^a(t); the true value is
-    (-1/(q-1)) * sum_a coeffs[a] * omega-bar^a(t) divided by (-p)^shift.
+    cvals[j] is the scalar multiplying omega-bar^a(t) for a = avals[j], over
+    the summands whose power of -p is nonzero mod p^(N + shift); the true
+    value is (-1/(q-1)) * sum_j cvals[j] * omega-bar^avals[j](t) / (-p)^shift.
     """
 
     def __init__(self, top, bottom, field, N):
@@ -131,7 +136,7 @@ class _GKernel:
         inv_den = work.inv(den)
 
         minus_p_pow = [pow(-p, e, pNw) for e in range(nw)]
-        coeffs = [0] * (q - 1)
+        avals, cvals = [], []
         gam = work.gamma_at_residue
         for a in range(q - 1):
             e = exps[a] + self.shift
@@ -144,15 +149,19 @@ class _GKernel:
                 num1 = (a1 - a * b1) * pi % mod1
                 num2 = (a * b2 - a2) * pi % mod2
                 c = c * gam(num1 * inv1 % pNw) % pNw * gam(num2 * inv2 % pNw) % pNw
-            coeffs[a] = c * inv_den % pNw
-        self.coeffs = coeffs
+            avals.append(a)
+            cvals.append(c * inv_den % pNw)
+        self.avals, self.cvals = avals, cvals
+        self.width, self.packed = self.teich.packed(pNw)
+        self.lead = -work.inv(q - 1) % pNw
 
     def raw_eval(self, t):
         """Return (vec, shift): the value is the GR element vec / (-p)^shift.
 
         With l = log(t), omega-bar(t)^a is entry -a*l mod (q-1) of the
-        shared Teichmuller power table, so the sum walks that index in
-        steps of -l and accumulates coefficient times table entry; nothing
+        shared Teichmuller power table, so the sum is one dot product of
+        the coefficients with packed table entries, run in C; its slots of
+        width W are the r coefficient sums, none of which carries.  Nothing
         is lifted per argument.  The vector is kept whole because G-values
         for parameter rows that are not closed under multiplication by p
         mod 1 genuinely live in the extension ring, not in Z_p.
@@ -164,29 +173,31 @@ class _GKernel:
             raise ZeroArgument("t = 0 is rejected")
         m = field.q - 1
         step = -field.log_table[t.enc] % m
-        table = self.teich
-        acc = [0] * field.r
-        k = 0
-        for c in self.coeffs:
-            if c:
-                for j, w in enumerate(table[k]):
-                    acc[j] += c * w
-            k += step
-            if k >= m:
-                k -= m
-        pNw = self.work.pN
-        lead = -self.work.inv(m) % pNw
-        return tuple(v * lead % pNw for v in acc), self.shift
+        total = sum(map(mul, self.cvals, map(self.packed.__getitem__, map(
+            m.__rmod__, map(step.__mul__, self.avals)))))
+        width, lead, pNw = self.width, self.lead, self.work.pN
+        mask = (1 << width) - 1
+        return tuple([
+            (total >> j * width & mask) * lead % pNw for j in range(field.r)
+        ]), self.shift
 
 
 KERNEL_CACHE_SIZE = 256
 _KERNELS = {}
 
 
+def _kernel_key(top, bottom, field, N):
+    """The rows as integer (numerator, denominator) pairs, which hash far
+    faster than Fractions, with the field and the precision."""
+    ratio = Fraction.as_integer_ratio
+    return tuple(map(ratio, top)), tuple(map(ratio, bottom)), field, N
+
+
 def _kernel(top, bottom, field, N):
-    """The cached kernel of these rows over field at precision N; a new
-    kernel evicts the oldest once KERNEL_CACHE_SIZE are held."""
-    key = (top, bottom, field, N)
+    """The cached kernel of these rows (tuples of Fractions) over field at
+    precision N; a new kernel evicts the oldest once KERNEL_CACHE_SIZE are
+    held."""
+    key = _kernel_key(top, bottom, field, N)
     kern = _KERNELS.get(key)
     if kern is None:
         if len(_KERNELS) >= KERNEL_CACHE_SIZE:

@@ -17,9 +17,10 @@ from .errors import (
     DenominatorDivisibleByP,
     HypothesisViolation,
     InvariantViolation,
+    PrecisionTooLarge,
     ZeroInput,
 )
-from .ffield import _poly_mulmod, _poly_powmod
+from .ffield import TABLE_CAP, _poly_mulmod, _poly_powmod
 
 
 def frac(x):
@@ -84,6 +85,8 @@ class PadicCtx:
     def __init__(self, field, N: int):
         if N < 1:
             raise ValueError("precision N must be >= 1")
+        if field.p ** ((N + 1) // 2) > TABLE_CAP:
+            raise PrecisionTooLarge(f"N = {N}: p^ceil(N/2) passes the table cap {TABLE_CAP}")
         self.field = field
         self.p = field.p
         self.r = field.r
@@ -188,6 +191,25 @@ def teichmuller(t, ctx: PadicCtx) -> tuple:
     return z
 
 
+class _TeichTable(tuple):
+    """The Teichmuller power table of one (field, N), and its packing."""
+
+    _packed = None
+
+    def packed(self, pN):
+        """(W, packed) for the table mod pN = p^N: packed[k] holds
+        coefficient j of entry k in bits [jW, (j+1)W).  W is the bit length
+        of (q-1)(p^N-1)^2, the most a slot of sum_a c_a * packed[k_a]
+        reaches for q-1 residues c_a, so no slot of such a sum carries into
+        the next.  Built on first use, kept with the table."""
+        if self._packed is None:
+            width = (len(self) * (pN - 1) ** 2).bit_length()
+            self._packed = width, [
+                sum(c << j * width for j, c in enumerate(w)) for w in self
+            ]
+        return self._packed
+
+
 @lru_cache(maxsize=32)
 def _teich_table(field, N: int):
     """The coefficient tuples of omega(g)^k mod p^N for k in 0..q-2, g the
@@ -205,7 +227,7 @@ def _teich_table(field, N: int):
         table.append(_poly_mulmod(table[-1], w, mod, pN))
     if _poly_mulmod(table[-1], w, mod, pN) != table[0]:
         raise InvariantViolation("omega(g) must have order q-1")
-    return tuple(table)
+    return _TeichTable(table)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +295,10 @@ def reflection_check(x, ctx: PadicCtx) -> bool:
     return lhs == (-1) ** a0(x, ctx.p) % ctx.pN
 
 
-def _shift_identity(t: int, a: int, ctx: PadicCtx, field) -> bool:
-    """omega(t)^(t a) prod_i Gamma(<t nu p^i>) prod_{0<h<t} Gamma(<h p^i/t>)
-    equals prod_i prod_{h<t} Gamma(<(h/t + nu) p^i>), with nu = a/(q-1)."""
+def _shift_sides(t: int, a: int, ctx: PadicCtx, field):
+    """(e, lhs, rhs) of omega(t)^e * lhs = rhs, the identity
+    omega(t)^(t a) prod_i Gamma(<t nu p^i>) prod_{0<h<t} Gamma(<h p^i/t>)
+    = prod_i prod_{h<t} Gamma(<(h/t + nu) p^i>), with nu = a/(q-1)."""
     if ctx.field is not field:
         raise ValueError("field and p-adic context disagree")
     if t < 1 or t % ctx.p == 0:
@@ -284,21 +307,24 @@ def _shift_identity(t: int, a: int, ctx: PadicCtx, field) -> bool:
     hs = [Fraction(h, t) for h in range(1, t)]
     lhs = gamma_orbit(ctx, t * nu, *hs)
     rhs = gamma_orbit(ctx, nu, *(h + nu for h in hs))
-    return _omega_scaled_is(ctx, field, t, t * a, lhs, rhs)
+    return t * a, lhs, rhs
+
+
+def _downshift_sides(t: int, a: int, ctx: PadicCtx, field):
+    """The sides of the downshift: its offsets (1+h)/t - nu for h < t are
+    the upshift's h/t - nu re-indexed, since <(1 + y) p^i> = <y p^i>, so
+    they are the upshift's at -a."""
+    return _shift_sides(t, -a, ctx, field)
 
 
 def gamma_product_downshift_check(t: int, a: int, ctx: PadicCtx, field) -> bool:
-    """Gamma products for the orbit of -t*a/(q-1), downshifted by h/t.
-
-    Its offsets (1+h)/t - nu for h < t are the upshift's h/t - nu
-    re-indexed, since <(1 + y) p^i> = <y p^i>: this is the upshift at -a.
-    """
-    return _shift_identity(t, -a, ctx, field)
+    """Gamma products for the orbit of -t*a/(q-1), downshifted by h/t."""
+    return _omega_scaled_is(ctx, field, t, *_downshift_sides(t, a, ctx, field))
 
 
 def gamma_product_upshift_check(t: int, a: int, ctx: PadicCtx, field) -> bool:
     """Companion identity with +t*a/(q-1) and upshift by h/t."""
-    return _shift_identity(t, a, ctx, field)
+    return _omega_scaled_is(ctx, field, t, *_shift_sides(t, a, ctx, field))
 
 
 def gamma_complement_product_check(a: int, ctx: PadicCtx) -> bool:

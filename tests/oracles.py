@@ -69,6 +69,23 @@ def floor_orbit_by_fractions(x, e, i, p, q):
     return math.floor(frac(Fraction(x) * p**i) + Fraction(e * p**i, q - 1))
 
 
+def raw_eval_by_coefficients(kern, t):
+    """kern.raw_eval(t) by the per-coefficient loop: each summand's
+    coefficient times every coordinate of Teichmuller table entry
+    -a log(t) mod (q-1), accumulated one multiply-add at a time, then the
+    factor -1/(q-1) mod p^(N + shift)."""
+    field = kern.field
+    m = field.q - 1
+    l = field.log(t)
+    pNw = kern.work.pN
+    acc = [0] * field.r
+    for a, c in zip(kern.avals, kern.cvals):
+        for j, w in enumerate(kern.teich[-a * l % m]):
+            acc[j] += c * w
+    lead = -pow(m, -1, pNw) % pNw
+    return tuple(v * lead % pNw for v in acc), kern.shift
+
+
 def naive_G(top, bottom, t, field, N, shift_extra=3):
     """Fraction-based transcription of the defining G sum.
 
@@ -200,3 +217,15 @@ def correlation_by_definition(h, f, p, r):
         return sum((a + b) % p * p**i for i, (a, b) in enumerate(zip(digits(v), digits(m))))
 
     return [sum(h[v] * f[plus(v, m)] for v in range(q)) for m in range(q)]
+
+
+def phi_sum_by_elements(curve, field):
+    """sum_x phi(4x^3 + b2 x^2 + 2 b4 x + b6) with FqElem arithmetic, one
+    x at a time."""
+    from padic_hg.ffield import _b_invariants, quad_char
+
+    b2, b4, b6, _ = _b_invariants(curve, field)
+    four, two = field.from_int(4), field.from_int(2)
+    return sum(
+        quad_char(((four * x + b2) * x + two * b4) * x + b6) for x in field.elements()
+    )

@@ -51,6 +51,19 @@ def test_eval_g_above_the_old_gamma_cap():
     assert values == {"4": -2, "5": -2}
 
 
+def test_eval_g_oversized_precision_fails_fast():
+    # gamma tables of 5^20 entries: a typed error before any is built
+    src = os.path.dirname(os.path.dirname(padic_hg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "padic_hg.cli", "eval-g", "--p", "5",
+         "--top", "1/2", "--bottom", "0", "--t", "2", "--precision", "40"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["error"] == "PrecisionTooLarge"
+
+
 def test_eval_g_zero_argument(capsys):
     code, out = run(
         capsys, "eval-g", "--p", "5", "--top", "1/2", "--bottom", "0", "--t", "0",

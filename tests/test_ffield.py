@@ -10,6 +10,7 @@ from padic_hg import ffield
 from padic_hg.errors import (
     DegreeTooLarge,
     HypothesisViolation,
+    InvariantViolation,
     NotPrime,
     SingularCurve,
 )
@@ -30,6 +31,7 @@ from oracles import (
     correlation_by_definition,
     enumerate_legendre_points,
     multiplicative_order,
+    phi_sum_by_elements,
 )
 
 
@@ -416,6 +418,38 @@ def test_family_table_cache_evicts_past_its_bound():
     assert (info.currsize, info.misses) == (bound, len(keys))
     family_traces(*keys[0])  # evicted, so built again
     assert family_traces.cache_info().misses == len(keys) + 1
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (5, 2), (7, 1), (3, 3), (5, 3), (3, 4)])
+def test_phi_sum_matches_element_arithmetic(p, r):
+    # general Weierstrass curves, singular ones included, and every zero
+    # coefficient pattern of the cubic
+    field = build_field(p, r)
+    rng = random.Random(p * 10 + r)
+    for _ in range(40):
+        coeffs = [field.elem(rng.randrange(field.q) * rng.randrange(2)) for _ in range(5)]
+        curve = CurveSpec.weierstrass(*coeffs)
+        assert ffield._phi_sum(curve, field) == phi_sum_by_elements(curve, field)
+
+
+@pytest.mark.parametrize("m", ["one", "minus_one"])
+def test_family_table_check_catches_one_corrupted_entry(monkeypatch, m):
+    # each of the two direct sums guards its own entry of the table
+    field = build_field(7, 2)
+    bad = 1 if m == "one" else field.q - 1
+    correlate = ffield._correlate
+
+    def corrupted(h, f, p, r):
+        c = correlate(h, f, p, r)
+        c[bad] += 2
+        return c
+
+    monkeypatch.setattr(ffield, "_correlate", corrupted)
+    for family in FAMILY_MEMBERS:
+        family_traces.cache_clear()
+        with pytest.raises(InvariantViolation, match=f"{family} table disagrees"):
+            family_traces(family, field)
+    family_traces.cache_clear()
 
 
 def test_family_table_check_survives_optimize():

@@ -8,11 +8,12 @@ from padic_hg.errors import (
     HypothesisViolation,
     NoRepresentative,
     NonConstantResult,
+    PrecisionTooLarge,
     PrecisionUnderflow,
     ZeroArgument,
 )
 from padic_hg import frobtrace, gfunc, padic
-from padic_hg.ffield import FqField, build_field
+from padic_hg.ffield import TABLE_CAP, FqField, build_field
 from padic_hg.gfunc import (
     GParams,
     PadicCtx,
@@ -24,7 +25,7 @@ from padic_hg.gfunc import (
     reconstruct_integer,
     trace_bound,
 )
-from oracles import naive_G
+from oracles import naive_G, raw_eval_by_coefficients
 
 HALF = Fraction(1, 2)
 QUARTERS = (Fraction(1, 4), Fraction(3, 4), Fraction(1, 4), Fraction(3, 4))
@@ -118,6 +119,62 @@ def test_raw_eval_matches_naive_sum_at_every_t(p, r, top, bottom, shift, stable)
     assert (unstable == 0) == stable
 
 
+THIRDS = ((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 4), Fraction(3, 4)))
+
+
+@pytest.mark.parametrize("p,r", [(13, 1), (7, 2), (5, 3), (5, 4)])
+def test_packed_raw_eval_matches_per_coefficient_loop(p, r):
+    # the four headline rows (shift 0) and a row with shift r, at every t
+    field = build_field(p, r)
+    rows = [
+        (frobtrace.TOP4, frobtrace.BOT_QUARTERS),
+        (frobtrace.TOP4, frobtrace.BOT_SIXTHS),
+        (frobtrace.TOP4, frobtrace.BOT_EIGHTHS),
+        (frobtrace.TOP6, frobtrace.BOT6),
+        THIRDS,
+    ]
+    kernels = [gfunc._GKernel(top, bottom, field, 2) for top, bottom in rows]
+    assert [k.shift for k in kernels] == [0, 0, 0, 0, r]
+    for v in range(1, field.q):
+        t = field.elem(v)
+        for kern in kernels:
+            assert kern.raw_eval(t) == raw_eval_by_coefficients(kern, t)
+
+
+@pytest.mark.parametrize("p,r,N", [(3, 1, 1), (5, 2, 2), (7, 3, 1), (5, 4, 3)])
+def test_packed_slots_reach_their_bound_without_carrying(p, r, N):
+    # every coefficient and every table coordinate p^Nw - 1: each slot of
+    # the packed sum reaches (q-1)(p^Nw-1)^2, the bound its width is set by
+    field = build_field(p, r)
+    kern = gfunc._GKernel((HALF,), (Fraction(0),), field, N)
+    m, pNw = field.q - 1, kern.work.pN
+    kern.avals, kern.cvals = list(range(m)), [pNw - 1] * m
+    kern.teich = worst = padic._TeichTable([(pNw - 1,) * r] * m)
+    kern.width, kern.packed = worst.packed(pNw)
+    assert kern.width == (m * (pNw - 1) ** 2).bit_length()
+    slot = m * (pNw - 1) ** 2 * (-pow(m, -1, pNw)) % pNw
+    t = field.generator
+    assert kern.raw_eval(t) == ((slot,) * r, kern.shift)
+    assert raw_eval_by_coefficients(kern, t) == kern.raw_eval(t)
+    # one bit narrower, the slots carry into each other and the sum is wrong
+    kern.width -= 1
+    kern.packed = [sum(c << j * kern.width for j, c in enumerate(w)) for w in worst]
+    assert kern.raw_eval(t) != ((slot,) * r, kern.shift)
+
+
+def test_kernel_working_precision_is_capped():
+    # N fits the table cap, N + shift does not: the kernel raises before
+    # it builds a gamma or Teichmuller table
+    field = build_field(3, 3)
+    N = max(N for N in range(1, 40) if 3 ** ((N + 1) // 2) <= TABLE_CAP)
+    ctx = PadicCtx(field, N)
+    before = padic._gamma_steps.cache_info().misses, padic._teich_table.cache_info().misses
+    with pytest.raises(PrecisionTooLarge):
+        evaluate_G(GParams((HALF, HALF), (HALF, HALF), field.one), field, ctx)
+    assert (padic._gamma_steps.cache_info().misses,
+            padic._teich_table.cache_info().misses) == before
+
+
 def test_kernels_share_one_teichmuller_table():
     field = build_field(7, 2)
     k1 = _kernel(TOP4, QUARTERS, field, 3)
@@ -173,7 +230,8 @@ def test_kernel_cache_evicts_the_oldest():
     assert _kernel(*rows[0], field, 1) is first  # a hit evicts nothing
     _kernel(*rows[-1], field, 1)
     assert len(gfunc._KERNELS) == gfunc.KERNEL_CACHE_SIZE
-    held = [(top, bottom, field, 1) in gfunc._KERNELS for top, bottom in rows]
+    held = [gfunc._kernel_key(top, bottom, field, 1) in gfunc._KERNELS
+            for top, bottom in rows]
     assert held == [False] + [True] * gfunc.KERNEL_CACHE_SIZE
     gfunc._KERNELS.clear()
     assert len(gfunc._KERNELS) == 0

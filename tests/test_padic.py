@@ -11,9 +11,10 @@ from padic_hg.errors import (
     DenominatorDivisibleByP,
     HypothesisViolation,
     InvariantViolation,
+    PrecisionTooLarge,
     ZeroInput,
 )
-from padic_hg.ffield import FqField, _poly_mulmod, build_field
+from padic_hg.ffield import TABLE_CAP, FqField, _poly_mulmod, build_field
 from padic_hg.padic import (
     PadicCtx,
     a0,
@@ -363,6 +364,38 @@ def test_gamma_shift_products(p, r):
         for a in range(field.q - 1):
             assert gamma_product_downshift_check(t, a, ctx, field)
             assert gamma_product_upshift_check(t, a, ctx, field)
+
+
+@pytest.mark.parametrize("p,r,t,a", [(5, 2, 3, 1), (3, 3, 2, 5), (7, 2, 4, 7), (11, 1, 3, 2)])
+def test_shift_checks_pin_their_sides(p, r, t, a):
+    # each identity holds at every integer a, so a sign slip that turns one
+    # checker into the other still returns True; pin the omega exponent
+    # and both sides of each statement as written
+    ctx = ctx_of(p, r, 3)
+    field, m = ctx.field, ctx.q - 1
+    nu = Fraction(a, m)
+    hs = [Fraction(h, t) for h in range(1, t)]
+    down = padic._downshift_sides(t, a, ctx, field)
+    assert down[0] % m == -t * a % m
+    assert down[1] == gamma_orbit_by_fractions(ctx, -t * nu, *hs)
+    assert down[2] == gamma_orbit_by_fractions(ctx, *(Fraction(1 + h, t) - nu for h in range(t)))
+    up = padic._shift_sides(t, a, ctx, field)
+    assert up[0] % m == t * a % m
+    assert up[1] == gamma_orbit_by_fractions(ctx, t * nu, *hs)
+    assert up[2] == gamma_orbit_by_fractions(ctx, *(Fraction(h, t) + nu for h in range(t)))
+    assert down[0] % m != up[0] % m and down[1] != up[1]
+
+
+def test_oversized_precision_is_a_typed_error():
+    # the gamma tables of a context hold p^ceil(N/2) entries
+    field = build_field(5, 2)
+    largest = max(N for N in range(1, 40) if 5 ** ((N + 1) // 2) <= TABLE_CAP)
+    before = padic._gamma_steps.cache_info().misses
+    PadicCtx(field, largest)
+    for N in (largest + 1, 30):
+        with pytest.raises(PrecisionTooLarge):
+            PadicCtx(field, N)
+    assert padic._gamma_steps.cache_info().misses == before
 
 
 @pytest.mark.parametrize("p,r", [(5, 2), (3, 3), (7, 2), (11, 2)])
