@@ -28,24 +28,31 @@ from .ffield import (
 )
 from .gfunc import GParams, PadicCtx, choose_precision, evaluate_G, trace_bound
 
-PAIR_SUITES = frobtrace.PAIR_THEOREMS
-RATIONAL_SUITES = tuple(frobtrace.RATIONAL_THEOREMS)
-SUITES = PAIR_SUITES + RATIONAL_SUITES + (
-    "corollary", "identity-splitting", "identity-reduction", "lemmas", "oracle",
-)
-
 # the only errors a suite may count as skipped instances; any other package
 # error is an evaluator failure and fails the suite
 SKIPPABLE = (HypothesisViolation, SingularCurve)
 
 PRIMES = (5, 7, 11, 13, 17, 19, 23)
 
+FORMATS = ("json", "csv", "plain")
+
+# each curve family's coordinates, in the order its CurveSpec constructor
+# takes them; each is also the name of a `trace` flag
+FAMILIES = {
+    "legendre": ("lambda",),
+    "a1a3": ("a1", "a3"),
+    "fg": ("f", "g"),
+    "cd": ("c", "d"),
+    "weierstrass": ("a1", "a2", "a3", "a4", "a6"),
+}
+
 
 def _parse_rational(text):
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, slash, den = text.partition("/")
+    den = int(den) if slash else 1
+    if den == 0:
+        raise ValueError(f"{text!r} has a zero denominator")
+    return Fraction(int(num), den)
 
 
 def _parse_rational_list(text):
@@ -78,8 +85,7 @@ def _emit(payload, fmt):
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=sorted({k for r in rows for k in r}))
         writer.writeheader()
-        for r in rows:
-            writer.writerow(r)
+        writer.writerows(rows)
         print(buf.getvalue(), end="")
     else:
         def flat(obj, prefix=""):
@@ -100,9 +106,8 @@ def _emit(payload, fmt):
 def cmd_eval_g(args, fmt):
     field = build_field(args.p, args.r)
     bound = args.bound if args.bound is not None else trace_bound(field.q)
-    n_default = choose_precision(field.q, bound)
-    n = max(n_default, args.precision) if args.precision else n_default
-    ctx = PadicCtx(field, n)
+    # --precision can raise the default precision, never lower it
+    ctx = PadicCtx(field, max(choose_precision(field.q, bound), args.precision or 1))
     t = _parse_field_elem(args.t, field)
     started = time.perf_counter()
     value = evaluate_G(
@@ -120,26 +125,12 @@ def cmd_eval_g(args, fmt):
 
 
 def _curve_from_args(args, field):
-    fam = args.family
-    if fam == "legendre":
-        return CurveSpec.legendre(_parse_field_elem(args.lam, field))
-    if fam == "a1a3":
-        return CurveSpec.a1a3(
-            _parse_field_elem(args.a1, field), _parse_field_elem(args.a3, field)
-        )
-    if fam == "fg":
-        return CurveSpec.fg(
-            _parse_field_elem(args.f, field), _parse_field_elem(args.g, field)
-        )
-    if fam == "cd":
-        return CurveSpec.cd(
-            _parse_field_elem(args.c, field), _parse_field_elem(args.d, field)
-        )
-    vals = [
-        _parse_field_elem(getattr(args, name), field)
-        for name in ("a1", "a2", "a3", "a4", "a6")
-    ]
-    return CurveSpec.weierstrass(*vals)
+    names = FAMILIES[args.family]
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"--family {args.family} needs {' '.join(missing)}")
+    coords = (_parse_field_elem(getattr(args, name), field) for name in names)
+    return getattr(CurveSpec, args.family)(*coords)
 
 
 def cmd_trace(args, fmt):
@@ -147,12 +138,7 @@ def cmd_trace(args, fmt):
     curve = _curve_from_args(args, field)
     count = count_points(curve, field)
     trace = field.q + 1 - count
-    payload = {
-        "count": count,
-        "trace": trace,
-        "hasse_ok": trace * trace <= 4 * field.q,
-    }
-    _emit(payload, fmt)
+    _emit({"count": count, "trace": trace, "hasse_ok": trace * trace <= 4 * field.q}, fmt)
     return 0
 
 
@@ -173,9 +159,9 @@ def cmd_oracle(args, fmt):
         psis = [args.psi] if args.psi is not None else list(range(field.q - 1))
         ok = all(charsum.davenport_hasse_check(args.m, s, field) for s in psis)
         payload = {"m": args.m, "checked": len(psis), "ok": ok}
-        _emit(payload, fmt)
-        return 0 if ok else 1
     else:  # greene
+        if args.top is None:
+            raise ValueError("oracle greene needs --top")
         x = _parse_field_elem(args.x, field)
         z = charsum.greene_F(
             tuple(int(v) for v in args.top.split(",")),
@@ -184,289 +170,221 @@ def cmd_oracle(args, fmt):
         )
         payload = {"re": z.real, "im": z.imag}
     _emit(payload, fmt)
-    return 0
+    return 0 if payload.get("ok", True) else 1
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification suites: each case generator yields (labels, result) per
+# instance, result a pass flag or an exact (lhs, rhs) pair
 
 def _pair_fields(pmax, rmax):
-    for p in PRIMES:
-        if p > pmax:
-            break
-        for r in range(1, rmax + 1):
-            yield build_field(p, r)
+    return (build_field(p, r) for p in PRIMES if p <= pmax for r in range(1, rmax + 1))
 
 
-def _suite_t13(pmax, rmax):
-    rows = []
+def _lambdas(field):
+    """Every lambda in F_q outside {0, 1, -1}."""
+    return [lam for lam in map(field.elem, range(2, field.q)) if lam != -field.one]
+
+
+def _t13_cases(pmax, rmax, **_):
     for field in _pair_fields(pmax, rmax):
-        for v in range(2, field.q):
-            lam = field.elem(v)
-            if lam == field.one or lam == -field.one:
-                continue
+        for lam in _lambdas(field):
             inst = frobtrace.TheoremInstance("t13", field, (lam,))
-            lhs, rhs = frobtrace.trace_sum_pair(inst)
-            rows.append({
-                "suite": "t13", "q": field.q, "lambda": lam.encode(),
-                "lhs": lhs, "rhs": rhs, "pass": lhs == rhs,
-            })
-    return rows
+            yield {"q": field.q, "lambda": lam.encode()}, frobtrace.trace_sum_pair(inst)
 
 
-def _random_pair_params(name, field, rng, skipped):
-    """A parameter pair satisfying the theorem's hypotheses, or None;
-    each rejected draw is counted in skipped under its error class."""
-    for _ in range(64):
-        x = field.elem(rng.randrange(1, field.q))
-        y = field.elem(rng.randrange(1, field.q))
-        try:
-            inst = frobtrace.TheoremInstance(name, field, (x, y))
-            lhs, rhs = frobtrace.trace_sum_pair(inst)
-            return inst, lhs, rhs
-        except SKIPPABLE as exc:
-            skipped[type(exc).__name__] += 1
-    return None
-
-
-def _suite_pairs_random(name, pmax, rmax, trials, rng, skipped):
-    rows = []
+def _random_pair_cases(suite, pmax, rmax, trials, rng, skipped, **_):
+    """Per trial, the first of up to 64 random parameter pairs that satisfies
+    the theorem's hypotheses; each rejected draw is counted in skipped under
+    its error class."""
     for field in _pair_fields(pmax, rmax):
         for _ in range(trials):
-            got = _random_pair_params(name, field, rng, skipped)
-            if got is None:
-                continue
-            inst, lhs, rhs = got
-            rows.append(
-                {
-                    "suite": name, "q": field.q,
-                    "params": ",".join(str(x.encode()) for x in inst.params),
-                    "lhs": lhs, "rhs": rhs, "pass": lhs == rhs,
-                }
-            )
-    return rows
+            for _ in range(64):
+                params = (
+                    field.elem(rng.randrange(1, field.q)),
+                    field.elem(rng.randrange(1, field.q)),
+                )
+                try:
+                    sides = frobtrace.trace_sum_pair(
+                        frobtrace.TheoremInstance(suite, field, params)
+                    )
+                except SKIPPABLE as exc:
+                    skipped[type(exc).__name__] += 1
+                else:
+                    encoded = ",".join(str(x.encode()) for x in params)
+                    yield {"q": field.q, "params": encoded}, sides
+                    break
 
 
-def _suite_rational(name, pmax, rmax, skipped):
-    rows = []
-    theorem = frobtrace.RATIONAL_THEOREMS[name]
+def _rational_cases(suite, pmax, rmax, skipped, **_):
+    theorem = frobtrace.RATIONAL_THEOREMS[suite]
     for p in PRIMES:
         if p > pmax or not theorem.holds_at(p):
             continue
         for r in range(1, rmax + 1):
             for par in theorem.params:
                 try:
-                    predicted, counted = frobtrace.rational_curve_trace(name, p, r, par)
+                    predicted, counted = frobtrace.rational_curve_trace(suite, p, r, par)
                 except SKIPPABLE as exc:
                     skipped[type(exc).__name__] += 1
-                    continue
-                rows.append(
-                    {
-                        "suite": name, "p": p, "r": r, "param": str(par),
-                        "lhs": counted, "rhs": predicted,
-                        "pass": predicted == counted,
-                    }
-                )
-    return rows
+                else:
+                    yield {"p": p, "r": r, "param": str(par)}, (counted, predicted)
 
 
-def _suite_corollary():
-    rows = []
+def _corollary_cases(**_):
     for item in frobtrace.corollary_g_values():
-        rows.append(
-            {
-                "suite": "corollary", "item": item["item"], "q": item["q"],
-                "lhs": item["value"], "rhs": item["expected_from_counts"],
-                "pass": item["ok"],
-            }
-        )
-    return rows
+        labels = {"item": item["item"], "q": item["q"]}
+        yield labels, (item["value"], item["expected_from_counts"])
 
 
-def _suite_identity_splitting(trials, rng):
-    rows = []
+def _splitting_cases(trials, rng, **_):
     denoms = (1, 2, 3, 4, 6)
     fields = [build_field(5, 2), build_field(7, 2), build_field(11, 2)]
     for i in range(trials):
         field = fields[i % len(fields)]
         ctx = PadicCtx(field, 3)
-        while True:
+        coeffs = []
+        while len(coeffs) < 4:  # all four redrawn until every denominator fits q
             coeffs = []
             for _ in range(4):
                 d = rng.choice(denoms)
-                if d > 1 and (field.p % d == 0 or (field.q - 1) % d):
-                    continue
-                coeffs.append(Fraction(rng.randrange(d), d))
-            if len(coeffs) == 4:
-                break
+                if d == 1 or (field.p % d and (field.q - 1) % d == 0):
+                    coeffs.append(Fraction(rng.randrange(d), d))
         x = field.elem(rng.randrange(1, field.q))
-        ok = gfunc.check_splitting_identity(*coeffs, x, field, ctx)
-        rows.append(
-            {
-                "suite": "identity-splitting", "q": field.q,
-                "params": ",".join(str(c) for c in coeffs), "x": x.encode(),
-                "pass": ok,
-            }
-        )
-    return rows
+        labels = {"q": field.q, "params": ",".join(str(c) for c in coeffs), "x": x.encode()}
+        yield labels, gfunc.check_splitting_identity(*coeffs, x, field, ctx)
 
 
-def _suite_identity_reduction(trials, rng):
-    rows = []
+def _reduction_cases(trials, rng, **_):
     # d = 2 is excluded: the appended-pair reduction fails there (the
     # summation grid hits 1/d exactly when d divides p-1)
     cases = [(5, 3), (5, 6), (7, 4), (11, 4), (11, 12)]
     denoms = (1, 2, 3, 4, 6, 8, 12)
     for p, d in cases:
         field = build_field(p, 1)
+
+        def draw(n):
+            coeffs = []
+            while len(coeffs) < n:
+                dd = rng.choice(denoms)
+                if dd % p:
+                    coeffs.append(Fraction(rng.randrange(dd), dd))
+            return coeffs
+
         for _ in range(max(1, trials // len(cases))):
             n = rng.choice((1, 2))
-            tops, bots = [], []
-            while len(tops) < n:
-                dd = rng.choice(denoms)
-                if dd % p == 0:
-                    continue
-                tops.append(Fraction(rng.randrange(dd), dd))
-            while len(bots) < n:
-                dd = rng.choice(denoms)
-                if dd % p == 0:
-                    continue
-                bots.append(Fraction(rng.randrange(dd), dd))
+            tops, bots = draw(n), draw(n)
             t = field.elem(rng.randrange(1, p))
-            ok = gfunc.check_reduction_identity(tops, bots, d, t, p)
-            rows.append(
-                {
-                    "suite": "identity-reduction", "p": p, "d": d,
-                    "top": ",".join(map(str, tops)), "bottom": ",".join(map(str, bots)),
-                    "pass": ok,
-                }
-            )
-    return rows
+            labels = {"p": p, "d": d, "top": ",".join(map(str, tops)),
+                      "bottom": ",".join(map(str, bots))}
+            yield labels, gfunc.check_reduction_identity(tops, bots, d, t, p)
 
 
-def _suite_lemmas():
-    rows = []
-    fields = [build_field(5, 2), build_field(3, 3), build_field(7, 2), build_field(11, 2)]
+def _checked(field, checks):
+    """One case per (check name, checker, argument tuples) over field: it
+    passes when the checker holds at every argument tuple."""
+    for name, checker, arg_tuples in checks:
+        yield {"check": name, "q": field.q}, all(checker(*a) for a in arg_tuples)
 
-    def add(name, q, ok):
-        rows.append({"suite": "lemmas", "check": name, "q": q, "pass": ok})
 
-    for field in fields:
-        q = field.q
-        ctx = PadicCtx(field, 3)
-        add("reflection", q, all(
-            padic.reflection_check(Fraction(k, q - 1), ctx) for k in range(q - 1)
-        ))
-        add("product-formula", q, all(
-            padic.product_formula_check(Fraction(k, q - 1), m, ctx, field)
-            for m in (1, 2, 3, 4, 6) if m % field.p
-            for k in range(0, q - 1, max(1, (q - 1) // 24))
-        ))
-        add("downshift", q, all(
-            padic.gamma_product_downshift_check(t, a, ctx, field)
-            for t in (2, 3, 4, 6) if t % field.p
-            for a in range(q - 1)
-        ))
-        add("upshift", q, all(
-            padic.gamma_product_upshift_check(t, a, ctx, field)
-            for t in (2, 3, 4, 6) if t % field.p
-            for a in range(q - 1)
-        ))
-        add("complement", q, all(
-            padic.gamma_complement_product_check(a, ctx) for a in range(1, q - 1)
-        ))
-        add("half-shift", q, all(
-            padic.gamma_half_shift_check(a, ctx)
-            for a in range(q - 1) if a != (q - 1) // 2
-        ))
-        add("floor-negative-multiple", q, all(
-            padic.floor_negative_multiple_check(d, a, i, field.p, q)
-            for d in (2, 3, 4, 6, 8, 12) if d % field.p
-            for a in range(1, q - 1) for i in range(field.r)
-        ))
-        add("floor-positive-multiple", q, all(
-            padic.floor_positive_multiple_check(L, a, i, field.p, q)
-            for L in (2, 3, 4, 6, 8, 12) if L % field.p
-            for a in range(q - 1) for i in range(field.r)
-        ))
-        add("floor-halving", q, all(
-            padic.floor_halving_check(Fraction(m, d), j, i, field.p, q)
-            for d in (2, 3, 4, 6, 8, 12) if d % field.p
-            for m in range(d)
-            for j in range(0, q - 1, max(1, (q - 1) // 40))
-            for i in range(field.r)
-        ))
-        if q % 4 == 1:
-            add("quarter-product", q, all(
-                padic.quarter_gamma_product_check(n, ctx)
-                for n in range(q - 1)
-                if n not in ((q - 1) // 4, 3 * (q - 1) // 4)
-            ))
+def _lemma_checks(field):
+    p, r, q = field.p, field.r, field.q
+    ctx = PadicCtx(field, 3)
+    shifts = [t for t in (2, 3, 4, 6) if t % p]
+    denoms = [d for d in (2, 3, 4, 6, 8, 12) if d % p]
+    checks = [
+        ("reflection", padic.reflection_check,
+         ((Fraction(k, q - 1), ctx) for k in range(q - 1))),
+        ("product-formula", padic.product_formula_check,
+         ((Fraction(k, q - 1), m, ctx, field)
+          for m in (1, 2, 3, 4, 6) if m % p
+          for k in range(0, q - 1, max(1, (q - 1) // 24)))),
+        ("downshift", padic.gamma_product_downshift_check,
+         ((t, a, ctx, field) for t in shifts for a in range(q - 1))),
+        ("upshift", padic.gamma_product_upshift_check,
+         ((t, a, ctx, field) for t in shifts for a in range(q - 1))),
+        ("complement", padic.gamma_complement_product_check,
+         ((a, ctx) for a in range(1, q - 1))),
+        ("half-shift", padic.gamma_half_shift_check,
+         ((a, ctx) for a in range(q - 1) if a != (q - 1) // 2)),
+        ("floor-negative-multiple", padic.floor_negative_multiple_check,
+         ((d, a, i, p, q) for d in denoms for a in range(1, q - 1) for i in range(r))),
+        ("floor-positive-multiple", padic.floor_positive_multiple_check,
+         ((L, a, i, p, q) for L in denoms for a in range(q - 1) for i in range(r))),
+        ("floor-halving", padic.floor_halving_check,
+         ((Fraction(m, d), j, i, p, q)
+          for d in denoms for m in range(d)
+          for j in range(0, q - 1, max(1, (q - 1) // 40))
+          for i in range(r))),
+    ]
+    if q % 4 == 1:
+        checks.append(("quarter-product", padic.quarter_gamma_product_check, (
+            (n, ctx) for n in range(q - 1) if n not in ((q - 1) // 4, 3 * (q - 1) // 4)
+        )))
+    return checks
+
+
+def _lemma_cases(**_):
+    for p, r in ((5, 2), (3, 3), (7, 2), (11, 2)):
+        field = build_field(p, r)
+        yield from _checked(field, _lemma_checks(field))
     for p, d in ((11, 4), (11, 12), (5, 3), (5, 6), (7, 4)):
-        ctx = PadicCtx(build_field(p, 1), 3)
-        add(f"dth-root d={d}", p, all(
-            padic.dth_root_gamma_quotient_check(d, n, ctx) for n in range(p - 1)
-        ))
-    return rows
+        field = build_field(p, 1)
+        ctx = PadicCtx(field, 3)
+        yield from _checked(field, [(
+            f"dth-root d={d}", padic.dth_root_gamma_quotient_check,
+            ((d, n, ctx) for n in range(p - 1)),
+        )])
 
 
-def _suite_oracle():
-    rows = []
+def _oracle_checks(field):
+    q = field.q
+    phi = (q - 1) // 2
+    scale = -q * quad_char(field.from_int(-1))
 
-    def add(name, q, ok):
-        rows.append({"suite": "oracle", "check": name, "q": q, "pass": ok})
+    def conjugate_product(k):
+        z = charsum.gauss_sum(k, field) * charsum.gauss_sum(-k, field)
+        return abs(z - q * (-1) ** k) <= 1e-6 * q
 
+    def koike_bridge(lam):
+        z = scale * charsum.greene_F((phi, phi), (0,), lam, field)
+        aq = trace_of_frobenius(CurveSpec.legendre(lam), field)
+        return abs(z.real - aq) <= 1e-4 and abs(z.imag) <= 1e-4
+
+    return [
+        ("conjugate-product", conjugate_product, ((k,) for k in range(1, q - 1))),
+        ("davenport-hasse", charsum.davenport_hasse_check,
+         ((m, s, field) for m in (2, 3, 4, 6) for s in range(q - 1))),
+        ("koike-bridge", koike_bridge, ((lam,) for lam in _lambdas(field))),
+    ]
+
+
+def _oracle_cases(**_):
     for p, r in ((13, 1), (5, 2)):
         field = build_field(p, r)
-        q = field.q
-        ok = all(
-            abs(
-                charsum.gauss_sum(k, field) * charsum.gauss_sum(-k, field)
-                - q * (-1) ** k
-            ) <= 1e-6 * q
-            for k in range(1, q - 1)
-        )
-        add("conjugate-product", q, ok)
-        add("davenport-hasse", q, all(
-            charsum.davenport_hasse_check(m, s, field)
-            for m in (2, 3, 4, 6) for s in range(q - 1)
-        ))
-        phi = (q - 1) // 2
-        ok = True
-        for v in range(2, q):
-            lam = field.elem(v)
-            if lam == field.one or lam == -field.one:
-                continue
-            z = -q * quad_char(field.from_int(-1)) * charsum.greene_F(
-                (phi, phi), (0,), lam, field
-            )
-            aq = trace_of_frobenius(CurveSpec.legendre(lam), field)
-            if abs(z.real - aq) > 1e-4 or abs(z.imag) > 1e-4:
-                ok = False
-                break
-        add("koike-bridge", q, ok)
+        yield from _checked(field, _oracle_checks(field))
     for p, r in ((5, 2), (3, 3)):
         field = build_field(p, r)
         ctx = PadicCtx(field, 3)
-        q = field.q
-        ok = all(
-            charsum.gross_koblitz_jacobi_check(a, b, field, ctx)
-            for a in range(1, q - 1) for b in range(1, q - 1)
-            if (a + b) % (q - 1)
-        )
-        add("gross-koblitz-jacobi", q, ok)
-    return rows
+        units = range(1, field.q - 1)
+        yield from _checked(field, [(
+            "gross-koblitz-jacobi", charsum.gross_koblitz_jacobi_check,
+            ((a, b, field, ctx) for a in units for b in units if (a + b) % (field.q - 1)),
+        )])
 
 
-def _effective_range(suite, pmax, rmax):
-    """The pmax and rmax a ranged suite actually runs, or None for a suite
-    that takes no range: the pair suites stop at q = 13^2, the rational
-    ones at r = 3, and no suite has primes above PRIMES[-1]."""
-    if suite in PAIR_SUITES:
-        return {"pmax": min(pmax, 13), "rmax": min(rmax, 2)}
-    if suite in RATIONAL_SUITES:
-        return {"pmax": min(pmax, PRIMES[-1]), "rmax": min(rmax, 3)}
-    return None
+# suite -> (case generator, (pmax, rmax) cap or None for a suite that takes
+# no range): the pair suites stop at q = 13^2, the rational ones at r = 3
+SUITES = {
+    "t13": (_t13_cases, (13, 2)),
+    **{name: (_random_pair_cases, (13, 2)) for name in frobtrace.PAIR_THEOREMS[1:]},
+    **{name: (_rational_cases, (PRIMES[-1], 3)) for name in frobtrace.RATIONAL_THEOREMS},
+    "corollary": (_corollary_cases, None),
+    "identity-splitting": (_splitting_cases, None),
+    "identity-reduction": (_reduction_cases, None),
+    "lemmas": (_lemma_cases, None),
+    "oracle": (_oracle_cases, None),
+}
 
 
 def _cache_infos():
@@ -493,31 +411,23 @@ def _cache_activity(before):
 
 
 def cmd_verify(args, fmt):
-    rng = random.Random(args.seed)
     suite = args.suite
+    cases, cap = SUITES[suite]
+    used = cap and {"pmax": min(args.pmax, cap[0]), "rmax": min(args.rmax, cap[1])}
     skipped = Counter()
-    used = _effective_range(suite, args.pmax, args.rmax)
     payload = {"suite": suite, "range": used}
     caches_before = _cache_infos()
+    rows = []
     try:
-        if suite == "t13":
-            rows = _suite_t13(used["pmax"], used["rmax"])
-        elif suite in PAIR_SUITES:
-            rows = _suite_pairs_random(
-                suite, used["pmax"], used["rmax"], args.trials, rng, skipped
-            )
-        elif suite in RATIONAL_SUITES:
-            rows = _suite_rational(suite, used["pmax"], used["rmax"], skipped)
-        elif suite == "corollary":
-            rows = _suite_corollary()
-        elif suite == "identity-splitting":
-            rows = _suite_identity_splitting(args.trials, rng)
-        elif suite == "identity-reduction":
-            rows = _suite_identity_reduction(args.trials, rng)
-        elif suite == "lemmas":
-            rows = _suite_lemmas()
-        else:
-            rows = _suite_oracle()
+        for labels, result in cases(
+            suite=suite, trials=args.trials, rng=random.Random(args.seed),
+            skipped=skipped, **(used or {}),
+        ):
+            row = {"suite": suite, **labels}
+            if isinstance(result, tuple):
+                row["lhs"], row["rhs"] = result
+                result = row["lhs"] == row["rhs"]
+            rows.append({**row, "pass": result})
     except PadicHGError as exc:
         # an evaluator error fails the suite: only SKIPPABLE errors are skips
         rows = []
@@ -542,49 +452,36 @@ def _build_parser():
         description="Exact p-adic hypergeometric G-function evaluation and "
         "elliptic-curve trace verification",
     )
-    parser.add_argument("--format", choices=("json", "csv", "plain"), default="json")
+    parser.add_argument("--format", choices=FORMATS, default="json")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(sp):
+    pe, pt, pv, po = (
+        sub.add_parser(name, help=text) for name, (_, text) in COMMANDS.items()
+    )
+    for sp in (pe, pt, pv, po):
         # SUPPRESS keeps a pre-subcommand --format from being clobbered
         # by the subparser's default
-        sp.add_argument(
-            "--format", choices=("json", "csv", "plain"), default=argparse.SUPPRESS
-        )
+        sp.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS)
+        if sp is not pv:
+            sp.add_argument("--p", type=int, required=True)
+            sp.add_argument("--r", type=int, default=1)
 
-    pe = sub.add_parser("eval-g", help="evaluate a G-function value")
-    add_format(pe)
-    pe.add_argument("--p", type=int, required=True)
-    pe.add_argument("--r", type=int, default=1)
     pe.add_argument("--top", required=True)
     pe.add_argument("--bottom", required=True)
     pe.add_argument("--t", required=True)
     pe.add_argument("--precision", type=_precision)
     pe.add_argument("--bound", type=int)
 
-    pt = sub.add_parser("trace", help="count points / trace of Frobenius")
-    add_format(pt)
-    pt.add_argument("--family", choices=("legendre", "a1a3", "fg", "cd", "weierstrass"),
-                    required=True)
-    pt.add_argument("--p", type=int, required=True)
-    pt.add_argument("--r", type=int, default=1)
-    pt.add_argument("--lambda", dest="lam")
-    for name in ("a1", "a2", "a3", "a4", "a6", "f", "g", "c", "d"):
+    pt.add_argument("--family", choices=FAMILIES, required=True)
+    for name in ("lambda", "a1", "a2", "a3", "a4", "a6", "f", "g", "c", "d"):
         pt.add_argument(f"--{name}")
 
-    pv = sub.add_parser("verify", help="run a verification suite")
-    add_format(pv)
     pv.add_argument("--suite", choices=SUITES, required=True)
     pv.add_argument("--pmax", type=int, default=23)
     pv.add_argument("--rmax", type=int, default=2)
     pv.add_argument("--trials", type=int, default=30)
     pv.add_argument("--seed", type=int, default=0)
 
-    po = sub.add_parser("oracle", help="query a character-sum oracle")
-    add_format(po)
     po.add_argument("kind", choices=("gauss", "jacobi", "dh", "greene"))
-    po.add_argument("--p", type=int, required=True)
-    po.add_argument("--r", type=int, default=1)
     po.add_argument("--k", type=int, default=0)
     po.add_argument("--a", type=int, default=0)
     po.add_argument("--b", type=int, default=0)
@@ -598,6 +495,14 @@ def _build_parser():
     return parser
 
 
+COMMANDS = {
+    "eval-g": (cmd_eval_g, "evaluate a G-function value"),
+    "trace": (cmd_trace, "count points / trace of Frobenius"),
+    "verify": (cmd_verify, "run a verification suite"),
+    "oracle": (cmd_oracle, "query a character-sum oracle"),
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -605,13 +510,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        if args.command == "eval-g":
-            return cmd_eval_g(args, args.format)
-        if args.command == "trace":
-            return cmd_trace(args, args.format)
-        if args.command == "verify":
-            return cmd_verify(args, args.format)
-        return cmd_oracle(args, args.format)
+        return COMMANDS[args.command][0](args, args.format)
     except NotPrime as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)}, args.format)
         return 2

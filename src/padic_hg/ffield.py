@@ -492,21 +492,6 @@ def _phi_sum(curve, field):
     return sum([phi[plus[y]] for y in ys])
 
 
-def count_points_exhaustive(curve: CurveSpec, field: FqField) -> int:
-    """Independent oracle: enumerate all (x, y) on the long Weierstrass form."""
-    if discriminant(curve, field).is_zero():
-        raise SingularCurve(f"{curve.family} parameters give a singular curve")
-    a1, a2, a3, a4, a6 = curve.a_invariants(field)
-    total = 1
-    for x in field.elements():
-        rhs = ((x + a2) * x + a4) * x + a6
-        lin = a1 * x + a3
-        for y in field.elements():
-            if y * y + lin * y == rhs:
-                total += 1
-    return total
-
-
 def trace_of_frobenius(curve: CurveSpec, field: FqField) -> int:
     """a_q = q + 1 - #E(F_q); validated against the Hasse bound."""
     a = field.q + 1 - count_points(curve, field)

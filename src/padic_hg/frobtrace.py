@@ -3,7 +3,7 @@
 The G-function side goes through the evaluator.  The trace side of the
 pair formulas is read from the family tables of ffield, and that of the
 formulas over Q comes from point counting: for curves over Q the F_p
-trace propagates to F_{p^r} through the two power-sum recurrences below.
+trace propagates to F_{p^r} through the power-sum recurrence below.
 Both sides of every formula are exact integers and must agree exactly.
 """
 
@@ -170,24 +170,14 @@ def trace_sum_pair(inst: TheoremInstance):
     return lhs, rhs
 
 
-def frobenius_power_series(ap: int, p: int, good: bool, r: int) -> int:
-    """The prime-power L-series coefficient by the two-term recurrence
-    seeded with a_1 = 1."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    prev, cur = 1, ap
-    for _ in range(r - 1):
-        prev, cur = cur, ap * cur - (p if good else 0) * prev
-    return cur
-
-
 def trace_power(ap: int, p: int, r: int) -> int:
     """The F_{p^r} point-count trace from the F_p trace (good reduction).
 
-    This is the power sum of the two Frobenius eigenvalues, so the same
-    recurrence as frobenius_power_series but seeded with 2 = alpha^0 +
-    beta^0.  The two sequences differ from r = 2 on; point counts follow
-    this one.
+    This is the power sum alpha^r + beta^r of the two Frobenius
+    eigenvalues: the recurrence s_r = a_p s_{r-1} - p s_{r-2} seeded with
+    s_0 = 2 and s_1 = a_p.  The L-series coefficients obey the same
+    recurrence seeded with 1 instead of 2 and differ from r = 2 on; point
+    counts follow the power sums.
     """
     if r < 1:
         raise ValueError("r must be >= 1")

@@ -8,7 +8,8 @@ deliberately shares no bookkeeping with the package internals it checks.
 import math
 from fractions import Fraction
 
-from padic_hg.ffield import _poly_mulmod
+from padic_hg.errors import SingularCurve
+from padic_hg.ffield import _poly_mulmod, discriminant
 from padic_hg.padic import PadicCtx, frac, teichmuller
 
 
@@ -31,6 +32,33 @@ def enumerate_legendre_points(lam_int, p):
             if (y * y - rhs) % p == 0:
                 count += 1
     return count
+
+
+def count_points_exhaustive(curve, field):
+    """#E(F_q) by enumerating every (x, y) on the long Weierstrass form."""
+    if discriminant(curve, field).is_zero():
+        raise SingularCurve(f"{curve.family} parameters give a singular curve")
+    a1, a2, a3, a4, a6 = curve.a_invariants(field)
+    total = 1
+    for x in field.elements():
+        rhs = ((x + a2) * x + a4) * x + a6
+        lin = a1 * x + a3
+        for y in field.elements():
+            if y * y + lin * y == rhs:
+                total += 1
+    return total
+
+
+def frobenius_power_series(ap, p, good, r):
+    """The prime-power L-series coefficient a_{p^r} by the two-term
+    recurrence seeded with a_1 = 1 (the seed the strict-xfails of the
+    acceptance suite pin; point counts follow frobtrace.trace_power)."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    prev, cur = 1, ap
+    for _ in range(r - 1):
+        prev, cur = cur, ap * cur - (p if good else 0) * prev
+    return cur
 
 
 def gamma_by_direct_product(m, p, pN):

@@ -7,7 +7,7 @@ import pytest
 
 import padic_hg
 from padic_hg import frobtrace
-from padic_hg.cli import main
+from padic_hg.cli import SUITES, main
 from padic_hg.errors import NonConstantResult, SingularCurve
 
 
@@ -187,6 +187,37 @@ def test_plain_and_csv_formats(capsys):
     assert len(lines) == 5  # header + 4 items
 
 
+@pytest.mark.parametrize("family,given,missing", [
+    ("legendre", [], "--lambda"),
+    ("cd", ["--c", "3"], "--d"),
+    ("weierstrass", ["--a1", "0", "--a2", "0", "--a3", "0", "--a4", "1"], "--a6"),
+])
+def test_trace_missing_coordinate_is_a_usage_error(capsys, family, given, missing):
+    code, out = run(capsys, "trace", "--family", family, "--p", "5", *given)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "UsageError"
+    assert payload["message"].endswith(f"needs {missing}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-g", "--p", "5", "--top", "1/0", "--bottom", "0", "--t", "2"],
+    ["trace", "--family", "legendre", "--p", "5", "--lambda", "1/0"],
+])
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "UsageError", "message": "'1/0' has a zero denominator",
+    }
+
+
+def test_oracle_greene_without_top_is_a_usage_error(capsys):
+    code, out = run(capsys, "oracle", "greene", "--p", "13")
+    assert code == 2
+    assert json.loads(out)["error"] == "UsageError"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["verify", "--suite", "nonsense"]) == 2
     assert main(["eval-g", "--p", "5", "--top", "1/2", "--bottom", "0",
@@ -329,3 +360,37 @@ def test_verify_evaluator_failure_is_not_a_skip(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["error"] == "NonConstantResult"
     assert payload["skipped"]["total"] == 0
+
+
+SUITE_ORDER = [
+    "t13", "t14", "t15", "t16", "t17", "t18", "t19", "t110", "t111",
+    "corollary", "identity-splitting", "identity-reduction", "lemmas", "oracle",
+]
+PAIR_ROW = ["lhs", "rhs", "pass"]
+FIRST_ROW_KEYS = {
+    "t13": ["suite", "q", "lambda"] + PAIR_ROW,
+    **dict.fromkeys(["t14", "t15", "t16", "t17"], ["suite", "q", "params"] + PAIR_ROW),
+    **dict.fromkeys(["t18", "t19", "t110", "t111"], ["suite", "p", "r", "param"] + PAIR_ROW),
+    "corollary": ["suite", "item", "q"] + PAIR_ROW,
+    "identity-splitting": ["suite", "q", "params", "x", "pass"],
+    "identity-reduction": ["suite", "p", "d", "top", "bottom", "pass"],
+    "lemmas": ["suite", "check", "q", "pass"],
+    "oracle": ["suite", "check", "q", "pass"],
+}
+
+
+def test_suite_choices_are_the_table_keys(capsys):
+    assert list(SUITES) == SUITE_ORDER
+    code, out = run(capsys, "verify", "--help")
+    assert code == 0
+    assert "{" + ",".join(SUITE_ORDER) + "}" in out
+
+
+@pytest.mark.parametrize("suite", SUITE_ORDER)
+def test_verify_every_suite_small(capsys, suite):
+    code, out = run(capsys, "verify", "--suite", suite, "--pmax", "7", "--rmax", "1",
+                    "--trials", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["failed"] == 0 and payload["total"] >= 1
+    assert list(payload["instances"][0]) == FIRST_ROW_KEYS[suite]

@@ -18,7 +18,6 @@ from padic_hg.ffield import (
     CurveSpec,
     build_field,
     count_points,
-    count_points_exhaustive,
     discriminant,
     family_trace,
     family_traces,
@@ -29,6 +28,7 @@ from padic_hg.frobtrace import TheoremInstance, trace_sum_pair
 from oracles import (
     TupleField,
     correlation_by_definition,
+    count_points_exhaustive,
     enumerate_legendre_points,
     multiplicative_order,
     phi_sum_by_elements,

@@ -13,12 +13,12 @@ from padic_hg.frobtrace import (
     TheoremInstance,
     _rational_sides,
     corollary_g_values,
-    frobenius_power_series,
     ordp,
     rational_curve_trace,
     trace_power,
     trace_sum_pair,
 )
+from oracles import frobenius_power_series
 
 
 def test_ordp():
