@@ -59,11 +59,11 @@ def _parse_rational_list(text):
     return tuple(_parse_rational(part) for part in text.split(","))
 
 
-def _precision(text):
-    """An --precision value: an integer N >= 1."""
+def _at_least_one(text):
+    """An --precision or --trials value: an integer >= 1."""
     n = int(text)
     if n < 1:
-        raise argparse.ArgumentTypeError("precision N must be >= 1")
+        raise argparse.ArgumentTypeError("must be an integer >= 1")
     return n
 
 
@@ -177,8 +177,16 @@ def cmd_oracle(args, fmt):
 # verification suites: each case generator yields (labels, result) per
 # instance, result a pass flag or an exact (lhs, rhs) pair
 
-def _pair_fields(pmax, rmax):
-    return (build_field(p, r) for p in PRIMES if p <= pmax for r in range(1, rmax + 1))
+def _suite_primes(suite, pmax):
+    """The primes up to pmax that a range suite runs at: those of PRIMES
+    where its theorem holds (every one for a pair theorem)."""
+    theorem = frobtrace.RATIONAL_THEOREMS.get(suite)
+    return [p for p in PRIMES if p <= pmax and (theorem is None or theorem.holds_at(p))]
+
+
+def _pair_fields(suite, pmax, rmax):
+    primes = _suite_primes(suite, pmax)
+    return (build_field(p, r) for p in primes for r in range(1, rmax + 1))
 
 
 def _lambdas(field):
@@ -186,8 +194,8 @@ def _lambdas(field):
     return [lam for lam in map(field.elem, range(2, field.q)) if lam != -field.one]
 
 
-def _t13_cases(pmax, rmax, **_):
-    for field in _pair_fields(pmax, rmax):
+def _t13_cases(suite, pmax, rmax, **_):
+    for field in _pair_fields(suite, pmax, rmax):
         for lam in _lambdas(field):
             inst = frobtrace.TheoremInstance("t13", field, (lam,))
             yield {"q": field.q, "lambda": lam.encode()}, frobtrace.trace_sum_pair(inst)
@@ -197,7 +205,7 @@ def _random_pair_cases(suite, pmax, rmax, trials, rng, skipped, **_):
     """Per trial, the first of up to 64 random parameter pairs that satisfies
     the theorem's hypotheses; each rejected draw is counted in skipped under
     its error class."""
-    for field in _pair_fields(pmax, rmax):
+    for field in _pair_fields(suite, pmax, rmax):
         for _ in range(trials):
             for _ in range(64):
                 params = (
@@ -217,12 +225,9 @@ def _random_pair_cases(suite, pmax, rmax, trials, rng, skipped, **_):
 
 
 def _rational_cases(suite, pmax, rmax, skipped, **_):
-    theorem = frobtrace.RATIONAL_THEOREMS[suite]
-    for p in PRIMES:
-        if p > pmax or not theorem.holds_at(p):
-            continue
+    for p in _suite_primes(suite, pmax):
         for r in range(1, rmax + 1):
-            for par in theorem.params:
+            for par in frobtrace.RATIONAL_THEOREMS[suite].params:
                 try:
                     predicted, counted = frobtrace.rational_curve_trace(suite, p, r, par)
                 except SKIPPABLE as exc:
@@ -393,6 +398,7 @@ def _cache_infos():
         "gamma_steps": padic._gamma_steps.cache_info(),
         "teichmuller_tables": padic._teich_table.cache_info(),
         "family_traces": family_traces.cache_info(),
+        "pair_setups": frobtrace._pair_setup.cache_info(),
     }
 
 
@@ -414,6 +420,10 @@ def cmd_verify(args, fmt):
     suite = args.suite
     cases, cap = SUITES[suite]
     used = cap and {"pmax": min(args.pmax, cap[0]), "rmax": min(args.rmax, cap[1])}
+    if used and used["rmax"] < 1:
+        raise ValueError(f"--rmax {args.rmax} selects no field")
+    if used and not _suite_primes(suite, used["pmax"]):
+        raise ValueError(f"--pmax {args.pmax} selects no prime of suite {suite}")
     skipped = Counter()
     payload = {"suite": suite, "range": used}
     caches_before = _cache_infos()
@@ -468,7 +478,7 @@ def _build_parser():
     pe.add_argument("--top", required=True)
     pe.add_argument("--bottom", required=True)
     pe.add_argument("--t", required=True)
-    pe.add_argument("--precision", type=_precision)
+    pe.add_argument("--precision", type=_at_least_one)
     pe.add_argument("--bound", type=int)
 
     pt.add_argument("--family", choices=FAMILIES, required=True)
@@ -478,7 +488,7 @@ def _build_parser():
     pv.add_argument("--suite", choices=SUITES, required=True)
     pv.add_argument("--pmax", type=int, default=23)
     pv.add_argument("--rmax", type=int, default=2)
-    pv.add_argument("--trials", type=int, default=30)
+    pv.add_argument("--trials", type=_at_least_one, default=30)
     pv.add_argument("--seed", type=int, default=0)
 
     po.add_argument("kind", choices=("gauss", "jacobi", "dh", "greene"))
@@ -488,7 +498,7 @@ def _build_parser():
     po.add_argument("--m", type=int, default=2)
     po.add_argument("--psi", type=int)
     po.add_argument("--padic", action="store_true")
-    po.add_argument("--precision", type=_precision)
+    po.add_argument("--precision", type=_at_least_one)
     po.add_argument("--top")
     po.add_argument("--bottom")
     po.add_argument("--x", default="1")

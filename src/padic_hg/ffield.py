@@ -377,8 +377,9 @@ class CurveSpec:
     @staticmethod
     def legendre(lam):
         # y^2 = x(x-1)(x-lambda); lambda in {0,1} is singular and is
-        # reported by count_points, not here.  lambda = -1 is a valid curve
-        # (only the +-lambda pairing of the trace theorems excludes it).
+        # reported by count_points and family_trace, not here.  lambda = -1
+        # is a valid curve (only the +-lambda pairing of the trace theorems
+        # excludes it).
         return CurveSpec(LEGENDRE, (lam,))
 
     @staticmethod
@@ -606,37 +607,62 @@ def _histogram(family, field):
     return h, c
 
 
+# the roots in m, as (numerator, denominator), of the discriminant of each
+# family's member: the members that are singular.  A root whose
+# denominator p divides has no image in F_q.
+SINGULAR_MEMBERS = {
+    LEGENDRE: ((0, 1), (1, 1)),  # 16 m^2 (m - 1)^2
+    FG: ((0, 1), (1, 4)),  # 16 m^2 (1 - 4m)
+    CD: ((0, 1), (-4, 27)),  # -16 m (27m + 4)
+    A1A3: ((0, 1), (1, 27)),  # m^3 (1 - 27m)
+}
+
+
+def _member(family, m, field):
+    """The family's member with parameter m: legendre(m), or (1, m)."""
+    return CurveSpec(family, (m,) if family == LEGENDRE else (field.one, m))
+
+
 @lru_cache(maxsize=32)
 def family_traces(family: str, field: FqField) -> tuple:
     """a_q of every member of a family over field, indexed by the encoding
     of its parameter m: the Legendre curve y^2 = x(x-1)(x-m), and fg(1, m),
-    cd(1, m), a1a3(1, m).  Entries at singular m are not traces.
+    cd(1, m), a1a3(1, m).  The entries at the singular m of
+    SINGULAR_MEMBERS are None.
 
     One O(q) histogram over the Zech table and one correlation with phi
     give every entry; two of them are then recomputed as direct sums over
-    the encodings (_phi_sum) and must agree.
+    the encodings (_phi_sum) and must agree.  Each singular m must have
+    discriminant 0, the only discriminants the table computes.
     """
     h, c = _histogram(family, field)
+    p = field.p
     log = field.log_table
     phi = [0] + [1 - 2 * (log[e] & 1) for e in range(1, field.q)]
-    table = tuple(c - v for v in _correlate(h, phi, field.p, field.r))
+    table = [c - v for v in _correlate(h, phi, p, field.r)]
     for m in {1, field.q - 1}:
-        member = field.elem(m)
-        params = (member,) if family == LEGENDRE else (field.one, member)
-        if table[m] != -_phi_sum(CurveSpec(family, params), field):
+        if table[m] != -_phi_sum(_member(family, field.elem(m), field), field):
             raise InvariantViolation(
                 f"{family} table disagrees with the direct sum at m = {m}"
             )
-    return table
+    for num, den in SINGULAR_MEMBERS[family]:
+        if den % p:
+            m = field.from_int(num * pow(den, -1, p))
+            if not discriminant(_member(family, m, field), field).is_zero():
+                raise InvariantViolation(
+                    f"{family} member at m = {m.enc} is not singular"
+                )
+            table[m.enc] = None
+    return tuple(table)
 
 
 def family_trace(curve: CurveSpec, field: FqField) -> int:
     """a_q of a Legendre, a1a3, fg or cd curve, read from its family's
     table: a1a3(a1, a3) is isomorphic to a1a3(1, a3/a1^3), and x -> f x
     (c x) makes fg(f, g) (cd(c, d)) the twist by f (c) of fg(1, g/f^2)
-    (cd(1, d/c^3)).  Validated against the Hasse bound."""
-    if discriminant(curve, field).is_zero():
-        raise SingularCurve(f"{curve.family} parameters give a singular curve")
+    (cd(1, d/c^3)).  Both scale the discriminant by a unit, so the curve
+    is singular exactly when its member is, and SingularCurve is raised
+    from the table's None entry.  Validated against the Hasse bound."""
     family = curve.family
     if family == LEGENDRE:
         (m,) = curve.params
@@ -652,7 +678,10 @@ def family_trace(curve: CurveSpec, field: FqField) -> int:
         m, twist = d / c**3, quad_char(c)
     else:
         raise ValueError(f"no family table for {family!r}")
-    a = twist * family_traces(family, field)[m.enc]
+    a = family_traces(family, field)[m.enc]
+    if a is None:
+        raise SingularCurve(f"{family} parameters give a singular curve")
+    a *= twist
     if a * a > 4 * field.q:
         raise InvariantViolation("Hasse bound violated: counting bug")
     return a

@@ -10,6 +10,7 @@ Both sides of every formula are exact integers and must agree exactly.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .errors import HypothesisViolation, InvariantViolation
@@ -22,6 +23,7 @@ from .ffield import (
     trace_of_frobenius,
 )
 from .gfunc import GParams, PadicCtx, choose_precision, evaluate_G, trace_bound
+from .gfunc import _kernel_key, _value_and_lift
 
 HALF = Fraction(1, 2)
 TOP4 = (Fraction(0), HALF, Fraction(0), HALF)
@@ -35,7 +37,15 @@ BOT6 = (
     Fraction(7, 12), Fraction(3, 4), Fraction(11, 12),
 )
 
-PAIR_THEOREMS = ("t13", "t14", "t15", "t16", "t17")
+# the G-function row (top, bottom) of each pair-of-curves formula
+PAIR_ROWS = {
+    "t13": (TOP4, BOT_QUARTERS),
+    "t14": (TOP4, BOT_SIXTHS),
+    "t15": (TOP4, BOT_EIGHTHS),
+    "t16": (TOP6, BOT6),
+    "t17": (TOP4, BOT_TWELFTHS),
+}
+PAIR_THEOREMS = tuple(PAIR_ROWS)
 
 
 class RationalTheorem(NamedTuple):
@@ -95,16 +105,10 @@ class TheoremInstance:
     params: tuple
 
 
-def _g_integer(field, top, bottom, arg, extra_bound=0):
-    bound = trace_bound(field.q) + extra_bound
-    ctx = PadicCtx(field, choose_precision(field.q, bound))
-    return evaluate_G(GParams(top, bottom, arg), field, ctx, bound=bound).integer
-
-
 def _pair_formula(name, f, params):
-    """(curves, top, bottom, arg, prefactor, correction) of one pair-of-curves
-    formula over f: the two curves' traces sum to prefactor * G(top; bottom
-    | arg) + correction.  Raises HypothesisViolation outside its hypotheses.
+    """(curves, arg, prefactor, correction) of one pair-of-curves formula
+    over f: the two curves' traces sum to prefactor * G(PAIR_ROWS[name] |
+    arg) + correction.  Raises HypothesisViolation outside its hypotheses.
     """
     correction = 0
     if name == "t13":
@@ -112,31 +116,27 @@ def _pair_formula(name, f, params):
         if lam.is_zero() or lam == f.one or lam == -f.one:
             raise HypothesisViolation("lambda must avoid {0, 1, -1}")
         curves = (CurveSpec.legendre(lam), CurveSpec.legendre(-lam))
-        top, bottom, arg = TOP4, BOT_QUARTERS, lam * lam
+        arg = lam * lam
         prefactor = quad_char(f.from_int(-1))
     elif name == "t14":
         a1, a3 = params
         curves = (CurveSpec.a1a3(a1, a3), CurveSpec.a1a3(a1, -a3))
-        top, bottom = TOP4, BOT_SIXTHS
         arg = f.from_int(729) * a3 * a3 * (a1**-6)
         prefactor = 1
     elif name == "t15":
         fcoef, gcoef = params
         curves = (CurveSpec.fg(fcoef, gcoef), CurveSpec.fg(fcoef, -gcoef))
-        top, bottom = TOP4, BOT_EIGHTHS
         arg = f.from_int(16) * gcoef * gcoef * (fcoef**-4)
         prefactor = quad_char(fcoef)
     elif name == "t16":
         c, d = params
         curves = (CurveSpec.cd(c, d), CurveSpec.cd(c, -d))
-        top, bottom = TOP6, BOT6
         arg = f.from_int(729) * d * d * (f.from_int(16) * c**6) ** -1
         prefactor = quad_char(c)
         correction = -quad_char(d) - quad_char(-d)
     elif name == "t17":
         c, d = params
         curves = (CurveSpec.cd(c, d), CurveSpec.cd(c, -d))
-        top, bottom = TOP4, BOT_TWELFTHS
         arg = f.from_int(729) * d * d * (f.from_int(16) * c**6) ** -1
         qm = f.q % 12
         if qm in (1, 7):
@@ -151,23 +151,34 @@ def _pair_formula(name, f, params):
             )
     else:
         raise ValueError(f"unknown pair theorem {name!r}")
-    return curves, top, bottom, arg, prefactor, correction
+    return curves, arg, prefactor, correction
+
+
+@lru_cache(maxsize=64)
+def _pair_setup(name, field):
+    """(kernel key, bound) of pair formula name over field, which depend
+    on nothing else: its rows, checked once, at the precision that lifts
+    the trace bound."""
+    params = GParams(*PAIR_ROWS[name], field.one)
+    bound = trace_bound(field.q)
+    N = choose_precision(field.q, bound)
+    return _kernel_key(params.top, params.bottom, field, N), bound
 
 
 def trace_sum_pair(inst: TheoremInstance):
     """(lhs, rhs) of the pair-of-curves trace formulas, both exact.
 
-    lhs sums the two curves' traces, read from their family's table; rhs
-    is the stated prefactor times the G-value (plus the additive
-    correction where the formula carries one).
+    lhs sums the two curves' traces, two reads of their family's table,
+    which also reject a singular curve; rhs is the stated prefactor times
+    the G-value (plus the additive correction where the formula carries
+    one), read from the cached kernel at the (theorem, field) set-up of
+    _pair_setup.
     """
     f = inst.field
-    curves, top, bottom, arg, prefactor, correction = _pair_formula(
-        inst.theorem, f, inst.params
-    )
+    curves, arg, prefactor, correction = _pair_formula(inst.theorem, f, inst.params)
     lhs = sum(family_trace(c, f) for c in curves)
-    rhs = prefactor * _g_integer(f, top, bottom, arg) + correction
-    return lhs, rhs
+    key, bound = _pair_setup(inst.theorem, f)
+    return lhs, prefactor * _value_and_lift(key, arg, bound)[1] + correction
 
 
 def trace_power(ap: int, p: int, r: int) -> int:
@@ -220,9 +231,12 @@ def _rational_sides(theorem, p, r, alpha):
     field = build_field(p, r)
     base = build_field(p, 1)
     formula, (curve_p, partner_p) = _rational_pair(theorem, alpha, field, base)
-    (curve, _), top, bottom, arg, prefactor, correction = formula
+    (curve, _), arg, prefactor, correction = formula
 
-    g_int = _g_integer(field, top, bottom, arg, extra_bound=4)
+    bound = trace_bound(field.q) + 4
+    ctx = PadicCtx(field, choose_precision(field.q, bound))
+    rows = PAIR_ROWS[RATIONAL_THEOREMS[theorem].pair]
+    g_int = evaluate_G(GParams(*rows, arg), field, ctx, bound=bound).integer
     counted = trace_of_frobenius(curve, field)
     ap = trace_of_frobenius(curve_p, base)
     if counted != trace_power(ap, p, r):

@@ -195,14 +195,20 @@ def _kernel_key(top, bottom, field, N):
 
 def _kernel(top, bottom, field, N):
     """The cached kernel of these rows (tuples of Fractions) over field at
-    precision N; a new kernel evicts the oldest once KERNEL_CACHE_SIZE are
-    held."""
-    key = _kernel_key(top, bottom, field, N)
+    precision N."""
+    return _kernel_at(_kernel_key(top, bottom, field, N))
+
+
+def _kernel_at(key):
+    """The cached kernel at a _kernel_key; a new kernel evicts the oldest
+    once KERNEL_CACHE_SIZE are held."""
     kern = _KERNELS.get(key)
     if kern is None:
         if len(_KERNELS) >= KERNEL_CACHE_SIZE:
             del _KERNELS[next(iter(_KERNELS))]
-        kern = _KERNELS[key] = _GKernel(top, bottom, field, N)
+        top, bottom, field, N = key
+        rows = (tuple(Fraction(*x) for x in row) for row in (top, bottom))
+        kern = _KERNELS[key] = _GKernel(*rows, field, N)
     return kern
 
 
@@ -256,12 +262,20 @@ def evaluate_G(params: GParams, field: FqField, ctx: PadicCtx, bound=None) -> GV
         raise ValueError("field and p-adic context disagree")
     if params.t.field is not field:
         raise ValueError("argument t lives in a different field")
-    kern = _kernel(params.top, params.bottom, field, ctx.N)
-    value = _raw_to_residue(kern.raw_eval(params.t), field.p, ctx.N)
-    integer = None
-    if bound is not None:
-        integer = _symmetric_lift(value, ctx.pN, bound)
+    key = _kernel_key(params.top, params.bottom, field, ctx.N)
+    value, integer = _value_and_lift(key, params.t, bound)
     return GValue(PadicInt(value, ctx), integer, ctx.N)
+
+
+def _value_and_lift(key, t, bound):
+    """(residue mod p^N, its lift to |m| <= bound or None without a bound)
+    of G at t from the kernel at key: the one path from a cached kernel to
+    a G-value, for callers that checked the rows themselves."""
+    field, N = key[2], key[3]
+    value = _raw_to_residue(_kernel_at(key).raw_eval(t), field.p, N)
+    if bound is None:
+        return value, None
+    return value, _symmetric_lift(value, field.p**N, bound)
 
 
 def _symmetric_lift(residue, pN, bound):

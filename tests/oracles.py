@@ -8,8 +8,10 @@ deliberately shares no bookkeeping with the package internals it checks.
 import math
 from fractions import Fraction
 
+from padic_hg import frobtrace
 from padic_hg.errors import SingularCurve
-from padic_hg.ffield import _poly_mulmod, discriminant
+from padic_hg.ffield import _poly_mulmod, discriminant, trace_of_frobenius
+from padic_hg.gfunc import GParams, choose_precision, evaluate_G, trace_bound
 from padic_hg.padic import PadicCtx, frac, teichmuller
 
 
@@ -257,3 +259,21 @@ def phi_sum_by_elements(curve, field):
     return sum(
         quad_char(((four * x + b2) * x + two * b4) * x + b6) for x in field.elements()
     )
+
+
+def trace_sum_pair_per_instance(inst):
+    """(lhs, rhs) of a pair formula with nothing read from a table: each
+    curve's discriminant checked and its points counted, and the G-value
+    from evaluate_G with its own precision and row checks.  The formula's
+    statement (curves, argument, prefactor) is frobtrace's own."""
+    f = inst.field
+    curves, arg, prefactor, correction = frobtrace._pair_formula(
+        inst.theorem, f, inst.params
+    )
+    if any(discriminant(c, f).is_zero() for c in curves):
+        raise SingularCurve("a curve of the pair is singular")
+    lhs = sum(trace_of_frobenius(c, f) for c in curves)
+    bound = trace_bound(f.q)
+    ctx = PadicCtx(f, choose_precision(f.q, bound))
+    params = GParams(*frobtrace.PAIR_ROWS[inst.theorem], arg)
+    return lhs, prefactor * evaluate_G(params, f, ctx, bound=bound).integer + correction

@@ -233,6 +233,29 @@ def test_precision_below_one_is_a_usage_error(capsys, precision):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_trials_below_one_is_a_usage_error(capsys, trials):
+    for suite in ("identity-splitting", "t14"):
+        assert main(["verify", "--suite", suite, "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --trials: must be an integer >= 1" in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--suite", "t15", "--pmax", "3"], "--pmax 3 selects no prime of suite t15"),
+    (["--suite", "t18", "--pmax", "5"], "--pmax 5 selects no prime of suite t18"),
+    (["--suite", "t13", "--rmax", "0"], "--rmax 0 selects no field"),
+])
+def test_verify_range_selecting_no_field_is_a_usage_error(capsys, monkeypatch, argv, message):
+    # rejected before any work starts: no field is built
+    monkeypatch.setattr(frobtrace, "trace_sum_pair", None)
+    monkeypatch.setattr(frobtrace, "rational_curve_trace", None)
+    code, out = run(capsys, "verify", *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": "UsageError", "message": message}
+
+
 def test_verify_t13_pmax7(capsys):
     code, out = run(capsys, "verify", "--suite", "t13", "--pmax", "7", "--rmax", "1")
     assert code == 0
@@ -305,9 +328,12 @@ def test_verify_reports_cache_activity(capsys):
     assert code == 0
     caches = json.loads(out)["caches"]
     assert set(caches) == {
-        "build_field", "gamma_steps", "teichmuller_tables", "family_traces", "kernels",
+        "build_field", "gamma_steps", "teichmuller_tables", "family_traces",
+        "pair_setups", "kernels",
     }
-    for name in ("build_field", "gamma_steps", "teichmuller_tables", "family_traces"):
+    for name in (
+        "build_field", "gamma_steps", "teichmuller_tables", "family_traces", "pair_setups",
+    ):
         assert set(caches[name]) == {"hits", "misses"}
         assert all(isinstance(v, int) and v >= 0 for v in caches[name].values())
     # the suite looks up its three fields once
@@ -316,14 +342,19 @@ def test_verify_reports_cache_activity(capsys):
     tables = caches["teichmuller_tables"]
     assert tables["hits"] + tables["misses"] >= 1
     assert isinstance(caches["kernels"], int) and caches["kernels"] >= 2
-    # this suite reads no family table; a pair suite reads two entries per row
+    # this suite reads no family table and sets up no pair formula; a pair
+    # suite reads two entries and one (theorem, field) set-up per row
     assert caches["family_traces"] == {"hits": 0, "misses": 0}
+    assert caches["pair_setups"] == {"hits": 0, "misses": 0}
     code, out = run(capsys, "verify", "--suite", "t13", "--pmax", "7", "--rmax", "1")
     assert code == 0
     payload = json.loads(out)
     tables = payload["caches"]["family_traces"]
     assert tables["misses"] <= 2
     assert tables["hits"] + tables["misses"] == 2 * payload["total"]
+    setups = payload["caches"]["pair_setups"]
+    assert setups["misses"] <= 2  # F_5 and F_7
+    assert setups["hits"] + setups["misses"] == payload["total"]
 
 
 def test_verify_counts_skips_by_class(capsys, monkeypatch):

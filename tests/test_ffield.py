@@ -403,6 +403,49 @@ def test_t13_sweep_counts_no_points(monkeypatch):
     assert (info.misses, info.hits) == (1, 2 * swept - 1)
 
 
+@pytest.mark.parametrize(
+    "p,r", [(5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3)]
+)
+def test_singular_entries_match_the_discriminant(p, r):
+    # an entry is None exactly where the member's discriminant vanishes
+    field = build_field(p, r)
+    families = FAMILY_MEMBERS if p > 3 else ("legendre", "fg")  # cd, a1a3: p > 3
+    for family in families:
+        table = family_traces(family, field)
+        for v in range(field.q):
+            member = ffield._member(family, field.elem(v), field)
+            assert (table[v] is None) == discriminant(member, field).is_zero(), (family, v)
+
+
+def test_a_wrong_singular_root_fails_the_table_build(monkeypatch):
+    field = build_field(7, 1)
+    monkeypatch.setitem(ffield.SINGULAR_MEMBERS, "fg", ((0, 1), (1, 2)))
+    family_traces.cache_clear()
+    with pytest.raises(InvariantViolation, match="fg member at m = 4 is not singular"):
+        family_traces("fg", field)
+
+
+def test_t13_sweep_evaluates_discriminants_only_in_table_builds(monkeypatch):
+    calls = []
+    disc = ffield.discriminant
+    monkeypatch.setattr(
+        ffield, "discriminant", lambda curve, fld: calls.append(curve) or disc(curve, fld)
+    )
+    family_traces.cache_clear()
+    field = build_field(7, 2)
+    swept = 0
+    for v in range(2, field.q):
+        lam = field.elem(v)
+        if lam != -field.one:
+            lhs, rhs = trace_sum_pair(TheoremInstance("t13", field, (lam,)))
+            assert lhs == rhs
+            swept += 1
+    assert swept == 46
+    # the one Legendre table build checks its two singular members
+    assert family_traces.cache_info().misses == 1
+    assert [c.params[0].enc for c in calls] == [0, 1]
+
+
 def test_family_table_cache_evicts_past_its_bound():
     family_traces.cache_clear()
     bound = family_traces.cache_info().maxsize

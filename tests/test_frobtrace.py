@@ -6,7 +6,7 @@ import pytest
 
 from padic_hg import frobtrace
 from padic_hg.cli import PRIMES
-from padic_hg.errors import HypothesisViolation
+from padic_hg.errors import HypothesisViolation, PadicHGError, SingularCurve
 from padic_hg.ffield import CurveSpec, build_field, quad_char, trace_of_frobenius
 from padic_hg.frobtrace import (
     RATIONAL_THEOREMS,
@@ -18,7 +18,7 @@ from padic_hg.frobtrace import (
     trace_power,
     trace_sum_pair,
 )
-from oracles import frobenius_power_series
+from oracles import frobenius_power_series, trace_sum_pair_per_instance
 
 
 def test_ordp():
@@ -70,6 +70,32 @@ def test_t13_exhaustive(p, r):
             continue
         lhs, rhs = trace_sum_pair(TheoremInstance("t13", field, (lam,)))
         assert lhs == rhs
+
+
+def _outcome(route, inst):
+    """route(inst), or the class name of the package error it raised."""
+    try:
+        return route(inst)
+    except PadicHGError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("p,r", [(5, 2), (7, 2)])
+def test_pair_instances_match_the_per_instance_route(p, r):
+    # every admissible lambda of t13 and every (x, y) of t14-t17: the same
+    # sides, and SingularCurve on exactly the same instances
+    field = build_field(p, r)
+    units = [field.elem(v) for v in range(1, field.q)]
+    instances = [TheoremInstance("t13", field, (lam,)) for lam in units[1:]
+                 if lam != -field.one]
+    instances += [TheoremInstance(name, field, (x, y))
+                  for name in frobtrace.PAIR_THEOREMS[1:] for x in units for y in units]
+    singular = 0
+    for inst in instances:
+        expected = _outcome(trace_sum_pair_per_instance, inst)
+        assert _outcome(trace_sum_pair, inst) == expected, inst
+        singular += expected == SingularCurve.__name__
+    assert singular > 0
 
 
 def test_t13_hypothesis():
