@@ -399,6 +399,7 @@ def _cache_infos():
         "teichmuller_tables": padic._teich_table.cache_info(),
         "family_traces": family_traces.cache_info(),
         "pair_setups": frobtrace._pair_setup.cache_info(),
+        "gauss_orbits": padic._gauss_orbits.cache_info(),
     }
 
 

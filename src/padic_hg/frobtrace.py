@@ -105,47 +105,48 @@ class TheoremInstance:
     params: tuple
 
 
+@lru_cache(maxsize=64)
+def _pair_constants(field):
+    """(-1, phi(-1), 16, 729) in field: what the pair formulas take from
+    the field apart from their parameters."""
+    return -field.one, quad_char(-field.one), field.from_int(16), field.from_int(729)
+
+
 def _pair_formula(name, f, params):
     """(curves, arg, prefactor, correction) of one pair-of-curves formula
     over f: the two curves' traces sum to prefactor * G(PAIR_ROWS[name] |
     arg) + correction.  Raises HypothesisViolation outside its hypotheses.
     """
+    minus_one, phi_minus_one, c16, c729 = _pair_constants(f)
     correction = 0
     if name == "t13":
         (lam,) = params
-        if lam.is_zero() or lam == f.one or lam == -f.one:
+        if lam.is_zero() or lam == f.one or lam == minus_one:
             raise HypothesisViolation("lambda must avoid {0, 1, -1}")
         curves = (CurveSpec.legendre(lam), CurveSpec.legendre(-lam))
         arg = lam * lam
-        prefactor = quad_char(f.from_int(-1))
+        prefactor = phi_minus_one
     elif name == "t14":
         a1, a3 = params
         curves = (CurveSpec.a1a3(a1, a3), CurveSpec.a1a3(a1, -a3))
-        arg = f.from_int(729) * a3 * a3 * (a1**-6)
+        arg = c729 * a3 * a3 * (a1**-6)
         prefactor = 1
     elif name == "t15":
         fcoef, gcoef = params
         curves = (CurveSpec.fg(fcoef, gcoef), CurveSpec.fg(fcoef, -gcoef))
-        arg = f.from_int(16) * gcoef * gcoef * (fcoef**-4)
+        arg = c16 * gcoef * gcoef * (fcoef**-4)
         prefactor = quad_char(fcoef)
-    elif name == "t16":
+    elif name in ("t16", "t17"):
         c, d = params
         curves = (CurveSpec.cd(c, d), CurveSpec.cd(c, -d))
-        arg = f.from_int(729) * d * d * (f.from_int(16) * c**6) ** -1
+        arg = c729 * d * d * (c16 * c**6) ** -1
         prefactor = quad_char(c)
-        correction = -quad_char(d) - quad_char(-d)
-    elif name == "t17":
-        c, d = params
-        curves = (CurveSpec.cd(c, d), CurveSpec.cd(c, -d))
-        arg = f.from_int(729) * d * d * (f.from_int(16) * c**6) ** -1
         qm = f.q % 12
-        if qm in (1, 7):
+        if name == "t16":
+            correction = -quad_char(d) - quad_char(-d)
+        elif qm in (1, 7):
             prefactor = quad_char(-f.from_int(3) * c)
-        elif qm == 5:
-            prefactor = quad_char(c)
-        elif qm == 11 and f.r == 1:
-            prefactor = quad_char(c)
-        else:
+        elif not (qm == 5 or qm == 11 and f.r == 1):
             raise HypothesisViolation(
                 f"q = {f.q} is outside the stated congruence classes"
             )

@@ -1,9 +1,11 @@
 """The p-adic hypergeometric G-function evaluator over GR(p^N, r).
 
-The defining sum runs over a in [0, q-2]; for each summand the power of
-(-p) comes from exact floor bookkeeping and the unit part from quotients
-of p-adic gamma values.  Coefficient tables depend only on the parameter
-lists and the field, so they are cached and reused across arguments t.
+The defining sum runs over a in [0, q-2].  Each summand is a product of
+Gauss-sum quotients (Gross-Koblitz), one per parameter, whose floor sums
+(the power of -p) and p-adic gamma products (the unit part) are entries of
+Gauss-orbit columns built once per (field, N) in padic.  Coefficient tables
+depend only on the parameter lists and the field, so they are cached and
+reused across arguments t.
 With t = g^l the character value omega-bar(t)^a is omega(g)^(-al mod q-1),
 one entry of the Teichmuller power table shared by (field, N).  Each entry
 is also packed into one integer, its r coefficients in slots wide enough
@@ -32,7 +34,7 @@ from .errors import (
     ZeroArgument,
 )
 from .ffield import FqElem, FqField, prime_factors
-from .padic import PadicCtx, PadicInt, _teich_table, frac
+from .padic import PadicCtx, PadicInt, _gauss_orbits, _teich_table
 
 
 @dataclass(frozen=True)
@@ -84,76 +86,27 @@ class _GKernel:
 
     def __init__(self, top, bottom, field, N):
         self.field = field
-        self.N = N
-        q, p, r = field.q, field.p, field.r
-        n = len(top)
-        rows = [
-            (p**i, ak, bk, frac(ak * p**i), frac(-bk * p**i))
-            for ak, bk in zip(top, bottom)
-            for i in range(r)
-        ]
+        p, n = field.p, len(top)
+        # each top value a_k and bottom value b_k reads two columns indexed by a
+        params = [(ak, 1) for ak in top] + [(-bk, -1) for bk in bottom]
+        orbits = _gauss_orbits(field, N)
+        floors = list(map(sum, zip(*(orbits["floors", y, s] for y, s in params))))
+        self.shift = shift = max(0, max(floors))  # summand a has (-p)-exponent -floors[a]
 
-        # pass 1: the (-p)-exponent of every summand, in pure integers
-        floor_rows = [
-            (
-                ua.numerator * (q - 1), ua.denominator * pi, ua.denominator * (q - 1),
-                vb.numerator * (q - 1), vb.denominator * pi, vb.denominator * (q - 1),
-            )
-            for (pi, _, _, ua, vb) in rows
-        ]
-        exps = [0] * (q - 1)
-        for a in range(q - 1):
-            e = 0
-            for (un, m1, d1, vn, m2, d2) in floor_rows:
-                e -= (un - a * m1) // d1
-                e -= (vn + a * m2) // d2
-            exps[a] = e
-        self.shift = max(0, -min(exps))
-
-        work = PadicCtx(field, N + self.shift)
-        work.warm_gamma_table()
-        self.work = work
+        orbits = _gauss_orbits(field, N + shift)
+        work = self.work = orbits.ctx
         self.teich = _teich_table(field, work.N)
         pNw = work.pN
-        nw = work.N
-
-        # pass 2: unit parts.  The gamma argument <(a_k - a/(q-1)) p^i> is
-        # (A - a*B)*pi mod MOD over MOD with MOD = d_k (q-1); its residue
-        # mod p^N is numerator * MOD^-1.
-        gamma_rows = []
-        den = 1
-        for (pi, ak, bk, ua, vb) in rows:
-            mod1 = ak.denominator * (q - 1)
-            mod2 = bk.denominator * (q - 1)
-            gamma_rows.append(
-                (
-                    pi,
-                    ak.numerator * (q - 1), ak.denominator, mod1, work.inv(mod1),
-                    bk.numerator * (q - 1), bk.denominator, mod2, work.inv(mod2),
-                )
-            )
-            den = den * work.gamma(ua) % pNw * work.gamma(vb) % pNw
-        inv_den = work.inv(den)
-
-        minus_p_pow = [pow(-p, e, pNw) for e in range(nw)]
-        avals, cvals = [], []
-        gam = work.gamma_at_residue
-        for a in range(q - 1):
-            e = exps[a] + self.shift
-            if e >= nw:
-                continue
-            c = minus_p_pow[e]
-            if (a * n) % 2:
-                c = pNw - c
-            for (pi, a1, b1, mod1, inv1, a2, b2, mod2, inv2) in gamma_rows:
-                num1 = (a1 - a * b1) * pi % mod1
-                num2 = (a * b2 - a2) * pi % mod2
-                c = c * gam(num1 * inv1 % pNw) % pNw * gam(num2 * inv2 % pNw) % pNw
-            avals.append(a)
-            cvals.append(c * inv_den % pNw)
-        self.avals, self.cvals = avals, cvals
+        units = list(map(pNw.__rmod__, map(math.prod, zip(*(
+            orbits["units", y, s] for y, s in params)))))
+        # scale[k] is (-p)^k over the product of the a = 0 units, the denominator
+        scale = [pow(-p, k, pNw) * work.inv(units[0]) % pNw for k in range(N + shift)]
+        sign = (1, -1 if n % 2 else 1)  # (-1)^(a*n) by the parity of a
+        self.avals = [a for a, f in enumerate(floors) if f > -N]  # not 0 mod p^(N + shift)
+        self.cvals = [scale[shift - floors[a]] * units[a] * sign[a & 1] % pNw
+                      for a in self.avals]
         self.width, self.packed = self.teich.packed(pNw)
-        self.lead = -work.inv(q - 1) % pNw
+        self.lead = -work.inv(field.q - 1) % pNw
 
     def raw_eval(self, t):
         """Return (vec, shift): the value is the GR element vec / (-p)^shift.

@@ -99,6 +99,78 @@ def floor_orbit_by_fractions(x, e, i, p, q):
     return math.floor(frac(Fraction(x) * p**i) + Fraction(e * p**i, q - 1))
 
 
+def kernel_by_inline_passes(top, bottom, field, N):
+    """(shift, avals, cvals) of the G-kernel of the rows over field at
+    precision N, by the two inline passes the kernel ran before it read
+    Gauss-orbit columns: pass 1 sums the orbit floors of every summand
+    over precomputed rows, pass 2 multiplies its 2nr gamma values."""
+    q, p, r = field.q, field.p, field.r
+    n = len(top)
+    rows = [
+        (p**i, ak, bk, frac(ak * p**i), frac(-bk * p**i))
+        for ak, bk in zip(top, bottom)
+        for i in range(r)
+    ]
+
+    # pass 1: the (-p)-exponent of every summand, in pure integers
+    floor_rows = [
+        (
+            ua.numerator * (q - 1), ua.denominator * pi, ua.denominator * (q - 1),
+            vb.numerator * (q - 1), vb.denominator * pi, vb.denominator * (q - 1),
+        )
+        for (pi, _, _, ua, vb) in rows
+    ]
+    exps = [0] * (q - 1)
+    for a in range(q - 1):
+        e = 0
+        for (un, m1, d1, vn, m2, d2) in floor_rows:
+            e -= (un - a * m1) // d1
+            e -= (vn + a * m2) // d2
+        exps[a] = e
+    shift = max(0, -min(exps))
+
+    work = PadicCtx(field, N + shift)
+    work.warm_gamma_table()
+    pNw = work.pN
+    nw = work.N
+
+    # pass 2: unit parts.  The gamma argument <(a_k - a/(q-1)) p^i> is
+    # (A - a*B)*pi mod MOD over MOD with MOD = d_k (q-1); its residue
+    # mod p^N is numerator * MOD^-1.
+    gamma_rows = []
+    den = 1
+    for (pi, ak, bk, ua, vb) in rows:
+        mod1 = ak.denominator * (q - 1)
+        mod2 = bk.denominator * (q - 1)
+        gamma_rows.append(
+            (
+                pi,
+                ak.numerator * (q - 1), ak.denominator, mod1, work.inv(mod1),
+                bk.numerator * (q - 1), bk.denominator, mod2, work.inv(mod2),
+            )
+        )
+        den = den * work.gamma(ua) % pNw * work.gamma(vb) % pNw
+    inv_den = work.inv(den)
+
+    minus_p_pow = [pow(-p, e, pNw) for e in range(nw)]
+    avals, cvals = [], []
+    gam = work.gamma_at_residue
+    for a in range(q - 1):
+        e = exps[a] + shift
+        if e >= nw:
+            continue
+        c = minus_p_pow[e]
+        if (a * n) % 2:
+            c = pNw - c
+        for (pi, a1, b1, mod1, inv1, a2, b2, mod2, inv2) in gamma_rows:
+            num1 = (a1 - a * b1) * pi % mod1
+            num2 = (a * b2 - a2) * pi % mod2
+            c = c * gam(num1 * inv1 % pNw) % pNw * gam(num2 * inv2 % pNw) % pNw
+        avals.append(a)
+        cvals.append(c * inv_den % pNw)
+    return shift, avals, cvals
+
+
 def raw_eval_by_coefficients(kern, t):
     """kern.raw_eval(t) by the per-coefficient loop: each summand's
     coefficient times every coordinate of Teichmuller table entry

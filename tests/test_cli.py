@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import padic_hg
-from padic_hg import frobtrace
+from padic_hg import frobtrace, padic
 from padic_hg.cli import SUITES, main
 from padic_hg.errors import NonConstantResult, SingularCurve
 
@@ -329,10 +329,11 @@ def test_verify_reports_cache_activity(capsys):
     caches = json.loads(out)["caches"]
     assert set(caches) == {
         "build_field", "gamma_steps", "teichmuller_tables", "family_traces",
-        "pair_setups", "kernels",
+        "pair_setups", "gauss_orbits", "kernels",
     }
     for name in (
         "build_field", "gamma_steps", "teichmuller_tables", "family_traces", "pair_setups",
+        "gauss_orbits",
     ):
         assert set(caches[name]) == {"hits", "misses"}
         assert all(isinstance(v, int) and v >= 0 for v in caches[name].values())
@@ -346,6 +347,9 @@ def test_verify_reports_cache_activity(capsys):
     # suite reads two entries and one (theorem, field) set-up per row
     assert caches["family_traces"] == {"hits": 0, "misses": 0}
     assert caches["pair_setups"] == {"hits": 0, "misses": 0}
+    # every kernel reads its columns through the (field, N) Gauss-orbit table
+    orbits = caches["gauss_orbits"]
+    assert orbits["hits"] + orbits["misses"] >= 2
     code, out = run(capsys, "verify", "--suite", "t13", "--pmax", "7", "--rmax", "1")
     assert code == 0
     payload = json.loads(out)
@@ -355,6 +359,17 @@ def test_verify_reports_cache_activity(capsys):
     setups = payload["caches"]["pair_setups"]
     assert setups["misses"] <= 2  # F_5 and F_7
     assert setups["hits"] + setups["misses"] == payload["total"]
+
+
+@pytest.mark.parametrize("suite", ["lemmas", "oracle"])
+def test_suites_without_g_values_build_no_gauss_orbit_column(capsys, suite):
+    # the lemma checkers and the character-sum oracles evaluate no G, so
+    # they must neither build nor hold a Gauss-orbit table
+    padic._gauss_orbits.cache_clear()
+    code, out = run(capsys, "verify", "--suite", suite)
+    assert code == 0
+    assert json.loads(out)["caches"]["gauss_orbits"] == {"hits": 0, "misses": 0}
+    assert padic._gauss_orbits.cache_info().currsize == 0
 
 
 def test_verify_counts_skips_by_class(capsys, monkeypatch):

@@ -12,7 +12,7 @@ from padic_hg.errors import (
     PrecisionUnderflow,
     ZeroArgument,
 )
-from padic_hg import frobtrace, gfunc, padic
+from padic_hg import cli, frobtrace, gfunc, padic
 from padic_hg.ffield import TABLE_CAP, FqField, build_field
 from padic_hg.gfunc import (
     GParams,
@@ -25,7 +25,7 @@ from padic_hg.gfunc import (
     reconstruct_integer,
     trace_bound,
 )
-from oracles import naive_G, raw_eval_by_coefficients
+from oracles import kernel_by_inline_passes, naive_G, raw_eval_by_coefficients
 
 HALF = Fraction(1, 2)
 QUARTERS = (Fraction(1, 4), Fraction(3, 4), Fraction(1, 4), Fraction(3, 4))
@@ -393,7 +393,8 @@ def doubled_row(a1, a2, a3, a4):
 
 @pytest.mark.parametrize("p,r", [(5, 2), (3, 3), (7, 2), (11, 2)])
 def test_kernel_shift_matches_floor_orbit_sums(p, r):
-    # pass 1 of the kernel inlines padic.floor_orbit over precomputed rows
+    # the shift is minus the least sum of padic.floor_orbit over a summand's
+    # parameters and Frobenius powers, which the kernel reads from columns
     field = build_field(p, r)
     q = field.q
     rows = [
@@ -418,6 +419,63 @@ def test_kernel_shift_matches_floor_orbit_sums(p, r):
         assert gfunc._GKernel(top, bottom, field, 1).shift == max(0, -min(exps))
         checked += 1
     assert checked >= 3
+
+
+def kernel_rows(key):
+    top, bottom, field, N = key
+    return tuple(Fraction(*x) for x in top), tuple(Fraction(*x) for x in bottom), field, N
+
+
+@pytest.mark.parametrize("p,r", [(13, 1), (7, 2), (5, 3), (5, 4)])
+def test_kernel_matches_inline_passes_on_headline_rows(p, r):
+    # the four headline rows (shift 0) and a row with shift r, at two precisions
+    field = build_field(p, r)
+    rows = [
+        (frobtrace.TOP4, frobtrace.BOT_QUARTERS),
+        (frobtrace.TOP4, frobtrace.BOT_SIXTHS),
+        (frobtrace.TOP4, frobtrace.BOT_EIGHTHS),
+        (frobtrace.TOP6, frobtrace.BOT6),
+        THIRDS,
+    ]
+    for N in (1, 3):
+        for top, bottom in rows:
+            kern = gfunc._GKernel(top, bottom, field, N)
+            got = kern.shift, kern.avals, kern.cvals
+            assert got == kernel_by_inline_passes(top, bottom, field, N), (top, bottom, N)
+        assert kern.shift == r
+
+
+def test_kernel_matches_inline_passes_on_identity_suite_rows():
+    # every kernel the identity-splitting and identity-reduction suites build
+    gfunc._KERNELS.clear()
+    rng = random.Random(18)
+    assert all(result for _, result in cli._splitting_cases(trials=36, rng=rng))
+    assert all(result for _, result in cli._reduction_cases(trials=30, rng=rng))
+    keys = list(gfunc._KERNELS)
+    for key in keys:
+        kern = gfunc._KERNELS[key]
+        got = kern.shift, kern.avals, kern.cvals
+        assert got == kernel_by_inline_passes(*kernel_rows(key)), key
+    shifts = [gfunc._KERNELS[key].shift for key in keys]
+    assert len(keys) >= 80 and sum(s > 0 for s in shifts) >= 10 and max(shifts) >= 3
+    assert {key[2].q for key in keys} == {25, 49, 121, 5, 7, 11}
+    gfunc._KERNELS.clear()
+
+
+def test_kernels_of_one_field_share_gauss_orbit_columns():
+    # a fresh kernel of known rows builds no column: TOP4 has the values 0
+    # and 1/2 and QUARTERS 1/4 and 3/4, so one floor and one unit column each
+    field = build_field(7, 2)
+    gfunc._KERNELS.clear()
+    _kernel(TOP4, QUARTERS, field, 3)
+    orbits = padic._gauss_orbits(field, 3)
+    built = dict(orbits)
+    assert {(y, s) for _, y, s in built} >= {
+        (Fraction(0), 1), (HALF, 1), (Fraction(-1, 4), -1), (Fraction(-3, 4), -1)}
+    gfunc._KERNELS.clear()
+    kern = _kernel(TOP4, QUARTERS, field, 3)
+    assert dict(orbits) == built and all(orbits[key] is col for key, col in built.items())
+    assert kern.work is orbits.ctx
 
 
 def test_splitting_identity_hypotheses():

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+from array import array
 import random
 from fractions import Fraction
 
@@ -203,6 +204,41 @@ def test_floor_orbit_matches_fraction_route(p, r):
                 floor_orbit_by_fractions(x, e, i, p, q)
                 for e in range(-2 * (q - 1), 2 * q - 1)
             ], (x, i)
+
+
+@pytest.mark.parametrize("p,r", [(5, 2), (3, 3), (7, 1)])
+def test_gauss_orbit_columns_match_the_orbit_formulas_at_every_entry(p, r):
+    # every entry, not only the two the build rechecks, by the Fraction route
+    field = build_field(p, r)
+    q, orbits = field.q, padic._GaussOrbits(field, 2)
+    ctx = PadicCtx(field, 2)
+    for y in [x for x in orbit_points(p) if abs(x) <= 1]:
+        for s in (1, -1):
+            assert list(orbits["floors", y, s]) == [
+                sum(floor_orbit_by_fractions(y, -s * a, i, p, q) for i in range(r))
+                for a in range(q - 1)
+            ], (y, s)
+            assert list(orbits["units", y, s]) == [
+                gamma_orbit_by_fractions(ctx, y - s * Fraction(a, q - 1))
+                for a in range(q - 1)
+            ], (y, s)
+
+
+@pytest.mark.parametrize("kind", ["floors", "units"])
+@pytest.mark.parametrize("index", [0, -1])
+def test_gauss_orbit_column_recheck_catches_a_corrupted_entry(monkeypatch, kind, index):
+    # one wrong entry at either end of a column fails its build, and the
+    # column is not kept
+    def corrupted(typecode, entries):
+        col = array(typecode, entries)
+        col[index] += 1
+        return col
+
+    monkeypatch.setattr(padic, "array", corrupted)
+    orbits = padic._GaussOrbits(build_field(7, 2), 2)
+    with pytest.raises(InvariantViolation, match="Gauss-orbit column"):
+        orbits[kind, Fraction(1, 4), 1]
+    assert not orbits
 
 
 def test_teichmuller_basics():
