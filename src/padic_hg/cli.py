@@ -60,7 +60,7 @@ def _parse_rational_list(text):
 
 
 def _at_least_one(text):
-    """An --precision or --trials value: an integer >= 1."""
+    """An --precision, --trials or --m value: an integer >= 1."""
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError("must be an integer >= 1")
@@ -194,34 +194,25 @@ def _lambdas(field):
     return [lam for lam in map(field.elem, range(2, field.q)) if lam != -field.one]
 
 
-def _t13_cases(suite, pmax, rmax, **_):
+def _pair_cases(suite, pmax, rmax, skipped, **_):
+    """Every member m in F_q^x of the formula's family: t13 at lambda = m,
+    the others at (1, m), whose twists cover every parameter pair.  Each
+    instance outside the hypotheses or at a singular member is counted in
+    skipped under its error class."""
     for field in _pair_fields(suite, pmax, rmax):
-        for lam in _lambdas(field):
-            inst = frobtrace.TheoremInstance("t13", field, (lam,))
-            yield {"q": field.q, "lambda": lam.encode()}, frobtrace.trace_sum_pair(inst)
-
-
-def _random_pair_cases(suite, pmax, rmax, trials, rng, skipped, **_):
-    """Per trial, the first of up to 64 random parameter pairs that satisfies
-    the theorem's hypotheses; each rejected draw is counted in skipped under
-    its error class."""
-    for field in _pair_fields(suite, pmax, rmax):
-        for _ in range(trials):
-            for _ in range(64):
-                params = (
-                    field.elem(rng.randrange(1, field.q)),
-                    field.elem(rng.randrange(1, field.q)),
+        for m in map(field.elem, range(1, field.q)):
+            if suite == "t13":
+                params, labels = (m,), {"q": field.q, "lambda": m.enc}
+            else:
+                params, labels = (field.one, m), {"q": field.q, "params": f"1,{m.enc}"}
+            try:
+                sides = frobtrace.trace_sum_pair(
+                    frobtrace.TheoremInstance(suite, field, params)
                 )
-                try:
-                    sides = frobtrace.trace_sum_pair(
-                        frobtrace.TheoremInstance(suite, field, params)
-                    )
-                except SKIPPABLE as exc:
-                    skipped[type(exc).__name__] += 1
-                else:
-                    encoded = ",".join(str(x.encode()) for x in params)
-                    yield {"q": field.q, "params": encoded}, sides
-                    break
+            except SKIPPABLE as exc:
+                skipped[type(exc).__name__] += 1
+            else:
+                yield labels, sides
 
 
 def _rational_cases(suite, pmax, rmax, skipped, **_):
@@ -381,8 +372,7 @@ def _oracle_cases(**_):
 # suite -> (case generator, (pmax, rmax) cap or None for a suite that takes
 # no range): the pair suites stop at q = 13^2, the rational ones at r = 3
 SUITES = {
-    "t13": (_t13_cases, (13, 2)),
-    **{name: (_random_pair_cases, (13, 2)) for name in frobtrace.PAIR_THEOREMS[1:]},
+    **{name: (_pair_cases, (13, 2)) for name in frobtrace.PAIR_THEOREMS},
     **{name: (_rational_cases, (PRIMES[-1], 3)) for name in frobtrace.RATIONAL_THEOREMS},
     "corollary": (_corollary_cases, None),
     "identity-splitting": (_splitting_cases, None),
@@ -489,14 +479,16 @@ def _build_parser():
     pv.add_argument("--suite", choices=SUITES, required=True)
     pv.add_argument("--pmax", type=int, default=23)
     pv.add_argument("--rmax", type=int, default=2)
-    pv.add_argument("--trials", type=_at_least_one, default=30)
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--trials", type=_at_least_one, default=30,
+                    help="instances of identity-splitting and identity-reduction")
+    pv.add_argument("--seed", type=int, default=0,
+                    help="seed of the identity-splitting and identity-reduction draws")
 
     po.add_argument("kind", choices=("gauss", "jacobi", "dh", "greene"))
     po.add_argument("--k", type=int, default=0)
     po.add_argument("--a", type=int, default=0)
     po.add_argument("--b", type=int, default=0)
-    po.add_argument("--m", type=int, default=2)
+    po.add_argument("--m", type=_at_least_one, default=2)
     po.add_argument("--psi", type=int)
     po.add_argument("--padic", action="store_true")
     po.add_argument("--precision", type=_at_least_one)

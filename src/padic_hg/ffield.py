@@ -656,32 +656,40 @@ def family_traces(family: str, field: FqField) -> tuple:
     return tuple(table)
 
 
-def family_trace(curve: CurveSpec, field: FqField) -> int:
-    """a_q of a Legendre, a1a3, fg or cd curve, read from its family's
-    table: a1a3(a1, a3) is isomorphic to a1a3(1, a3/a1^3), and x -> f x
-    (c x) makes fg(f, g) (cd(c, d)) the twist by f (c) of fg(1, g/f^2)
-    (cd(1, d/c^3)).  Both scale the discriminant by a unit, so the curve
-    is singular exactly when its member is, and SingularCurve is raised
-    from the table's None entry.  Validated against the Hasse bound."""
+def family_member(curve: CurveSpec, field: FqField) -> tuple:
+    """(m, twist) with a_q(curve) = twist * a_q(member m of its family):
+    a1a3(a1, a3) is isomorphic to a1a3(1, a3/a1^3), and x -> f x (c x)
+    makes fg(f, g) (cd(c, d)) the twist by f (c) of fg(1, g/f^2) (cd(1,
+    d/c^3)).  Both scale the discriminant by a unit, so the curve is
+    singular exactly when its member is.  Coordinates from another field
+    raise ValueError."""
     family = curve.family
-    if family == LEGENDRE:
-        (m,) = curve.params
-        twist = 1
-    elif family == A1A3:
-        a1, a3 = curve.params
-        m, twist = a3 / a1**3, 1
-    elif family == FG:
-        f, g = curve.params
-        m, twist = g / (f * f), quad_char(f)
-    elif family == CD:
-        c, d = curve.params
-        m, twist = d / c**3, quad_char(c)
-    else:
+    if family not in SINGULAR_MEMBERS:
         raise ValueError(f"no family table for {family!r}")
+    for x in curve.params:
+        if x.field is not field:
+            raise ValueError(f"{family} coordinates do not lie in {field}")
+    if family == LEGENDRE:
+        return curve.params[0], 1
+    x, y = curve.params
+    if family == FG:
+        return y / (x * x), quad_char(x)
+    return y / x**3, 1 if family == A1A3 else quad_char(x)
+
+
+def member_trace(family: str, m: FqElem, field: FqField) -> int:
+    """a_q of the family's member m, read from its table: SingularCurve
+    at a None entry.  Validated against the Hasse bound."""
     a = family_traces(family, field)[m.enc]
     if a is None:
         raise SingularCurve(f"{family} parameters give a singular curve")
-    a *= twist
     if a * a > 4 * field.q:
         raise InvariantViolation("Hasse bound violated: counting bug")
     return a
+
+
+def family_trace(curve: CurveSpec, field: FqField) -> int:
+    """a_q of a Legendre, a1a3, fg or cd curve: its twist times the trace
+    of its family member (family_member, member_trace)."""
+    m, twist = family_member(curve, field)
+    return twist * member_trace(curve.family, m, field)

@@ -18,7 +18,8 @@ from .ffield import (
     CurveSpec,
     FqField,
     build_field,
-    family_trace,
+    family_member,
+    member_trace,
     quad_char,
     trace_of_frobenius,
 )
@@ -37,15 +38,28 @@ BOT6 = (
     Fraction(7, 12), Fraction(3, 4), Fraction(11, 12),
 )
 
-# the G-function row (top, bottom) of each pair-of-curves formula
-PAIR_ROWS = {
-    "t13": (TOP4, BOT_QUARTERS),
-    "t14": (TOP4, BOT_SIXTHS),
-    "t15": (TOP4, BOT_EIGHTHS),
-    "t16": (TOP6, BOT6),
-    "t17": (TOP4, BOT_TWELFTHS),
+
+class PairFormula(NamedTuple):
+    """A pair-of-curves formula over F_q: for the members m and -m of a
+    Weierstrass family, a_q(E_m) + a_q(E_-m) = sign * G(top; bottom |
+    scale * m^2) + correction, sign and correction as _sign_and_correction
+    states them.  A curve of the family at other coordinates is the twist
+    of its member (ffield.family_member), and both sides scale by it."""
+
+    family: str
+    top: tuple
+    bottom: tuple
+    scale: Fraction
+
+
+PAIR_FORMULAS = {
+    "t13": PairFormula("legendre", TOP4, BOT_QUARTERS, Fraction(1)),
+    "t14": PairFormula("a1a3", TOP4, BOT_SIXTHS, Fraction(729)),
+    "t15": PairFormula("fg", TOP4, BOT_EIGHTHS, Fraction(16)),
+    "t16": PairFormula("cd", TOP6, BOT6, Fraction(729, 16)),
+    "t17": PairFormula("cd", TOP4, BOT_TWELFTHS, Fraction(729, 16)),
 }
-PAIR_THEOREMS = tuple(PAIR_ROWS)
+PAIR_THEOREMS = tuple(PAIR_FORMULAS)
 
 
 class RationalTheorem(NamedTuple):
@@ -105,54 +119,24 @@ class TheoremInstance:
     params: tuple
 
 
-@lru_cache(maxsize=64)
-def _pair_constants(field):
-    """(-1, phi(-1), 16, 729) in field: what the pair formulas take from
-    the field apart from their parameters."""
-    return -field.one, quad_char(-field.one), field.from_int(16), field.from_int(729)
-
-
-def _pair_formula(name, f, params):
-    """(curves, arg, prefactor, correction) of one pair-of-curves formula
-    over f: the two curves' traces sum to prefactor * G(PAIR_ROWS[name] |
-    arg) + correction.  Raises HypothesisViolation outside its hypotheses.
-    """
-    minus_one, phi_minus_one, c16, c729 = _pair_constants(f)
-    correction = 0
+def _sign_and_correction(name, m, f):
+    """(sign, correction) of pair formula name at its member m over f.
+    Raises HypothesisViolation outside the formula's hypotheses."""
     if name == "t13":
-        (lam,) = params
-        if lam.is_zero() or lam == f.one or lam == minus_one:
+        if m.enc in (0, 1, f.p - 1):  # -1 is encoded p - 1
             raise HypothesisViolation("lambda must avoid {0, 1, -1}")
-        curves = (CurveSpec.legendre(lam), CurveSpec.legendre(-lam))
-        arg = lam * lam
-        prefactor = phi_minus_one
-    elif name == "t14":
-        a1, a3 = params
-        curves = (CurveSpec.a1a3(a1, a3), CurveSpec.a1a3(a1, -a3))
-        arg = c729 * a3 * a3 * (a1**-6)
-        prefactor = 1
-    elif name == "t15":
-        fcoef, gcoef = params
-        curves = (CurveSpec.fg(fcoef, gcoef), CurveSpec.fg(fcoef, -gcoef))
-        arg = c16 * gcoef * gcoef * (fcoef**-4)
-        prefactor = quad_char(fcoef)
-    elif name in ("t16", "t17"):
-        c, d = params
-        curves = (CurveSpec.cd(c, d), CurveSpec.cd(c, -d))
-        arg = c729 * d * d * (c16 * c**6) ** -1
-        prefactor = quad_char(c)
+        return 1 if f.q % 4 == 1 else -1, 0  # phi(-1)
+    if name == "t16":
+        return 1, -quad_char(m) - quad_char(-m)
+    if name == "t17":
         qm = f.q % 12
-        if name == "t16":
-            correction = -quad_char(d) - quad_char(-d)
-        elif qm in (1, 7):
-            prefactor = quad_char(-f.from_int(3) * c)
-        elif not (qm == 5 or qm == 11 and f.r == 1):
+        if qm in (1, 7):
+            return quad_char(f.from_int(-3)), 0
+        if not (qm == 5 or qm == 11 and f.r == 1):
             raise HypothesisViolation(
                 f"q = {f.q} is outside the stated congruence classes"
             )
-    else:
-        raise ValueError(f"unknown pair theorem {name!r}")
-    return curves, arg, prefactor, correction
+    return 1, 0
 
 
 @lru_cache(maxsize=64)
@@ -160,7 +144,8 @@ def _pair_setup(name, field):
     """(kernel key, bound) of pair formula name over field, which depend
     on nothing else: its rows, checked once, at the precision that lifts
     the trace bound."""
-    params = GParams(*PAIR_ROWS[name], field.one)
+    formula = PAIR_FORMULAS[name]
+    params = GParams(formula.top, formula.bottom, field.one)
     bound = trace_bound(field.q)
     N = choose_precision(field.q, bound)
     return _kernel_key(params.top, params.bottom, field, N), bound
@@ -169,17 +154,22 @@ def _pair_setup(name, field):
 def trace_sum_pair(inst: TheoremInstance):
     """(lhs, rhs) of the pair-of-curves trace formulas, both exact.
 
-    lhs sums the two curves' traces, two reads of their family's table,
-    which also reject a singular curve; rhs is the stated prefactor times
-    the G-value (plus the additive correction where the formula carries
-    one), read from the cached kernel at the (theorem, field) set-up of
-    _pair_setup.
+    The curve at inst.params is the twist of its family member m, so both
+    sides are the twist times those at m: lhs the table entries of the
+    members m and -m, which also reject a singular member, and rhs the
+    sign times the G-value at scale * m^2, read from the cached kernel of
+    the (theorem, field) set-up of _pair_setup, plus the correction.
     """
+    if inst.theorem not in PAIR_FORMULAS:
+        raise ValueError(f"unknown pair theorem {inst.theorem!r}")
     f = inst.field
-    curves, arg, prefactor, correction = _pair_formula(inst.theorem, f, inst.params)
-    lhs = sum(family_trace(c, f) for c in curves)
+    family, _, _, scale = PAIR_FORMULAS[inst.theorem]
+    m, twist = family_member(getattr(CurveSpec, family)(*inst.params), f)
+    sign, correction = _sign_and_correction(inst.theorem, m, f)
+    lhs = member_trace(family, m, f) + member_trace(family, -m, f)
     key, bound = _pair_setup(inst.theorem, f)
-    return lhs, prefactor * _value_and_lift(key, arg, bound)[1] + correction
+    g = _value_and_lift(key, f.from_rational(scale) * m * m, bound)[1]
+    return twist * lhs, twist * (sign * g + correction)
 
 
 def trace_power(ap: int, p: int, r: int) -> int:
@@ -199,25 +189,20 @@ def trace_power(ap: int, p: int, r: int) -> int:
     return cur
 
 
-def _rational_pair(theorem, alpha, field, base):
-    """The pair formula that a rational theorem at alpha reduces to over
-    field, and that formula's two curves over the prime field base."""
+def _rational_pair(theorem, alpha, p):
+    """The pair formula that a rational theorem at alpha reduces to at the
+    prime p, and that formula's rational parameters."""
     if theorem not in RATIONAL_THEOREMS:
         raise ValueError(f"unknown rational-curve theorem {theorem!r}")
     pair, holds_at, pair_params, _ = RATIONAL_THEOREMS[theorem]
     alpha = Fraction(alpha)
     if theorem == "t18" and alpha not in (Fraction(2), Fraction(1, 2)):
         raise HypothesisViolation("lambda must be 2 or 1/2")
-    if not holds_at(base.p):
-        raise HypothesisViolation(f"p = {base.p} is outside the primes of {theorem}")
-    if ordp(alpha, base.p) != 0:
+    if not holds_at(p):
+        raise HypothesisViolation(f"p = {p} is outside the primes of {theorem}")
+    if ordp(alpha, p) != 0:
         raise HypothesisViolation("requires ord_p(alpha) = 0")
-
-    def reduced(f):
-        params = tuple(f.from_rational(x) for x in pair_params(alpha))
-        return _pair_formula(pair, f, params)
-
-    return reduced(field), reduced(base)[0]
+    return pair, pair_params(alpha)
 
 
 def _rational_sides(theorem, p, r, alpha):
@@ -231,13 +216,23 @@ def _rational_sides(theorem, p, r, alpha):
     """
     field = build_field(p, r)
     base = build_field(p, 1)
-    formula, (curve_p, partner_p) = _rational_pair(theorem, alpha, field, base)
-    (curve, _), arg, prefactor, correction = formula
+    pair, params = _rational_pair(theorem, alpha, p)
+    family, top, bottom, scale = PAIR_FORMULAS[pair]
+    make = getattr(CurveSpec, family)
+
+    def curves(f):  # the pair's two curves over f: the second at member -m
+        *head, last = (f.from_rational(x) for x in params)
+        return make(*head, last), make(*head, -last)
+
+    curve, _ = curves(field)
+    m, twist = family_member(curve, field)
+    sign, correction = _sign_and_correction(pair, m, field)
+    curve_p, partner_p = curves(base)
 
     bound = trace_bound(field.q) + 4
     ctx = PadicCtx(field, choose_precision(field.q, bound))
-    rows = PAIR_ROWS[RATIONAL_THEOREMS[theorem].pair]
-    g_int = evaluate_G(GParams(*rows, arg), field, ctx, bound=bound).integer
+    arg = field.from_rational(scale) * m * m
+    g_int = evaluate_G(GParams(top, bottom, arg), field, ctx, bound=bound).integer
     counted = trace_of_frobenius(curve, field)
     ap = trace_of_frobenius(curve_p, base)
     if counted != trace_power(ap, p, r):
@@ -247,7 +242,8 @@ def _rational_sides(theorem, p, r, alpha):
         raise HypothesisViolation(
             f"partner curve has a_p = {ap_partner} != 0 at p = {p}"
         )
-    return g_int, prefactor, correction, counted, trace_power(ap_partner, p, r)
+    partner = trace_power(ap_partner, p, r)
+    return g_int, twist * sign, twist * correction, counted, partner
 
 
 def rational_curve_trace(theorem: str, p: int, r: int, param):

@@ -9,8 +9,15 @@ import math
 from fractions import Fraction
 
 from padic_hg import frobtrace
-from padic_hg.errors import SingularCurve
-from padic_hg.ffield import _poly_mulmod, discriminant, trace_of_frobenius
+from padic_hg.errors import HypothesisViolation, SingularCurve
+from padic_hg.ffield import (
+    CurveSpec,
+    _b_invariants,
+    _poly_mulmod,
+    discriminant,
+    quad_char,
+    trace_of_frobenius,
+)
 from padic_hg.gfunc import GParams, choose_precision, evaluate_G, trace_bound
 from padic_hg.padic import PadicCtx, frac, teichmuller
 
@@ -324,8 +331,6 @@ def correlation_by_definition(h, f, p, r):
 def phi_sum_by_elements(curve, field):
     """sum_x phi(4x^3 + b2 x^2 + 2 b4 x + b6) with FqElem arithmetic, one
     x at a time."""
-    from padic_hg.ffield import _b_invariants, quad_char
-
     b2, b4, b6, _ = _b_invariants(curve, field)
     four, two = field.from_int(4), field.from_int(2)
     return sum(
@@ -333,13 +338,57 @@ def phi_sum_by_elements(curve, field):
     )
 
 
+def pair_formula_per_instance(name, f, params):
+    """(curves, arg, prefactor, correction) of one pair-of-curves formula
+    over f, stated per parameter pair with no reduction to a family
+    member: the two curves' traces sum to prefactor * G(row | arg) +
+    correction.  Raises HypothesisViolation outside its hypotheses."""
+    minus_one = -f.one
+    c16, c729 = f.from_int(16), f.from_int(729)
+    correction = 0
+    if name == "t13":
+        (lam,) = params
+        if lam.is_zero() or lam == f.one or lam == minus_one:
+            raise HypothesisViolation("lambda must avoid {0, 1, -1}")
+        curves = (CurveSpec.legendre(lam), CurveSpec.legendre(-lam))
+        arg = lam * lam
+        prefactor = quad_char(minus_one)
+    elif name == "t14":
+        a1, a3 = params
+        curves = (CurveSpec.a1a3(a1, a3), CurveSpec.a1a3(a1, -a3))
+        arg = c729 * a3 * a3 * (a1**-6)
+        prefactor = 1
+    elif name == "t15":
+        fcoef, gcoef = params
+        curves = (CurveSpec.fg(fcoef, gcoef), CurveSpec.fg(fcoef, -gcoef))
+        arg = c16 * gcoef * gcoef * (fcoef**-4)
+        prefactor = quad_char(fcoef)
+    elif name in ("t16", "t17"):
+        c, d = params
+        curves = (CurveSpec.cd(c, d), CurveSpec.cd(c, -d))
+        arg = c729 * d * d * (c16 * c**6) ** -1
+        prefactor = quad_char(c)
+        qm = f.q % 12
+        if name == "t16":
+            correction = -quad_char(d) - quad_char(-d)
+        elif qm in (1, 7):
+            prefactor = quad_char(-f.from_int(3) * c)
+        elif not (qm == 5 or qm == 11 and f.r == 1):
+            raise HypothesisViolation(
+                f"q = {f.q} is outside the stated congruence classes"
+            )
+    else:
+        raise ValueError(f"unknown pair theorem {name!r}")
+    return curves, arg, prefactor, correction
+
+
 def trace_sum_pair_per_instance(inst):
     """(lhs, rhs) of a pair formula with nothing read from a table: each
     curve's discriminant checked and its points counted, and the G-value
-    from evaluate_G with its own precision and row checks.  The formula's
-    statement (curves, argument, prefactor) is frobtrace's own."""
+    from evaluate_G with its own precision and row checks.  Only the rows
+    come from frobtrace; the statement is pair_formula_per_instance."""
     f = inst.field
-    curves, arg, prefactor, correction = frobtrace._pair_formula(
+    curves, arg, prefactor, correction = pair_formula_per_instance(
         inst.theorem, f, inst.params
     )
     if any(discriminant(c, f).is_zero() for c in curves):
@@ -347,5 +396,6 @@ def trace_sum_pair_per_instance(inst):
     lhs = sum(trace_of_frobenius(c, f) for c in curves)
     bound = trace_bound(f.q)
     ctx = PadicCtx(f, choose_precision(f.q, bound))
-    params = GParams(*frobtrace.PAIR_ROWS[inst.theorem], arg)
+    formula = frobtrace.PAIR_FORMULAS[inst.theorem]
+    params = GParams(formula.top, formula.bottom, arg)
     return lhs, prefactor * evaluate_G(params, f, ctx, bound=bound).integer + correction

@@ -9,6 +9,7 @@ import padic_hg
 from padic_hg import frobtrace, padic
 from padic_hg.cli import SUITES, main
 from padic_hg.errors import NonConstantResult, SingularCurve
+from padic_hg.ffield import build_field, family_traces
 
 
 def run(capsys, *argv):
@@ -237,9 +238,11 @@ def test_precision_below_one_is_a_usage_error(capsys, precision):
 def test_trials_below_one_is_a_usage_error(capsys, trials):
     for suite in ("identity-splitting", "t14"):
         assert main(["verify", "--suite", suite, "--trials", trials]) == 2
+    assert main(["oracle", "dh", "--p", "7", "--m", trials]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --trials: must be an integer >= 1" in captured.err
+    assert "argument --m: must be an integer >= 1" in captured.err
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -262,7 +265,8 @@ def test_verify_t13_pmax7(capsys):
     payload = json.loads(out)
     assert payload["failed"] == 0
     assert payload["total"] == 2 + 4  # F_5 and F_7 lambdas
-    assert payload["skipped"] == {"total": 0, "by_class": {}}
+    # lambda = 1 and -1 of each field, outside the hypotheses of t13
+    assert payload["skipped"] == {"total": 4, "by_class": {"HypothesisViolation": 4}}
 
 
 @pytest.mark.parametrize("suite,primes,total", [
@@ -372,6 +376,46 @@ def test_suites_without_g_values_build_no_gauss_orbit_column(capsys, suite):
     assert padic._gauss_orbits.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("suite", frobtrace.PAIR_THEOREMS)
+def test_pair_suites_run_every_admissible_member_once(capsys, suite):
+    # at the default range: each m of F_q^x whose members m and -m are both
+    # nonsingular is one row, and every other m one skip
+    code, out = run(capsys, "verify", "--suite", suite)
+    assert code == 0
+    payload = json.loads(out)
+    family = frobtrace.PAIR_FORMULAS[suite].family
+    expected, members = [], 0
+    assert payload["range"] == {"pmax": 13, "rmax": 2}
+    for p in (5, 7, 11, 13):
+        for r in (1, 2):
+            field = build_field(p, r)
+            table = family_traces(family, field)
+            members += field.q - 1
+            expected += [
+                (field.q, m) for m in range(1, field.q)
+                if table[m] is not None and table[(-field.elem(m)).enc] is not None
+            ]
+    key = "lambda" if suite == "t13" else "params"
+    rows = [(row["q"], row[key]) for row in payload["instances"]]
+    if suite != "t13":
+        rows = [(q, int(params.removeprefix("1,"))) for q, params in rows]
+    assert rows == expected
+    assert payload["total"] == len(expected) == 376
+    assert payload["failed"] == 0
+    assert payload["skipped"]["total"] == members - len(expected)
+
+
+@pytest.mark.parametrize("suite", frobtrace.PAIR_THEOREMS)
+def test_pair_suites_ignore_seed_and_trials(capsys, suite):
+    payloads = []
+    for extra in (["--seed", "0"], ["--seed", "7", "--trials", "3"]):
+        code, out = run(capsys, "verify", "--suite", suite, "--pmax", "7", *extra)
+        assert code == 0
+        payload = json.loads(out)
+        payloads.append({k: payload[k] for k in ("instances", "total", "skipped")})
+    assert payloads[0] == payloads[1]
+
+
 def test_verify_counts_skips_by_class(capsys, monkeypatch):
     calls = []
 
@@ -386,8 +430,8 @@ def test_verify_counts_skips_by_class(capsys, monkeypatch):
                     "--trials", "3")
     assert code == 0
     payload = json.loads(out)
-    assert payload["total"] == 3
-    assert payload["skipped"] == {"total": 3, "by_class": {"SingularCurve": 3}}
+    assert payload["total"] == 2  # of the 4 members of F_5^x
+    assert payload["skipped"] == {"total": 2, "by_class": {"SingularCurve": 2}}
 
 
 def test_verify_evaluator_failure_is_not_a_skip(capsys, monkeypatch):

@@ -24,7 +24,7 @@ from padic_hg.ffield import (
     quad_char,
     trace_of_frobenius,
 )
-from padic_hg.frobtrace import TheoremInstance, trace_sum_pair
+from padic_hg.frobtrace import PAIR_FORMULAS, TheoremInstance, trace_sum_pair
 from oracles import (
     TupleField,
     correlation_by_definition,
@@ -370,6 +370,22 @@ def test_family_trace_seeded_pairs(p, r):
         for _ in range(40):
             x, y = (field.elem(rng.randrange(1, field.q)) for _ in range(2))
             _same_trace_or_both_singular(make(x, y), field)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_MEMBERS))
+def test_curves_from_another_field_are_rejected(family):
+    # coordinates of F_25 read in F_125: ValueError from the table route,
+    # the pair route and the point count alike, never another field's entry
+    small, big = build_field(5, 2), build_field(5, 3)
+    curve = FAMILY_MEMBERS[family](small, small.elem(7))
+    with pytest.raises(ValueError):
+        count_points(curve, big)
+    with pytest.raises(ValueError):
+        family_trace(curve, big)
+    for name, formula in PAIR_FORMULAS.items():
+        if formula.family == family:
+            with pytest.raises(ValueError):
+                trace_sum_pair(TheoremInstance(name, big, curve.params))
 
 
 def test_family_trace_rejects_general_weierstrass():
