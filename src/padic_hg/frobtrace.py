@@ -128,14 +128,10 @@ def _sign_and_correction(name, m, f):
         return 1 if f.q % 4 == 1 else -1, 0  # phi(-1)
     if name == "t16":
         return 1, -quad_char(m) - quad_char(-m)
-    if name == "t17":
-        qm = f.q % 12
-        if qm in (1, 7):
-            return quad_char(f.from_int(-3)), 0
-        if not (qm == 5 or qm == 11 and f.r == 1):
-            raise HypothesisViolation(
-                f"q = {f.q} is outside the stated congruence classes"
-            )
+    # t17 at q = 1 or 7 (mod 12) has sign phi(-3) = 1: there q = 1 (mod 3),
+    # and -3 = (2w + 1)^2 for a primitive cube root of unity w in F_q
+    if name == "t17" and not (f.q % 12 in (1, 5, 7) or f.q % 12 == 11 and f.r == 1):
+        raise HypothesisViolation(f"q = {f.q} is outside the stated congruence classes")
     return 1, 0
 
 

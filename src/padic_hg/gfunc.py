@@ -1,11 +1,12 @@
 """The p-adic hypergeometric G-function evaluator over GR(p^N, r).
 
 The defining sum runs over a in [0, q-2].  Each summand is a product of
-Gauss-sum quotients (Gross-Koblitz), one per parameter, whose floor sums
-(the power of -p) and p-adic gamma products (the unit part) are entries of
-Gauss-orbit columns built once per (field, N) in padic.  Coefficient tables
-depend only on the parameter lists and the field, so they are cached and
-reused across arguments t.
+Gauss-sum quotients (Gross-Koblitz), one per parameter, read from two
+Gauss-orbit columns of padic per (field, N) and coset u/d of the grid
+j/(q-1), rotated to the parameter: Stickelberger digit sums, whose
+differences give the power of -p, and the p-adic gamma products of the
+unit part.  Coefficient tables depend only on the parameter lists and the
+field, so they are cached and reused across arguments t.
 With t = g^l the character value omega-bar(t)^a is omega(g)^(-al mod q-1),
 one entry of the Teichmuller power table shared by (field, N).  Each entry
 is also packed into one integer, its r coefficients in slots wide enough
@@ -22,6 +23,7 @@ terms leave Z_p.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, cycle
 from operator import mul
 
 from .errors import (
@@ -34,7 +36,7 @@ from .errors import (
     ZeroArgument,
 )
 from .ffield import FqElem, FqField, prime_factors
-from .padic import PadicCtx, PadicInt, _gauss_orbits, _teich_table
+from .padic import PadicCtx, PadicInt, _coset, _gauss_orbits, _teich_table
 
 
 @dataclass(frozen=True)
@@ -86,25 +88,36 @@ class _GKernel:
 
     def __init__(self, top, bottom, field, N):
         self.field = field
-        p, n = field.p, len(top)
-        # each top value a_k and bottom value b_k reads two columns indexed by a
-        params = [(ak, 1) for ak in top] + [(-bk, -1) for bk in bottom]
+        p, n, m = field.p, len(top), field.q - 1
+        # summand a takes a Gauss-sum quotient at x = y - s*a/(q-1) from each
+        # top value y = a_k (s = 1) and bottom value y = -b_k (s = -1): entry
+        # (Y - s*a) mod (q-1) of the columns of the coset u/d that holds y at Y
+        params = [_coset(c.numerator * s, c.denominator, m) + (s,)
+                  for row, s in ((top, 1), (bottom, -1)) for c in row]
         orbits = _gauss_orbits(field, N)
-        floors = list(map(sum, zip(*(orbits["floors", y, s] for y, s in params))))
-        self.shift = shift = max(0, max(floors))  # summand a has (-p)-exponent -floors[a]
-
+        lcm = math.lcm(*(d for _, _, d, _ in params))
+        digits = [(_rotated(orbits["digits", u, d], Y, s), lcm // d) for Y, u, d, s in params]
+        base, M = sum(w * c[0] for c, w in digits), lcm * m
+        # summand a has floor sum sum_k sigma(y_k) - sigma(x_k) - s_k*a/(p-1), sigma = digit
+        # sum / M; the a/(p-1) cancel, so its (-p)-exponent is (sums[a] - base)/M
+        sums = list(map(sum, zip(*(c if w == 1 else map(w.__mul__, c) for c, w in digits))))
+        self.shift = shift = max(0, (base - min(sums)) // M)
+        keep = list(map((base + N * M).__gt__, sums))  # exponent below N
+        self.avals = list(compress(range(m), keep))
         orbits = _gauss_orbits(field, N + shift)
         work = self.work = orbits.ctx
         self.teich = _teich_table(field, work.N)
         pNw = work.pN
-        units = list(map(pNw.__rmod__, map(math.prod, zip(*(
-            orbits["units", y, s] for y, s in params)))))
-        # scale[k] is (-p)^k over the product of the a = 0 units, the denominator
-        scale = [pow(-p, k, pNw) * work.inv(units[0]) % pNw for k in range(N + shift)]
-        sign = (1, -1 if n % 2 else 1)  # (-1)^(a*n) by the parity of a
-        self.avals = [a for a, f in enumerate(floors) if f > -N]  # not 0 mod p^(N + shift)
-        self.cvals = [scale[shift - floors[a]] * units[a] * sign[a & 1] % pNw
-                      for a in self.avals]
+        units = [_rotated(orbits["units", u, d], Y, s) for Y, u, d, s in params]
+        # a summand of exponent k - shift is scaled by (-p)^k / (the a = 0 unit)
+        inv0 = work.inv(math.prod(col[0] for col in units))
+        scale = {base + (k - shift) * M: pow(-p, k, pNw) * inv0 % pNw
+                 for k in range(N + shift)}
+        if n % 2:
+            units.append(cycle((1, -1)))  # (-1)^(a*n)
+        prods = map(math.prod, zip(*(compress(col, keep) for col in units)))
+        self.cvals = list(map(pNw.__rmod__, map(
+            mul, map(scale.__getitem__, compress(sums, keep)), prods)))
         self.width, self.packed = self.teich.packed(pNw)
         self.lead = -work.inv(field.q - 1) % pNw
 
@@ -144,6 +157,11 @@ def _kernel_key(top, bottom, field, N):
     faster than Fractions, with the field and the precision."""
     ratio = Fraction.as_integer_ratio
     return tuple(map(ratio, top)), tuple(map(ratio, bottom)), field, N
+
+
+def _rotated(col, Y, s):
+    """col read by summand: entry a is col[(Y - s*a) mod len(col)]."""
+    return col[Y:] + col[:Y] if s < 0 else col[Y::-1] + col[:Y:-1]
 
 
 def _kernel(top, bottom, field, N):
@@ -191,14 +209,8 @@ def _raw_sum_is_zero(terms, p, N):
     """Exact test of sum_j sign_j vec_j/(-p)^(s_j) = 0 mod p^N, in GR."""
     smax = max(s for _, s, _ in terms)
     width = max(len(vec) for vec, _, _ in terms)
-    modulus = p ** (N + smax)
-    for j in range(width):
-        total = 0
-        for vec, s, sign in terms:
-            total += sign * vec[j] * (-p) ** (smax - s)
-        if total % modulus:
-            return False
-    return True
+    return all(sum(sign * vec[j] * (-p) ** (smax - s) for vec, s, sign in terms)
+               % p ** (N + smax) == 0 for j in range(width))
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +302,12 @@ def check_splitting_identity(a1, a2, a3, a4, x: FqElem, field: FqField,
     if x.is_zero():
         raise ZeroArgument("x = 0 is rejected")
     a1, a2, a3, a4 = coeffs
-    top2, bot2 = (a1, a2), (a3, a4)
     top4 = (a1 / 2, (1 + a1) / 2, a2 / 2, (1 + a2) / 2)
     bot4 = (a3 / 2, (1 + a3) / 2, a4 / 2, (1 + a4) / 2)
-    k2 = _kernel(top2, bot2, field, ctx.N)
+    k2 = _kernel((a1, a2), (a3, a4), field, ctx.N)
     k4 = _kernel(top4, bot4, field, ctx.N)
-    t1, s1 = k2.raw_eval(x)
-    t2, s2 = k2.raw_eval(-x)
-    t3, s3 = k4.raw_eval(x * x)
-    return _raw_sum_is_zero(
-        [(t1, s1, 1), (t2, s2, 1), (t3, s3, -1)], p, ctx.N
-    )
+    return _raw_sum_is_zero([(*k2.raw_eval(x), 1), (*k2.raw_eval(-x), 1),
+                             (*k4.raw_eval(x * x), -1)], p, ctx.N)
 
 
 def check_reduction_identity(a, b, d: int, t: FqElem, p: int, N: int = 3) -> bool:
@@ -316,6 +323,4 @@ def check_reduction_identity(a, b, d: int, t: FqElem, p: int, N: int = 3) -> boo
     pair = (Fraction(1, d), Fraction(d - 1, d))
     kn = _kernel(top, bottom, field, N)
     kx = _kernel(top + pair, bottom + pair, field, N)
-    t1, s1 = kx.raw_eval(t)
-    t2, s2 = kn.raw_eval(t)
-    return _raw_sum_is_zero([(t1, s1, 1), (t2, s2, -1)], p, N)
+    return _raw_sum_is_zero([(*kx.raw_eval(t), 1), (*kn.raw_eval(t), -1)], p, N)

@@ -3,7 +3,8 @@
 Holds the p-adic gamma function (baby-step/giant-step tables shared by
 (p, N)), Teichmuller lifts and the table of Teichmuller powers shared by
 (field, N), the Gross-Koblitz gamma-product and floor identities, stated
-in integers, and the Gauss-orbit columns the G-function kernels read.
+in integers, and the Gauss-orbit columns the G-function kernels read, one
+pair per coset of the grid j/(q-1).
 Floating point is forbidden throughout: the floor identities are
 exact-arithmetic-fragile.
 """
@@ -261,48 +262,50 @@ def floor_orbit(x, e: int, i: int, p: int, q: int) -> int:
     return (n * pi % d * (q - 1) + e * pi * d) // (d * (q - 1))
 
 
-class _GaussOrbits(dict):
-    """The Gauss-orbit columns of one (field, N), each built on first use.
+def _coset(n: int, e: int, m: int):
+    """(Y mod m, u, d), u < d coprime, with n/e at index Y of the coset (j + u/d)/m."""
+    g = math.gcd(e, m)
+    Y, u = divmod(n * (m // g), e // g)
+    return Y % m, u, e // g
 
-    Summand a of a G-sum takes a Gauss-sum quotient (Gross-Koblitz) from
-    each top value c, at y = c and s = 1, and each bottom value c, at
-    y = -c and s = -1: the floor sum sum_i floor_orbit(y, -s*a, i) of its
-    (-p)-exponent and the unit gamma_orbit(y - s*a/(q-1)) mod p^N.  The
-    column at ("floors", y, s) or ("units", y, s) lists one of the two over
-    a in [0, q-2] as an array('q'), which holds p^N under the table cap.
-    """
+
+class _GaussCosets(dict):
+    """The Gauss-orbit columns of one (field, N), each built on first use:
+    ("units", u, d) lists the Gross-Koblitz unit gamma_orbit(x) mod p^N and
+    ("digits", u, d) the Stickelberger digit sum M * sum_i <x p^i>, where
+    M = d(q-1), over the coset x = (J + u/d)/(q-1) for J in [0, q-2], as
+    an array('q'), which holds p^N under the table cap.  A digits column
+    reads no gamma table."""
 
     def __init__(self, field, N):
         self.ctx = PadicCtx(field, N)
 
     def __missing__(self, key):
         """Build the column at key; its first and last entries are rechecked."""
-        kind, y, s = key
-        ctx = self.ctx
-        p, q, pN, ends = ctx.p, ctx.q, ctx.pN, (0, ctx.q - 2)
-        # <(y - s*a/(q-1)) p^i> = (u p^i - a v p^i) mod w, over w
-        u, v, w = y.numerator * (q - 1), s * y.denominator, y.denominator * (q - 1)
-        terms = [(u * p**i % w, v * p**i) for i in range(ctx.r)]
-        if kind == "floors":
-            rows = [[(ui - a * vi) // w for a in range(q - 1)] for ui, vi in terms]
+        (kind, u, d), ctx = key, self.ctx
+        p, q, pN, M, ends = ctx.p, ctx.q, ctx.pN, d * (ctx.q - 1), (0, ctx.q - 2)
+        # <x p^i> = ((dJ + u) p^i mod M)/M
+        rows = [list(map(M.__rmod__, range(u * p**i, (M + u) * p**i, d * p**i)))
+                for i in range(ctx.r)]
+        if kind == "digits":
             entries = list(map(sum, zip(*rows)))
-            check = [sum(floor_orbit(y, -s * a, i, p, q) for i in range(ctx.r)) for a in ends]
+            # M<x p^i> = (dJ + u) p^i - M floor(x p^i), x = u/M + J/(q-1), u p^i < M
+            check = [(d * J + u) * (q - 1) // (p - 1) - M * sum(floor_orbit(
+                Fraction(u, M), J, i, p, q) for i in range(ctx.r)) for J in ends]
         else:
-            # one memo for every column of (field, N); a gamma value is a unit, never 0
-            memo, gam, inv_w = ctx._gamma_memo, ctx.gamma_at_residue, ctx.inv(w)
-            res = ([(ui - a * vi) % w * inv_w % pN for a in range(q - 1)] for ui, vi in terms)
-            rows = [[memo.get(m) or gam(m) for m in ms] for ms in res]
+            gam, inv_M = ctx.gamma_at_residue, ctx.inv(M)
+            rows = [list(map(gam, (v * inv_M % pN for v in row))) for row in rows]
             entries = list(map(pN.__rmod__, map(math.prod, zip(*rows))))
-            check = [gamma_orbit(ctx, y - s * Fraction(a, q - 1)) for a in ends]
+            check = [gamma_orbit(ctx, Fraction(d * J + u, M)) for J in ends]
         col = array("q", entries)
-        if [col[a] for a in ends] != check:
+        if [col[J] for J in ends] != check:
             raise InvariantViolation(f"Gauss-orbit column {key} fails its recheck")
         self[key] = col
         return col
 
 
 # the columns of each (field, N), shared by every kernel
-_gauss_orbits = lru_cache(maxsize=32)(_GaussOrbits)
+_gauss_orbits = lru_cache(maxsize=32)(_GaussCosets)
 
 
 def _omega_scaled_is(ctx: PadicCtx, field, b: int, e: int, scalar, value) -> bool:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import padic_hg
-from padic_hg import frobtrace, padic
+from padic_hg import cli, frobtrace, padic
 from padic_hg.cli import SUITES, main
 from padic_hg.errors import NonConstantResult, SingularCurve
 from padic_hg.ffield import build_field, family_traces
@@ -211,6 +211,19 @@ def test_zero_denominator_is_a_usage_error(capsys, argv):
     assert json.loads(out) == {
         "error": "UsageError", "message": "'1/0' has a zero denominator",
     }
+
+
+@pytest.mark.parametrize("p,r", [(7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (5, 2)])
+def test_koike_bridge_runs_every_lambda_outside_zero_and_one(p, r):
+    # the Legendre curve at lambda = -1 is nonsingular, so the bridge covers
+    # q - 2 values, -1 among them, and holds at each
+    field = build_field(p, r)
+    (checker, args), = [(c, a) for name, c, a in cli._oracle_checks(field)
+                        if name == "koike-bridge"]
+    lams = [lam for lam, in args]
+    assert len(set(lams)) == len(lams) == field.q - 2
+    assert -field.one in lams and field.zero not in lams and field.one not in lams
+    assert all(checker(lam) for lam in lams)
 
 
 def test_oracle_greene_without_top_is_a_usage_error(capsys):

@@ -157,6 +157,22 @@ def test_t17_rejects_uncovered_congruence():
         )
 
 
+def test_t17_sign_phi_minus_3_is_one_where_q_is_1_mod_3():
+    # q = 1 or 7 (mod 12) means q = 1 (mod 3), so F_q holds a primitive
+    # cube root of unity w and -3 = (2w + 1)^2: the sign phi(-3) is 1
+    fields = [(p, r) for p in PRIMES + (29, 31, 37, 41, 43, 47, 53) for r in (1, 2, 3)
+              if p**r <= 3000 and p**r % 12 in (1, 7)]
+    assert len(fields) >= 20
+    for p, r in fields:
+        field = build_field(p, r)
+        minus3 = field.from_int(-3)
+        w = field.generator ** ((field.q - 1) // 3)
+        assert w != field.one and (field.from_int(2) * w + field.one) ** 2 == minus3
+        assert quad_char(minus3) == 1
+        for m in (field.one, field.generator):
+            assert frobtrace._sign_and_correction("t17", m, field) == (1, 0)
+
+
 def test_t16_t17_agree_where_both_apply():
     from padic_hg.errors import PadicHGError
 

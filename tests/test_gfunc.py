@@ -462,20 +462,58 @@ def test_kernel_matches_inline_passes_on_identity_suite_rows():
     gfunc._KERNELS.clear()
 
 
-def test_kernels_of_one_field_share_gauss_orbit_columns():
-    # a fresh kernel of known rows builds no column: TOP4 has the values 0
-    # and 1/2 and QUARTERS 1/4 and 3/4, so one floor and one unit column each
+def test_a_second_kernel_of_known_rows_builds_no_column(monkeypatch):
+    # every value of the headline rows lies on the grid j/48 at q = 49, so
+    # the first kernel builds the digits and units columns of coset 0/1 and
+    # a kernel of the same or other headline rows builds none
     field = build_field(7, 2)
+    built = []
+    missing = padic._GaussCosets.__missing__
+    monkeypatch.setattr(padic._GaussCosets, "__missing__",
+                        lambda self, key: built.append(key) or missing(self, key))
+    padic._gauss_orbits.cache_clear()
     gfunc._KERNELS.clear()
-    _kernel(TOP4, QUARTERS, field, 3)
-    orbits = padic._gauss_orbits(field, 3)
-    built = dict(orbits)
-    assert {(y, s) for _, y, s in built} >= {
-        (Fraction(0), 1), (HALF, 1), (Fraction(-1, 4), -1), (Fraction(-3, 4), -1)}
+    first = _kernel(TOP4, QUARTERS, field, 3)
+    assert built == [("digits", 0, 1), ("units", 0, 1)] and first.shift == 0
     gfunc._KERNELS.clear()
-    kern = _kernel(TOP4, QUARTERS, field, 3)
-    assert dict(orbits) == built and all(orbits[key] is col for key, col in built.items())
-    assert kern.work is orbits.ctx
+    rows = [(TOP4, QUARTERS), (frobtrace.TOP4, frobtrace.BOT_SIXTHS),
+            (frobtrace.TOP4, frobtrace.BOT_EIGHTHS), (frobtrace.TOP6, frobtrace.BOT6)]
+    kernels = [_kernel(top, bottom, field, 3) for top, bottom in rows]
+    assert len(built) == 2
+    assert all(kern.shift == 0 and kern.work is padic._gauss_orbits(field, 3).ctx
+               for kern in kernels)
+    gfunc._KERNELS.clear()
+
+
+@pytest.mark.parametrize("p,r", [(13, 1), (11, 1), (7, 1), (5, 2), (3, 3), (7, 2)])
+def test_kernel_matches_inline_passes_off_the_grid(p, r):
+    # rows whose values lie off the grid j/(q-1), on cosets u/d with d > 1
+    # and several d in one row, or with p in a denominator, which must
+    # raise the error class the inline passes raise
+    field = build_field(p, r)
+    rows = [
+        ((Fraction(1, 3),), (Fraction(2, 7),)),
+        ((Fraction(1, 5), Fraction(2, 3)), (Fraction(0), Fraction(1, 11))),
+        ((Fraction(-5, 3), Fraction(7, 8)), (Fraction(3, 10), Fraction(-1, 13))),
+        ((Fraction(1, 4), Fraction(5, 7)), (Fraction(1, 2), Fraction(-2, 5))),
+    ]
+    for top, bottom in rows:
+        for N in (1, 2, 3, 5):
+            try:
+                want = kernel_by_inline_passes(top, bottom, field, N)
+            except Exception as exc:  # the class is compared below
+                with pytest.raises(type(exc)):
+                    gfunc._GKernel(top, bottom, field, N)
+                continue
+            kern = gfunc._GKernel(top, bottom, field, N)
+            assert (kern.shift, kern.avals, kern.cvals) == want, (top, bottom, N)
+
+
+def test_rotated_reads_entry_y_minus_s_a():
+    col = list(range(100, 107))
+    for Y in range(7):
+        for s in (1, -1):
+            assert gfunc._rotated(col, Y, s) == [col[(Y - s * a) % 7] for a in range(7)]
 
 
 def test_splitting_identity_hypotheses():

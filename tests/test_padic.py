@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 from array import array
 import random
 from fractions import Fraction
@@ -206,27 +209,51 @@ def test_floor_orbit_matches_fraction_route(p, r):
             ], (x, i)
 
 
+def coset_by_fractions(y, q):
+    """(Y mod (q-1), u, d) with y(q-1) = Y + u/d, by Fraction floor and
+    fractional part."""
+    z = Fraction(y) * (q - 1)
+    f = frac(z)
+    return (z - f) % (q - 1), f.numerator, f.denominator
+
+
 @pytest.mark.parametrize("p,r", [(5, 2), (3, 3), (7, 1)])
-def test_gauss_orbit_columns_match_the_orbit_formulas_at_every_entry(p, r):
-    # every entry, not only the two the build rechecks, by the Fraction route
+def test_gauss_coset_columns_match_the_fraction_route_at_every_entry(p, r):
+    # every entry of every coset column the points below reach, d > 1
+    # included, and the kernel's reading of it: the point y with side s
+    # reads summand a at index (Y - s*a) mod (q-1)
     field = build_field(p, r)
-    q, orbits = field.q, padic._GaussOrbits(field, 2)
+    q, orbits = field.q, padic._GaussCosets(field, 2)
     ctx = PadicCtx(field, 2)
-    for y in [x for x in orbit_points(p) if abs(x) <= 1]:
+    points = [x for x in orbit_points(p) if abs(x) <= 1] + [Fraction(1, 13), Fraction(-2, 11)]
+    cosets = set()
+    for y in points:
+        Y, u, d = padic._coset(y.numerator, y.denominator, q - 1)
+        assert (Y, u, d) == coset_by_fractions(y, q), y
+        cosets.add((u, d))
+        M, digits, units = d * (q - 1), orbits["digits", u, d], orbits["units", u, d]
         for s in (1, -1):
-            assert list(orbits["floors", y, s]) == [
-                sum(floor_orbit_by_fractions(y, -s * a, i, p, q) for i in range(r))
-                for a in range(q - 1)
-            ], (y, s)
-            assert list(orbits["units", y, s]) == [
-                gamma_orbit_by_fractions(ctx, y - s * Fraction(a, q - 1))
-                for a in range(q - 1)
-            ], (y, s)
+            for a in range(q - 1):
+                J = (Y - s * a) % (q - 1)
+                floors = sum(floor_orbit_by_fractions(y, -s * a, i, p, q) for i in range(r))
+                assert floors == Fraction(digits[Y] - digits[J], M) - Fraction(s * a, p - 1)
+                x = y - s * Fraction(a, q - 1)
+                assert units[J] == gamma_orbit_by_fractions(ctx, x), (y, s, a)
+    assert any(d > 1 for _, d in cosets)
+    for u, d in cosets:
+        M = d * (q - 1)
+        xs = [Fraction(d * J + u, M) for J in range(q - 1)]
+        assert list(orbits["digits", u, d]) == [
+            M * sum(frac(x * p**i) for i in range(r)) for x in xs], (u, d)
+        assert list(orbits["units", u, d]) == [
+            gamma_orbit_by_fractions(ctx, x) for x in xs], (u, d)
+    assert set(orbits) == {(kind, u, d) for kind in ("digits", "units") for u, d in cosets}
 
 
-@pytest.mark.parametrize("kind", ["floors", "units"])
+@pytest.mark.parametrize("kind", ["digits", "units"])
 @pytest.mark.parametrize("index", [0, -1])
-def test_gauss_orbit_column_recheck_catches_a_corrupted_entry(monkeypatch, kind, index):
+@pytest.mark.parametrize("coset", [(0, 1), (3, 5)], ids=["d1", "d5"])
+def test_gauss_coset_column_recheck_catches_a_corrupted_entry(monkeypatch, kind, index, coset):
     # one wrong entry at either end of a column fails its build, and the
     # column is not kept
     def corrupted(typecode, entries):
@@ -235,10 +262,40 @@ def test_gauss_orbit_column_recheck_catches_a_corrupted_entry(monkeypatch, kind,
         return col
 
     monkeypatch.setattr(padic, "array", corrupted)
-    orbits = padic._GaussOrbits(build_field(7, 2), 2)
+    orbits = padic._GaussCosets(build_field(7, 2), 2)
     with pytest.raises(InvariantViolation, match="Gauss-orbit column"):
-        orbits[kind, Fraction(1, 4), 1]
+        orbits[(kind, *coset)]
     assert not orbits
+
+
+def test_gauss_coset_column_recheck_holds_under_optimize():
+    # the recheck is an if, not an assert: a corrupted unit entry still
+    # raises under python -O
+    script = (
+        "if __debug__: raise SystemExit('not running under -O')\n"
+        "from array import array\n"
+        "from padic_hg import ffield, gfunc, padic\n"
+        "from padic_hg.errors import InvariantViolation\n"
+        "def corrupted(typecode, entries):\n"
+        "    col = array(typecode, entries)\n"
+        "    col[-1] += 1\n"
+        "    return col\n"
+        "field = ffield.build_field(7, 2)\n"
+        "padic._gauss_orbits(field, 2)['digits', 0, 1]\n"
+        "padic.array = corrupted\n"
+        "try:\n"
+        "    gfunc._GKernel((0, 1), (0, 0), field, 2)\n"
+        "except InvariantViolation as exc:\n"
+        "    print('InvariantViolation:', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(padic_hg.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(
+        "InvariantViolation: Gauss-orbit column ('units', 0, 1) fails its recheck"), proc.stdout
 
 
 def test_teichmuller_basics():
