@@ -391,7 +391,7 @@ def _cache_infos():
 
 def _cache_activity(before):
     """Hits and misses of the shared caches since before, plus the number
-    of G-function kernels held."""
+    of G-function kernels held and of those on the Frobenius-stable path."""
     activity = {
         name: {
             "hits": info.hits - before[name].hits,
@@ -400,6 +400,7 @@ def _cache_activity(before):
         for name, info in _cache_infos().items()
     }
     activity["kernels"] = len(gfunc._KERNELS)
+    activity["stable_kernels"] = sum(bool(k.orbit_terms) for k in gfunc._KERNELS.values())
     return activity
 
 

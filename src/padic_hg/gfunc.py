@@ -10,9 +10,18 @@ field, so they are cached and reused across arguments t.
 With t = g^l the character value omega-bar(t)^a is omega(g)^(-al mod q-1),
 one entry of the Teichmuller power table shared by (field, N).  Each entry
 is also packed into one integer, its r coefficients in slots wide enough
-that no sum of q-1 products carries (Kronecker substitution), so a value
+that no sum of q-1 products carries (Kronecker substitution), so a vector
 at t costs one big-integer dot product over the nonzero coefficients and
 no Galois-ring product.
+
+A G-value takes a shorter path when its kernel is Frobenius-stable: when
+the coefficients satisfy c[p*a mod (q-1)] = c[a], as they do for rows
+closed under multiplication by p mod 1, since Frobenius fixes Gauss sums.
+Then each Frobenius orbit of summands sums to a trace, so the value lies
+in Z/p^N and is one small-integer dot product with the table's trace
+column, one term per orbit.  The kernel checks the identity once, on its
+first G-value; a kernel that fails it takes the vector path, whose value
+must then have zero extension coordinates.
 
 Individual summands may carry a negative power of (-p) for some parameter
 lists.  The evaluator measures the worst exponent first and works at a
@@ -21,9 +30,10 @@ terms leave Z_p.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, cycle
+from itertools import compress, cycle, repeat
 from operator import mul
 
 from .errors import (
@@ -81,26 +91,39 @@ class GValue:
 class _GKernel:
     """Summand coefficients for fixed parameter rows over a fixed field.
 
-    cvals[j] is the scalar multiplying omega-bar^a(t) for a = avals[j], over
-    the summands whose power of -p is nonzero mod p^(N + shift); the true
-    value is (-1/(q-1)) * sum_j cvals[j] * omega-bar^avals[j](t) / (-p)^shift.
+    The rows are tuples of (numerator, denominator) pairs, as in a
+    _kernel_key.  cvals[j] is the scalar multiplying omega-bar^a(t) for
+    a = avals[j], over the summands whose power of -p is nonzero mod
+    p^(N + shift); the true value is
+    (-1/(q-1)) * sum_j cvals[j] * omega-bar^avals[j](t) / (-p)^shift.
+
+    raw_eval returns that sum as a vector of GR(p^(N + shift), r).  A G-value
+    of a Frobenius-stable kernel (see stable) skips the vector: its value at
+    every t is fixed by Frobenius, so lies in Z/p^N, and trace_sum adds one
+    trace per orbit of summands.
     """
+
+    orbit_terms = None  # decided by stable() on the first G-value
 
     def __init__(self, top, bottom, field, N):
         self.field = field
         p, n, m = field.p, len(top), field.q - 1
         # summand a takes a Gauss-sum quotient at x = y - s*a/(q-1) from each
         # top value y = a_k (s = 1) and bottom value y = -b_k (s = -1): entry
-        # (Y - s*a) mod (q-1) of the columns of the coset u/d that holds y at Y
-        params = [_coset(c.numerator * s, c.denominator, m) + (s,)
-                  for row, s in ((top, 1), (bottom, -1)) for c in row]
+        # (Y - s*a) mod (q-1) of the columns of the coset u/d that holds y at
+        # Y.  Equal parameters are read once, with their multiplicity k
+        params = Counter(_coset(num * s, den, m) + (s,)
+                         for row, s in ((top, 1), (bottom, -1)) for num, den in row)
         orbits = _gauss_orbits(field, N)
         lcm = math.lcm(*(d for _, _, d, _ in params))
-        digits = [(_rotated(orbits["digits", u, d], Y, s), lcm // d) for Y, u, d, s in params]
-        base, M = sum(w * c[0] for c, w in digits), lcm * m
+        digits = [(_rotated(orbits["digits", u, d], Y, s), k, lcm // d)
+                  for (Y, u, d, s), k in params.items()]
+        base, M = sum(k * w * c[0] for c, k, w in digits), lcm * m
         # summand a has floor sum sum_k sigma(y_k) - sigma(x_k) - s_k*a/(p-1), sigma = digit
-        # sum / M; the a/(p-1) cancel, so its (-p)-exponent is (sums[a] - base)/M
-        sums = list(map(sum, zip(*(c if w == 1 else map(w.__mul__, c) for c, w in digits))))
+        # sum / M; the a/(p-1) cancel, so its (-p)-exponent is (sums[a] - base)/M.  A column
+        # of weight k*lcm/d enters k times when lcm = d, which costs less than a product per entry
+        sums = list(map(sum, zip(*[c for c, k, w in digits if w == 1 for _ in range(k)],
+                                 *[map((k * w).__mul__, c) for c, k, w in digits if w > 1])))
         self.shift = shift = max(0, (base - min(sums)) // M)
         keep = list(map((base + N * M).__gt__, sums))  # exponent below N
         self.avals = list(compress(range(m), keep))
@@ -108,14 +131,20 @@ class _GKernel:
         work = self.work = orbits.ctx
         self.teich = _teich_table(field, work.N)
         pNw = work.pN
-        units = [_rotated(orbits["units", u, d], Y, s) for Y, u, d, s in params]
-        # a summand of exponent k - shift is scaled by (-p)^k / (the a = 0 unit)
-        inv0 = work.inv(math.prod(col[0] for col in units))
-        scale = {base + (k - shift) * M: pow(-p, k, pNw) * inv0 % pNw
-                 for k in range(N + shift)}
+        units = {}  # the unit columns by multiplicity
+        for (Y, u, d, s), k in params.items():
+            units.setdefault(k, []).append(_rotated(orbits["units", u, d], Y, s))
+        # a summand of exponent e - shift is scaled by (-p)^e / (the a = 0 unit)
+        inv0 = work.inv(math.prod(col[0] ** k for k, cols in units.items() for col in cols))
+        scale = {base + (e - shift) * M: pow(-p, e, pNw) * inv0 % pNw
+                 for e in range(N + shift)}
+        factors = []  # each multiplicity's product at the surviving summands, raised to it
+        for k, cols in units.items():
+            f = map(math.prod, zip(*(compress(col, keep) for col in cols)))
+            factors.append(f if k == 1 else map(pow, f, repeat(k)))
         if n % 2:
-            units.append(cycle((1, -1)))  # (-1)^(a*n)
-        prods = map(math.prod, zip(*(compress(col, keep) for col in units)))
+            factors.append(compress(cycle((1, -1)), keep))  # (-1)^(a*n)
+        prods = factors[0] if len(factors) == 1 else map(math.prod, zip(*factors))
         self.cvals = list(map(pNw.__rmod__, map(
             mul, map(scale.__getitem__, compress(sums, keep)), prods)))
         self.width, self.packed = self.teich.packed(pNw)
@@ -133,12 +162,7 @@ class _GKernel:
         mod 1 genuinely live in the extension ring, not in Z_p.
         """
         field = self.field
-        if t.field is not field:
-            raise ValueError("argument t lives in a different field")
-        if t.is_zero():
-            raise ZeroArgument("t = 0 is rejected")
-        m = field.q - 1
-        step = -field.log_table[t.enc] % m
+        m, step = field.q - 1, self._step(t)
         total = sum(map(mul, self.cvals, map(self.packed.__getitem__, map(
             m.__rmod__, map(step.__mul__, self.avals)))))
         width, lead, pNw = self.width, self.lead, self.work.pN
@@ -146,6 +170,50 @@ class _GKernel:
         return tuple([
             (total >> j * width & mask) * lead % pNw for j in range(field.r)
         ]), self.shift
+
+    def _step(self, t):
+        """-log(t) mod (q-1) for t in the kernel's field."""
+        field = self.field
+        if t.field is not field:
+            raise ValueError("argument t lives in a different field")
+        if t.is_zero():
+            raise ZeroArgument("t = 0 is rejected")
+        return -field.log_table[t.enc] % (field.q - 1)
+
+    def stable(self):
+        """Whether the kernel is Frobenius-stable: avals closed under
+        a -> p*a mod (q-1), with equal cvals along each orbit.  Decided on
+        the first call, never at build, so callers that read vectors pay
+        nothing.  A stable kernel keeps its terms (a, c, column): one per
+        full orbit (r members), at its least member, over the trace column,
+        and every summand of a shorter orbit over the constant column."""
+        if self.orbit_terms is None:
+            field = self.field
+            p, m = field.p, field.q - 1
+            c = dict(zip(self.avals, self.cvals))
+            terms = []
+            if all(c.get(a * p % m) == v for a, v in c.items()):
+                tr, const = self.teich.traces(p, self.work.pN)
+                pows = [p**i for i in range(1, field.r)]
+                for a, v in c.items():
+                    orbit = [a * pi % m for pi in pows]
+                    if a in orbit:
+                        terms.append((a, v, const))
+                    elif a < min(orbit, default=m):
+                        terms.append((a, v, tr))
+            self.orbit_terms = terms
+        return bool(self.orbit_terms)
+
+    def trace_sum(self, t):
+        """vec[0] of raw_eval(t) for a stable kernel, whose other
+        coordinates vanish: the full orbit of a contributes
+        c * sum_{i<r} omega-bar^(a p^i)(t) = c * tr[-a log(t)], and a short
+        orbit its summands' constant coefficients.  The sum is exactly the
+        constant slot of raw_eval's, regrouped, so it is exact mod
+        p^(N + shift)."""
+        m, step = self.field.q - 1, self._step(t)
+        total = sum([c * col[a * step % m] for a, c, col in self.orbit_terms])
+        return total * self.lead % self.work.pN
 
 
 KERNEL_CACHE_SIZE = 256
@@ -177,9 +245,7 @@ def _kernel_at(key):
     if kern is None:
         if len(_KERNELS) >= KERNEL_CACHE_SIZE:
             del _KERNELS[next(iter(_KERNELS))]
-        top, bottom, field, N = key
-        rows = (tuple(Fraction(*x) for x in row) for row in (top, bottom))
-        kern = _KERNELS[key] = _GKernel(*rows, field, N)
+        kern = _KERNELS[key] = _GKernel(*key)
     return kern
 
 
@@ -195,7 +261,12 @@ def _raw_to_residue(raw, p, N):
         raise NonConstantResult(
             "G-value has nonzero extension-ring coordinates"
         )
-    T = vec[0]
+    return _unshift(vec[0], s, p, N)
+
+
+def _unshift(T, s, p, N):
+    """T/(-p)^s mod p^N for a residue T mod p^(N + s), which must be
+    divisible by p^s."""
     if s == 0:
         return T % p**N
     if T % p**s:
@@ -219,9 +290,10 @@ def _raw_sum_is_zero(terms, p, N):
 def evaluate_G(params: GParams, field: FqField, ctx: PadicCtx, bound=None) -> GValue:
     """Evaluate the G-function defined by params over GR(p^N, r).
 
-    The accumulated Galois-ring sum must be constant (Galois stability is
-    asserted, not assumed).  If bound is given the symmetric residue with
-    absolute value at most bound is attached as .integer.
+    The value must lie in Z_p (Galois stability is asserted, not assumed):
+    once per kernel by its Frobenius check, or else for each value by its
+    vector's extension coordinates.  If bound is given the symmetric
+    residue with absolute value at most bound is attached as .integer.
     """
     if ctx.p != field.p or ctx.r != field.r:
         raise ValueError("field and p-adic context disagree")
@@ -235,9 +307,15 @@ def evaluate_G(params: GParams, field: FqField, ctx: PadicCtx, bound=None) -> GV
 def _value_and_lift(key, t, bound):
     """(residue mod p^N, its lift to |m| <= bound or None without a bound)
     of G at t from the kernel at key: the one path from a cached kernel to
-    a G-value, for callers that checked the rows themselves."""
+    a G-value, for callers that checked the rows themselves.  A stable
+    kernel gives the value as one trace sum; any other gives a vector,
+    which must be constant."""
     field, N = key[2], key[3]
-    value = _raw_to_residue(_kernel_at(key).raw_eval(t), field.p, N)
+    kern = _kernel_at(key)
+    if kern.stable():
+        value = _unshift(kern.trace_sum(t), kern.shift, field.p, N)
+    else:
+        value = _raw_to_residue(kern.raw_eval(t), field.p, N)
     if bound is None:
         return value, None
     return value, _symmetric_lift(value, field.p**N, bound)
@@ -292,22 +370,27 @@ def check_splitting_identity(a1, a2, a3, a4, x: FqElem, field: FqField,
         raise ValueError("argument x lives in a different field")
     if ctx.field is not field:
         raise ValueError("field and p-adic context disagree")
-    coeffs = tuple(Fraction(c) for c in (a1, a2, a3, a4))
+    pairs = [Fraction(c).as_integer_ratio() for c in (a1, a2, a3, a4)]
     p, q = field.p, field.q
-    d = math.lcm(*(c.denominator for c in coeffs))
+    d = math.lcm(*(den for _, den in pairs))
     if d % p == 0:
         raise HypothesisViolation("p divides a parameter denominator")
     if (q - 1) % d != 0:
         raise HypothesisViolation(f"q = {q} is not 1 mod {d}")
     if x.is_zero():
         raise ZeroArgument("x = 0 is rejected")
-    a1, a2, a3, a4 = coeffs
-    top4 = (a1 / 2, (1 + a1) / 2, a2 / 2, (1 + a2) / 2)
-    bot4 = (a3 / 2, (1 + a3) / 2, a4 / 2, (1 + a4) / 2)
-    k2 = _kernel((a1, a2), (a3, a4), field, ctx.N)
-    k4 = _kernel(top4, bot4, field, ctx.N)
+    # each a = n/d of the 2-row gives a/2 and (1 + a)/2 to the 4-row
+    halves = [_half(n + e * den, den) for n, den in pairs for e in (0, 1)]
+    k2 = _kernel_at((tuple(pairs[:2]), tuple(pairs[2:]), field, ctx.N))
+    k4 = _kernel_at((tuple(halves[:4]), tuple(halves[4:]), field, ctx.N))
     return _raw_sum_is_zero([(*k2.raw_eval(x), 1), (*k2.raw_eval(-x), 1),
                              (*k4.raw_eval(x * x), -1)], p, ctx.N)
+
+
+def _half(n, d):
+    """n/(2d) as a reduced (numerator, denominator) pair."""
+    g = math.gcd(n, 2 * d)
+    return n // g, 2 * d // g
 
 
 def check_reduction_identity(a, b, d: int, t: FqElem, p: int, N: int = 3) -> bool:

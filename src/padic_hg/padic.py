@@ -211,6 +211,34 @@ class _TeichTable(tuple):
             ]
         return self._packed
 
+    _traces = None
+
+    def traces(self, p, pN):
+        """(tr, const) for the table mod pN = p^N: const[k] is the constant
+        coefficient of entry k and tr[k] = Tr(omega(g)^k) = sum_{i<r}
+        const[k p^i mod (q-1)], its trace to Z/p^N.  Frobenius maps
+        omega(g)^k to omega(g)^(pk), so the entries of each Frobenius orbit
+        of k sum to an element of Z/p^N: its extension coordinates are
+        checked to vanish, once per orbit, and the trace is r/(orbit length)
+        times that sum.  Built on first use, kept with the table."""
+        if self._traces is None:
+            m, r = len(self), len(self[0])
+            tr = [None] * m
+            for k in range(m):
+                if tr[k] is None:
+                    orbit, j = [k], k * p % m
+                    while j != k:
+                        orbit.append(j)
+                        j = j * p % m
+                    total = [sum(c) % pN for c in zip(*map(self.__getitem__, orbit))]
+                    if any(total[1:]):
+                        raise InvariantViolation(
+                            f"Teichmuller orbit of omega(g)^{k} does not sum into Z/p^N")
+                    for j in orbit:
+                        tr[j] = r // len(orbit) * total[0] % pN
+            self._traces = tr, [w[0] for w in self]
+        return self._traces
+
 
 @lru_cache(maxsize=32)
 def _teich_table(field, N: int):
@@ -297,6 +325,9 @@ class _GaussCosets(dict):
             rows = [list(map(gam, (v * inv_M % pN for v in row))) for row in rows]
             entries = list(map(pN.__rmod__, map(math.prod, zip(*rows))))
             check = [gamma_orbit(ctx, Fraction(d * J + u, M)) for J in ends]
+            # the gamma memo pays only inside one build, where rows i >= 1
+            # repeat row 0's residues; the column holds the products
+            ctx._gamma_memo.clear()
         col = array("q", entries)
         if [col[J] for J in ends] != check:
             raise InvariantViolation(f"Gauss-orbit column {key} fails its recheck")

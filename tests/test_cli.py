@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import padic_hg
-from padic_hg import cli, frobtrace, padic
+from padic_hg import cli, frobtrace, gfunc, padic
 from padic_hg.cli import SUITES, main
 from padic_hg.errors import NonConstantResult, SingularCurve
 from padic_hg.ffield import build_field, family_traces
@@ -341,12 +341,13 @@ def test_verify_reports_the_range_it_ran(capsys):
 
 
 def test_verify_reports_cache_activity(capsys):
+    gfunc._KERNELS.clear()
     code, out = run(capsys, "verify", "--suite", "identity-splitting", "--trials", "3")
     assert code == 0
     caches = json.loads(out)["caches"]
     assert set(caches) == {
         "build_field", "gamma_steps", "teichmuller_tables", "family_traces",
-        "pair_setups", "gauss_orbits", "kernels",
+        "pair_setups", "gauss_orbits", "kernels", "stable_kernels",
     }
     for name in (
         "build_field", "gamma_steps", "teichmuller_tables", "family_traces", "pair_setups",
@@ -360,6 +361,8 @@ def test_verify_reports_cache_activity(capsys):
     tables = caches["teichmuller_tables"]
     assert tables["hits"] + tables["misses"] >= 1
     assert isinstance(caches["kernels"], int) and caches["kernels"] >= 2
+    # the identity checkers read vectors, so no kernel decides its path
+    assert caches["stable_kernels"] == 0
     # this suite reads no family table and sets up no pair formula; a pair
     # suite reads two entries and one (theorem, field) set-up per row
     assert caches["family_traces"] == {"hits": 0, "misses": 0}
@@ -367,9 +370,12 @@ def test_verify_reports_cache_activity(capsys):
     # every kernel reads its columns through the (field, N) Gauss-orbit table
     orbits = caches["gauss_orbits"]
     assert orbits["hits"] + orbits["misses"] >= 2
+    gfunc._KERNELS.clear()
     code, out = run(capsys, "verify", "--suite", "t13", "--pmax", "7", "--rmax", "1")
     assert code == 0
     payload = json.loads(out)
+    # every t13 kernel takes the Frobenius-stable path
+    assert payload["caches"]["stable_kernels"] == payload["caches"]["kernels"] >= 1
     tables = payload["caches"]["family_traces"]
     assert tables["misses"] <= 2
     assert tables["hits"] + tables["misses"] == 2 * payload["total"]

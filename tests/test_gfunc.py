@@ -8,6 +8,7 @@ from padic_hg.errors import (
     HypothesisViolation,
     NoRepresentative,
     NonConstantResult,
+    NonIntegralValue,
     PrecisionTooLarge,
     PrecisionUnderflow,
     ZeroArgument,
@@ -30,6 +31,11 @@ from oracles import kernel_by_inline_passes, naive_G, raw_eval_by_coefficients
 HALF = Fraction(1, 2)
 QUARTERS = (Fraction(1, 4), Fraction(3, 4), Fraction(1, 4), Fraction(3, 4))
 TOP4 = (Fraction(0), HALF, Fraction(0), HALF)
+
+
+def new_kernel(top, bottom, field, N):
+    """An uncached kernel of the rows (tuples of Fractions)."""
+    return gfunc._GKernel(*gfunc._kernel_key(top, bottom, field, N))
 
 
 def test_choose_precision_examples():
@@ -133,7 +139,7 @@ def test_packed_raw_eval_matches_per_coefficient_loop(p, r):
         (frobtrace.TOP6, frobtrace.BOT6),
         THIRDS,
     ]
-    kernels = [gfunc._GKernel(top, bottom, field, 2) for top, bottom in rows]
+    kernels = [new_kernel(top, bottom, field, 2) for top, bottom in rows]
     assert [k.shift for k in kernels] == [0, 0, 0, 0, r]
     for v in range(1, field.q):
         t = field.elem(v)
@@ -146,7 +152,7 @@ def test_packed_slots_reach_their_bound_without_carrying(p, r, N):
     # every coefficient and every table coordinate p^Nw - 1: each slot of
     # the packed sum reaches (q-1)(p^Nw-1)^2, the bound its width is set by
     field = build_field(p, r)
-    kern = gfunc._GKernel((HALF,), (Fraction(0),), field, N)
+    kern = new_kernel((HALF,), (Fraction(0),), field, N)
     m, pNw = field.q - 1, kern.work.pN
     kern.avals, kern.cvals = list(range(m)), [pNw - 1] * m
     kern.teich = worst = padic._TeichTable([(pNw - 1,) * r] * m)
@@ -200,6 +206,104 @@ def test_evaluate_G_lifts_at_most_once(monkeypatch):
     for v in range(1, 11):
         evaluate_G(GParams(TOP4, QUARTERS, field.elem(v)), field, ctx)
     assert len(calls) <= 1
+
+
+PAIR_ROWS = [(f.top, f.bottom) for f in frobtrace.PAIR_FORMULAS.values()]
+
+
+def vector_path(kern, t, N):
+    """The value at t by the vector path, or the class of its error."""
+    try:
+        return gfunc._raw_to_residue(kern.raw_eval(t), kern.field.p, N)
+    except (NonConstantResult, NonIntegralValue) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("p,r,naive_ts", [(13, 1, 12), (7, 2, 3), (5, 3, 2), (5, 4, 0)])
+def test_trace_sum_matches_the_vector_path_at_every_t(p, r, naive_ts):
+    # the five pair rows (shift 0) and a row with shift r: the Frobenius-
+    # stable path against the vector path at every t, and against the
+    # defining sum at naive_ts of them
+    field = build_field(p, r)
+    rng = random.Random(p * r)
+    for top, bottom in PAIR_ROWS + [THIRDS]:
+        key = gfunc._kernel_key(top, bottom, field, 2)
+        kern = gfunc._kernel_at(key)
+        assert kern.stable()
+        naive = set(rng.sample(range(1, field.q), naive_ts))
+        for v in range(1, field.q):
+            t = field.elem(v)
+            want = vector_path(kern, t, 2)
+            try:
+                got = gfunc._value_and_lift(key, t, None)[0]
+            except NonIntegralValue:
+                got = NonIntegralValue
+            assert got == want, (top, bottom, v)
+            if v in naive:
+                ref = naive_G(top, bottom, t, field, 2, shift_extra=kern.shift)
+                assert ref["stable"]
+                assert got == (ref["value"] if ref["integral"] else NonIntegralValue)
+    gfunc._KERNELS.clear()
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_every_pair_row_takes_the_stable_path(p):
+    # each pair formula's kernel, as trace_sum_pair reads it, on every
+    # field with r <= 4 and q <= 7^4
+    for r in range(1, 5):
+        if p**r > 7**4:
+            break
+        field = build_field(p, r)
+        for name in frobtrace.PAIR_FORMULAS:
+            key, _ = frobtrace._pair_setup(name, field)
+            assert gfunc._kernel_at(key).stable(), (name, field.q)
+    gfunc._KERNELS.clear()
+
+
+@pytest.mark.parametrize("p,r,top,bottom", [
+    (3, 2, (HALF, Fraction(1, 4)), (Fraction(0), HALF)),
+    (7, 2, (HALF, Fraction(1, 4)), (Fraction(0), HALF)),
+    (11, 2, (HALF, Fraction(1, 4)), (Fraction(0), HALF)),
+    (3, 3, (HALF, Fraction(1, 4)), (Fraction(0), HALF)),
+    (5, 2, (Fraction(1, 3), Fraction(1, 6)), (Fraction(3, 4), HALF)),
+    (7, 2, (HALF, Fraction(1, 3)), (Fraction(0), Fraction(3, 4))),
+])
+def test_unstable_rows_keep_the_vector_path(p, r, top, bottom):
+    # rows not closed under multiplication by p mod 1 are refused, and
+    # raise NonConstantResult wherever the vector path does
+    field = build_field(p, r)
+    ctx = PadicCtx(field, 2)
+    kern = _kernel(top, bottom, field, 2)
+    assert not kern.stable() and kern.orbit_terms == []
+    outcomes = set()
+    for v in range(1, field.q):
+        t = field.elem(v)
+        want = vector_path(kern, t, 2)
+        try:
+            got = evaluate_G(GParams(top, bottom, t), field, ctx).padic.value
+        except (NonConstantResult, NonIntegralValue) as exc:
+            got = type(exc)
+        assert got == want, v
+        outcomes.add(got)
+    assert NonConstantResult in outcomes
+    gfunc._KERNELS.clear()
+
+
+def test_a_corrupted_coefficient_sends_the_kernel_to_the_vector_path():
+    # one full-orbit coefficient off by one before the first G-value: the
+    # kernel fails its Frobenius check, and the vector path sees the error
+    field = build_field(7, 2)
+    key = gfunc._kernel_key(TOP4, QUARTERS, field, 2)
+    assert gfunc._GKernel(*key).stable()
+    gfunc._KERNELS.clear()
+    kern = gfunc._kernel_at(key)
+    m = field.q - 1
+    j = next(j for j, a in enumerate(kern.avals) if a * field.p % m != a)
+    kern.cvals[j] = (kern.cvals[j] + 1) % kern.work.pN
+    with pytest.raises(NonConstantResult):
+        evaluate_G(GParams(TOP4, QUARTERS, field.generator), field, PadicCtx(field, 2))
+    assert not kern.stable()
+    gfunc._KERNELS.clear()
 
 
 def test_mixed_fields_rejected():
@@ -416,7 +520,7 @@ def test_kernel_shift_matches_floor_orbit_sums(p, r):
             )
             for a in range(q - 1)
         ]
-        assert gfunc._GKernel(top, bottom, field, 1).shift == max(0, -min(exps))
+        assert new_kernel(top, bottom, field, 1).shift == max(0, -min(exps))
         checked += 1
     assert checked >= 3
 
@@ -439,7 +543,7 @@ def test_kernel_matches_inline_passes_on_headline_rows(p, r):
     ]
     for N in (1, 3):
         for top, bottom in rows:
-            kern = gfunc._GKernel(top, bottom, field, N)
+            kern = new_kernel(top, bottom, field, N)
             got = kern.shift, kern.avals, kern.cvals
             assert got == kernel_by_inline_passes(top, bottom, field, N), (top, bottom, N)
         assert kern.shift == r
@@ -496,6 +600,8 @@ def test_kernel_matches_inline_passes_off_the_grid(p, r):
         ((Fraction(1, 5), Fraction(2, 3)), (Fraction(0), Fraction(1, 11))),
         ((Fraction(-5, 3), Fraction(7, 8)), (Fraction(3, 10), Fraction(-1, 13))),
         ((Fraction(1, 4), Fraction(5, 7)), (Fraction(1, 2), Fraction(-2, 5))),
+        # a parameter three times and another twice, read with multiplicity
+        ((Fraction(2, 7),) * 3 + (Fraction(1, 3),), (Fraction(1, 3),) * 2 + (HALF, HALF)),
     ]
     for top, bottom in rows:
         for N in (1, 2, 3, 5):
@@ -503,9 +609,9 @@ def test_kernel_matches_inline_passes_off_the_grid(p, r):
                 want = kernel_by_inline_passes(top, bottom, field, N)
             except Exception as exc:  # the class is compared below
                 with pytest.raises(type(exc)):
-                    gfunc._GKernel(top, bottom, field, N)
+                    new_kernel(top, bottom, field, N)
                 continue
-            kern = gfunc._GKernel(top, bottom, field, N)
+            kern = new_kernel(top, bottom, field, N)
             assert (kern.shift, kern.avals, kern.cvals) == want, (top, bottom, N)
 
 

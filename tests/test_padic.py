@@ -40,6 +40,7 @@ from padic_hg.padic import (
     teichmuller,
 )
 from oracles import (
+    TupleField,
     floor_orbit_by_fractions,
     gamma_by_direct_product,
     gamma_orbit_by_fractions,
@@ -284,7 +285,7 @@ def test_gauss_coset_column_recheck_holds_under_optimize():
         "padic._gauss_orbits(field, 2)['digits', 0, 1]\n"
         "padic.array = corrupted\n"
         "try:\n"
-        "    gfunc._GKernel((0, 1), (0, 0), field, 2)\n"
+        "    gfunc._GKernel(((0, 1), (1, 1)), ((0, 1), (0, 1)), field, 2)\n"
         "except InvariantViolation as exc:\n"
         "    print('InvariantViolation:', exc)\n"
     )
@@ -353,6 +354,69 @@ def test_teichmuller_table_checks_the_order(monkeypatch):
     monkeypatch.setattr(padic, "teichmuller", lambda t, ctx: t.coeffs)
     with pytest.raises(InvariantViolation):
         padic._teich_table.__wrapped__(field, 2)
+
+
+@pytest.mark.parametrize("p,r,N", [(13, 1, 2), (7, 2, 3), (3, 3, 2), (5, 4, 1)])
+def test_trace_column_sums_each_frobenius_orbit(p, r, N):
+    # tr[k] is the sum of the constant coefficients of omega(g)^(k p^i),
+    # i < r, and reduces mod p to the trace of g^k from F_q to F_p
+    field = build_field(p, r)
+    m, pN = field.q - 1, p**N
+    table = padic._teich_table(field, N)
+    tr, const = table.traces(p, pN)
+    assert table.traces(p, pN) is table.traces(p, pN)
+    assert const == [w[0] for w in table]
+    ref = TupleField(p, field.modulus)
+    for k in range(m):
+        assert tr[k] == sum(table[k * p**i % m][0] for i in range(r)) % pN
+        assert tr[k] % p == ref.trace(field.exp(k).coeffs)
+
+
+def test_trace_column_rejects_a_corrupted_teichmuller_entry():
+    # one extension coordinate of omega(g) off by one
+    table = padic._teich_table(build_field(7, 2), 2)
+    w = table[1]
+    bad = padic._TeichTable(table[:1] + ((w[0], (w[1] + 1) % 49),) + table[2:])
+    with pytest.raises(InvariantViolation, match="Teichmuller orbit"):
+        bad.traces(7, 49)
+
+
+def test_trace_column_check_holds_under_optimize():
+    script = (
+        "if __debug__: raise SystemExit('not running under -O')\n"
+        "from padic_hg import ffield, padic\n"
+        "from padic_hg.errors import InvariantViolation\n"
+        "field = ffield.build_field(7, 2)\n"
+        "table = padic._teich_table(field, 2)\n"
+        "w = table[1]\n"
+        "bad = padic._TeichTable(table[:1] + ((w[0], (w[1] + 1) % 49),) + table[2:])\n"
+        "try:\n"
+        "    bad.traces(7, 49)\n"
+        "except InvariantViolation as exc:\n"
+        "    print('InvariantViolation:', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(padic_hg.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InvariantViolation: Teichmuller orbit"), proc.stdout
+
+
+def test_unit_columns_leave_no_gamma_memo():
+    # a units column reads Gamma_p through a memo of its own build, so the
+    # shared (field, N) context holds no gamma values afterwards
+    from padic_hg import frobtrace, gfunc
+
+    field = build_field(7, 2)
+    padic._gauss_orbits.cache_clear()
+    gfunc._KERNELS.clear()
+    kern = gfunc._kernel(frobtrace.TOP4, frobtrace.BOT_QUARTERS, field, 3)
+    assert ("units", 0, 1) in padic._gauss_orbits(field, 3)
+    assert kern.work is padic._gauss_orbits(field, 3).ctx
+    assert kern.work._gamma_memo == {}
+    gfunc._KERNELS.clear()
 
 
 def test_gr_ring_axioms():
