@@ -382,10 +382,9 @@ def _cache_infos():
     return {
         "build_field": build_field.cache_info(),
         "gamma_steps": padic._gamma_steps.cache_info(),
-        "teichmuller_tables": padic._teich_table.cache_info(),
+        "rings": padic._ring.cache_info(),
         "family_traces": family_traces.cache_info(),
         "pair_setups": frobtrace._pair_setup.cache_info(),
-        "gauss_orbits": padic._gauss_orbits.cache_info(),
     }
 
 

@@ -2,13 +2,14 @@
 
 The defining sum runs over a in [0, q-2].  Each summand is a product of
 Gauss-sum quotients (Gross-Koblitz), one per parameter, read from two
-Gauss-orbit columns of padic per (field, N) and coset u/d of the grid
-j/(q-1), rotated to the parameter: Stickelberger digit sums, whose
-differences give the power of -p, and the p-adic gamma products of the
-unit part.  Coefficient tables depend only on the parameter lists and the
-field, so they are cached and reused across arguments t.
+Gauss-orbit columns of the padic context shared by (field, N), one pair
+per coset u/d of the grid j/(q-1), rotated to the parameter:
+Stickelberger digit sums, whose differences give the power of -p, and the
+p-adic gamma products of the unit part.  Coefficient tables depend only on
+the parameter lists and the field, so they are cached and reused across
+arguments t.
 With t = g^l the character value omega-bar(t)^a is omega(g)^(-al mod q-1),
-one entry of the Teichmuller power table shared by (field, N).  Each entry
+one entry of that context's Teichmuller power table.  Each entry
 is also packed into one integer, its r coefficients in slots wide enough
 that no sum of q-1 products carries (Kronecker substitution), so a vector
 at t costs one big-integer dot product over the nonzero coefficients and
@@ -46,7 +47,7 @@ from .errors import (
     ZeroArgument,
 )
 from .ffield import FqElem, FqField, prime_factors
-from .padic import PadicCtx, PadicInt, _coset, _gauss_orbits, _teich_table
+from .padic import PadicCtx, PadicInt, _coset, _rational, _ring
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,8 @@ class GParams:
     t: FqElem
 
     def __post_init__(self):
-        top = tuple(x if type(x) is Fraction else Fraction(x) for x in self.top)
-        bottom = tuple(x if type(x) is Fraction else Fraction(x) for x in self.bottom)
+        top = tuple(x if type(x) is Fraction else _rational(x) for x in self.top)
+        bottom = tuple(x if type(x) is Fraction else _rational(x) for x in self.bottom)
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "bottom", bottom)
         if len(top) != len(bottom) or not top:
@@ -114,9 +115,9 @@ class _GKernel:
         # Y.  Equal parameters are read once, with their multiplicity k
         params = Counter(_coset(num * s, den, m) + (s,)
                          for row, s in ((top, 1), (bottom, -1)) for num, den in row)
-        orbits = _gauss_orbits(field, N)
+        ring = _ring(field, N)
         lcm = math.lcm(*(d for _, _, d, _ in params))
-        digits = [(_rotated(orbits["digits", u, d], Y, s), k, lcm // d)
+        digits = [(_rotated(ring.column("digits", u, d), Y, s), k, lcm // d)
                   for (Y, u, d, s), k in params.items()]
         base, M = sum(k * w * c[0] for c, k, w in digits), lcm * m
         # summand a has floor sum sum_k sigma(y_k) - sigma(x_k) - s_k*a/(p-1), sigma = digit
@@ -127,13 +128,11 @@ class _GKernel:
         self.shift = shift = max(0, (base - min(sums)) // M)
         keep = list(map((base + N * M).__gt__, sums))  # exponent below N
         self.avals = list(compress(range(m), keep))
-        orbits = _gauss_orbits(field, N + shift)
-        work = self.work = orbits.ctx
-        self.teich = _teich_table(field, work.N)
+        work = self.work = _ring(field, N + shift)
         pNw = work.pN
         units = {}  # the unit columns by multiplicity
         for (Y, u, d, s), k in params.items():
-            units.setdefault(k, []).append(_rotated(orbits["units", u, d], Y, s))
+            units.setdefault(k, []).append(_rotated(work.column("units", u, d), Y, s))
         # a summand of exponent e - shift is scaled by (-p)^e / (the a = 0 unit)
         inv0 = work.inv(math.prod(col[0] ** k for k, cols in units.items() for col in cols))
         scale = {base + (e - shift) * M: pow(-p, e, pNw) * inv0 % pNw
@@ -147,7 +146,7 @@ class _GKernel:
         prods = factors[0] if len(factors) == 1 else map(math.prod, zip(*factors))
         self.cvals = list(map(pNw.__rmod__, map(
             mul, map(scale.__getitem__, compress(sums, keep)), prods)))
-        self.width, self.packed = self.teich.packed(pNw)
+        self.width, self.packed = work.packed()
         self.lead = -work.inv(field.q - 1) % pNw
 
     def raw_eval(self, t):
@@ -162,9 +161,8 @@ class _GKernel:
         mod 1 genuinely live in the extension ring, not in Z_p.
         """
         field = self.field
-        m, step = field.q - 1, self._step(t)
-        total = sum(map(mul, self.cvals, map(self.packed.__getitem__, map(
-            m.__rmod__, map(step.__mul__, self.avals)))))
+        m, step, packed = field.q - 1, self._step(t), self.packed
+        total = sum([c * packed[a * step % m] for a, c in zip(self.avals, self.cvals)])
         width, lead, pNw = self.width, self.lead, self.work.pN
         mask = (1 << width) - 1
         return tuple([
@@ -193,7 +191,7 @@ class _GKernel:
             c = dict(zip(self.avals, self.cvals))
             terms = []
             if all(c.get(a * p % m) == v for a, v in c.items()):
-                tr, const = self.teich.traces(p, self.work.pN)
+                tr, const = self.work.traces()
                 pows = [p**i for i in range(1, field.r)]
                 for a, v in c.items():
                     orbit = [a * pi % m for pi in pows]
@@ -295,7 +293,7 @@ def evaluate_G(params: GParams, field: FqField, ctx: PadicCtx, bound=None) -> GV
     vector's extension coordinates.  If bound is given the symmetric
     residue with absolute value at most bound is attached as .integer.
     """
-    if ctx.p != field.p or ctx.r != field.r:
+    if ctx.field is not field:
         raise ValueError("field and p-adic context disagree")
     if params.t.field is not field:
         raise ValueError("argument t lives in a different field")
@@ -370,7 +368,7 @@ def check_splitting_identity(a1, a2, a3, a4, x: FqElem, field: FqField,
         raise ValueError("argument x lives in a different field")
     if ctx.field is not field:
         raise ValueError("field and p-adic context disagree")
-    pairs = [Fraction(c).as_integer_ratio() for c in (a1, a2, a3, a4)]
+    pairs = [_rational(c).as_integer_ratio() for c in (a1, a2, a3, a4)]
     p, q = field.p, field.q
     d = math.lcm(*(den for _, den in pairs))
     if d % p == 0:
@@ -401,8 +399,8 @@ def check_reduction_identity(a, b, d: int, t: FqElem, p: int, N: int = 3) -> boo
         raise HypothesisViolation("stated over the prime field F_p only")
     if (p + 1) % d != 0:
         raise HypothesisViolation(f"p = {p} is not -1 mod {d}")
-    top = tuple(Fraction(c) for c in a)
-    bottom = tuple(Fraction(c) for c in b)
+    top = tuple(map(_rational, a))
+    bottom = tuple(map(_rational, b))
     pair = (Fraction(1, d), Fraction(d - 1, d))
     kn = _kernel(top, bottom, field, N)
     kx = _kernel(top + pair, bottom + pair, field, N)

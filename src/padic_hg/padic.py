@@ -1,12 +1,14 @@
 """Exact arithmetic mod p^N in the Galois ring GR(p^N, r).
 
 Holds the p-adic gamma function (baby-step/giant-step tables shared by
-(p, N)), Teichmuller lifts and the table of Teichmuller powers shared by
-(field, N), the Gross-Koblitz gamma-product and floor identities, stated
-in integers, and the Gauss-orbit columns the G-function kernels read, one
-pair per coset of the grid j/(q-1).
+(p, N)), Teichmuller lifts, the Gross-Koblitz gamma-product and floor
+identities, stated in integers, and the context _ring(field, N) that every
+G-function kernel and every context of one (field, N) shares: its table of
+Teichmuller powers, their packing and trace column, and the Gauss-orbit
+columns, one pair per coset of the grid j/(q-1), each built on first use.
 Floating point is forbidden throughout: the floor identities are
-exact-arithmetic-fragile.
+exact-arithmetic-fragile, so every rational argument must be an int or a
+Fraction.
 """
 
 import math
@@ -25,15 +27,25 @@ from .errors import (
 from .ffield import TABLE_CAP, _poly_mulmod, _poly_powmod
 
 
+def _rational(x) -> Fraction:
+    """x as a Fraction for an int or a Fraction x; anything else, a float
+    above all, raises TypeError."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise TypeError(f"{x!r} is neither an int nor a Fraction")
+
+
 def frac(x):
     """Fractional part <x> = x - floor(x) of an exact rational, in [0, 1)."""
-    x = Fraction(x)
+    x = _rational(x)
     return x - math.floor(x)
 
 
 def a0(x, p: int) -> int:
     """The representative of x mod p in {1, ..., p}."""
-    x = Fraction(x)
+    x = _rational(x)
     if x.denominator % p == 0:
         raise DenominatorDivisibleByP(f"{x} is not in Z_{p}")
     v = x.numerator * pow(x.denominator, -1, p) % p
@@ -80,8 +92,9 @@ def _gamma_steps(p: int, N: int):
 class PadicCtx:
     """GR(p^N, r) tied to a companion FqField (same modulus, lifted).
 
-    Immutable after construction apart from its memos: the gamma values
-    looked up so far, on top of the gamma tables shared by (p, N).
+    Immutable after construction apart from its memos (gamma values on top
+    of the gamma tables shared by (p, N)) and the tables of its (field, N),
+    each built on first use; _ring(field, N) is the context kernels share.
     """
 
     def __init__(self, field, N: int):
@@ -99,6 +112,8 @@ class PadicCtx:
         self._gamma_tables = None
         self._gamma_memo = {}
         self._inv_memo = {}
+        self._powers = self._packed = self._traces = None
+        self._columns = {}
 
     # -- scalar helpers -------------------------------------------------------
 
@@ -112,7 +127,7 @@ class PadicCtx:
 
     def rational_residue(self, x) -> int:
         """The residue of x in [0, p^N) for x in Z_p."""
-        x = Fraction(x)
+        x = _rational(x)
         if x.denominator % self.p == 0:
             raise DenominatorDivisibleByP(f"{x} is not in Z_{self.p}")
         return x.numerator * self.inv(x.denominator) % self.pN
@@ -139,13 +154,106 @@ class PadicCtx:
         """Gamma_p(x) mod p^N for x in Q intersect Z_p, as a bare residue."""
         return self.gamma_at_residue(self.rational_residue(x))
 
+    # -- tables of the (field, N) ---------------------------------------------
+
     def teichmuller_powers(self):
-        """The coefficient tuples of omega(g)^k for k in 0..q-2, g the field
-        generator: the table shared by every context with this (field, N)."""
-        return _teich_table(self.field, self.N)
+        """The coefficient tuples of omega(g)^k mod p^N for k in 0..q-2, g the
+        field generator, so that omega(t)^k is entry k * log(t) mod (q-1):
+        one lift and q-2 ring products, built by _ring(field, N) and read by
+        every context with this (field, N)."""
+        if self._powers is None:
+            ring = _ring(self.field, self.N)
+            if ring is not self:
+                self._powers = ring.teichmuller_powers()
+                return self._powers
+            mod, pN = self.modulus, self.pN
+            w = teichmuller(self.field.generator, self)
+            table = [(1,) + (0,) * (self.r - 1), w]
+            for _ in range(self.q - 3):
+                table.append(_poly_mulmod(table[-1], w, mod, pN))
+            if _poly_mulmod(table[-1], w, mod, pN) != table[0]:
+                raise InvariantViolation("omega(g) must have order q-1")
+            self._powers = tuple(table)
+        return self._powers
+
+    def packed(self):
+        """(W, packed) for the Teichmuller powers: packed[k] holds
+        coefficient j of entry k in bits [jW, (j+1)W).  W is the bit length
+        of (q-1)(p^N-1)^2, the most a slot of sum_a c_a * packed[k_a]
+        reaches for q-1 residues c_a, so no slot of such a sum carries into
+        the next."""
+        if self._packed is None:
+            powers = self.teichmuller_powers()
+            width = (len(powers) * (self.pN - 1) ** 2).bit_length()
+            self._packed = width, [sum(c << j * width for j, c in enumerate(w)) for w in powers]
+        return self._packed
+
+    def traces(self):
+        """(tr, const) for the Teichmuller powers: const[k] is the constant
+        coefficient of entry k and tr[k] = Tr(omega(g)^k) = sum_{i<r}
+        const[k p^i mod (q-1)], its trace to Z/p^N.  Frobenius maps
+        omega(g)^k to omega(g)^(pk), so the entries of each Frobenius orbit
+        of k sum to an element of Z/p^N: its extension coordinates are
+        checked to vanish, once per orbit, and the trace is r/(orbit length)
+        times that sum."""
+        if self._traces is None:
+            powers, p, pN, r = self.teichmuller_powers(), self.p, self.pN, self.r
+            m = len(powers)
+            tr = [None] * m
+            for k in range(m):
+                if tr[k] is None:
+                    orbit, j = [k], k * p % m
+                    while j != k:
+                        orbit.append(j)
+                        j = j * p % m
+                    total = [sum(c) % pN for c in zip(*map(powers.__getitem__, orbit))]
+                    if any(total[1:]):
+                        raise InvariantViolation(
+                            f"Teichmuller orbit of omega(g)^{k} does not sum into Z/p^N")
+                    for j in orbit:
+                        tr[j] = r // len(orbit) * total[0] % pN
+            self._traces = tr, [w[0] for w in powers]
+        return self._traces
+
+    def column(self, kind, u, d):
+        """The Gauss-orbit column (kind, u, d): ("units", u, d) lists the
+        Gross-Koblitz unit gamma_orbit(x) mod p^N and ("digits", u, d) the
+        Stickelberger digit sum M * sum_i <x p^i>, where M = d(q-1), over the
+        coset x = (J + u/d)/(q-1) for J in [0, q-2], as an array('q'), which
+        holds p^N under the table cap.  A digits column reads no gamma table.
+        Its first and last entries are rechecked before it is kept."""
+        key = kind, u, d
+        if key in self._columns:
+            return self._columns[key]
+        p, q, pN, M, ends = self.p, self.q, self.pN, d * (self.q - 1), (0, self.q - 2)
+        # <x p^i> = ((dJ + u) p^i mod M)/M
+        rows = [list(map(M.__rmod__, range(u * p**i, (M + u) * p**i, d * p**i)))
+                for i in range(self.r)]
+        if kind == "digits":
+            entries = list(map(sum, zip(*rows)))
+            # M<x p^i> = (dJ + u) p^i - M floor(x p^i), x = u/M + J/(q-1), u p^i < M
+            check = [(d * J + u) * (q - 1) // (p - 1) - M * sum(floor_orbit(
+                Fraction(u, M), J, i, p, q) for i in range(self.r)) for J in ends]
+        else:
+            gam, inv_M = self.gamma_at_residue, self.inv(M)
+            rows = [list(map(gam, (v * inv_M % pN for v in row))) for row in rows]
+            entries = list(map(pN.__rmod__, map(math.prod, zip(*rows))))
+            check = [gamma_orbit(self, Fraction(d * J + u, M)) for J in ends]
+            # the gamma memo pays only inside one build, where rows i >= 1
+            # repeat row 0's residues; the column holds the products
+            self._gamma_memo.clear()
+        col = array("q", entries)
+        if [col[J] for J in ends] != check:
+            raise InvariantViolation(f"Gauss-orbit column {key} fails its recheck")
+        self._columns[key] = col
+        return col
 
     def __repr__(self):
         return f"PadicCtx(p={self.p}, r={self.r}, N={self.N})"
+
+
+# the context of each (field, N), shared by every kernel and Teichmuller table
+_ring = lru_cache(maxsize=32)(PadicCtx)
 
 
 @dataclass(frozen=True)
@@ -193,73 +301,6 @@ def teichmuller(t, ctx: PadicCtx) -> tuple:
     return z
 
 
-class _TeichTable(tuple):
-    """The Teichmuller power table of one (field, N), and its packing."""
-
-    _packed = None
-
-    def packed(self, pN):
-        """(W, packed) for the table mod pN = p^N: packed[k] holds
-        coefficient j of entry k in bits [jW, (j+1)W).  W is the bit length
-        of (q-1)(p^N-1)^2, the most a slot of sum_a c_a * packed[k_a]
-        reaches for q-1 residues c_a, so no slot of such a sum carries into
-        the next.  Built on first use, kept with the table."""
-        if self._packed is None:
-            width = (len(self) * (pN - 1) ** 2).bit_length()
-            self._packed = width, [
-                sum(c << j * width for j, c in enumerate(w)) for w in self
-            ]
-        return self._packed
-
-    _traces = None
-
-    def traces(self, p, pN):
-        """(tr, const) for the table mod pN = p^N: const[k] is the constant
-        coefficient of entry k and tr[k] = Tr(omega(g)^k) = sum_{i<r}
-        const[k p^i mod (q-1)], its trace to Z/p^N.  Frobenius maps
-        omega(g)^k to omega(g)^(pk), so the entries of each Frobenius orbit
-        of k sum to an element of Z/p^N: its extension coordinates are
-        checked to vanish, once per orbit, and the trace is r/(orbit length)
-        times that sum.  Built on first use, kept with the table."""
-        if self._traces is None:
-            m, r = len(self), len(self[0])
-            tr = [None] * m
-            for k in range(m):
-                if tr[k] is None:
-                    orbit, j = [k], k * p % m
-                    while j != k:
-                        orbit.append(j)
-                        j = j * p % m
-                    total = [sum(c) % pN for c in zip(*map(self.__getitem__, orbit))]
-                    if any(total[1:]):
-                        raise InvariantViolation(
-                            f"Teichmuller orbit of omega(g)^{k} does not sum into Z/p^N")
-                    for j in orbit:
-                        tr[j] = r // len(orbit) * total[0] % pN
-            self._traces = tr, [w[0] for w in self]
-        return self._traces
-
-
-@lru_cache(maxsize=32)
-def _teich_table(field, N: int):
-    """The coefficient tuples of omega(g)^k mod p^N for k in 0..q-2, g the
-    generator of field: one lift and q-2 ring products.
-
-    Since omega(g^l) = omega(g)^l, every Teichmuller power is the lookup
-    table[k * log(t) mod (q-1)].  The table is shared by every context and
-    G-function kernel with the same (field, N).
-    """
-    ctx = PadicCtx(field, N)
-    mod, pN = ctx.modulus, ctx.pN
-    w = teichmuller(field.generator, ctx)
-    table = [(1,) + (0,) * (field.r - 1), w]
-    for _ in range(field.q - 3):
-        table.append(_poly_mulmod(table[-1], w, mod, pN))
-    if _poly_mulmod(table[-1], w, mod, pN) != table[0]:
-        raise InvariantViolation("omega(g) must have order q-1")
-    return _TeichTable(table)
-
-
 # ---------------------------------------------------------------------------
 # gamma-product and floor identities (the test oracles of the evaluator),
 # each stated through the two Gross-Koblitz orbit quantities below.  Both
@@ -297,48 +338,6 @@ def _coset(n: int, e: int, m: int):
     return Y % m, u, e // g
 
 
-class _GaussCosets(dict):
-    """The Gauss-orbit columns of one (field, N), each built on first use:
-    ("units", u, d) lists the Gross-Koblitz unit gamma_orbit(x) mod p^N and
-    ("digits", u, d) the Stickelberger digit sum M * sum_i <x p^i>, where
-    M = d(q-1), over the coset x = (J + u/d)/(q-1) for J in [0, q-2], as
-    an array('q'), which holds p^N under the table cap.  A digits column
-    reads no gamma table."""
-
-    def __init__(self, field, N):
-        self.ctx = PadicCtx(field, N)
-
-    def __missing__(self, key):
-        """Build the column at key; its first and last entries are rechecked."""
-        (kind, u, d), ctx = key, self.ctx
-        p, q, pN, M, ends = ctx.p, ctx.q, ctx.pN, d * (ctx.q - 1), (0, ctx.q - 2)
-        # <x p^i> = ((dJ + u) p^i mod M)/M
-        rows = [list(map(M.__rmod__, range(u * p**i, (M + u) * p**i, d * p**i)))
-                for i in range(ctx.r)]
-        if kind == "digits":
-            entries = list(map(sum, zip(*rows)))
-            # M<x p^i> = (dJ + u) p^i - M floor(x p^i), x = u/M + J/(q-1), u p^i < M
-            check = [(d * J + u) * (q - 1) // (p - 1) - M * sum(floor_orbit(
-                Fraction(u, M), J, i, p, q) for i in range(ctx.r)) for J in ends]
-        else:
-            gam, inv_M = ctx.gamma_at_residue, ctx.inv(M)
-            rows = [list(map(gam, (v * inv_M % pN for v in row))) for row in rows]
-            entries = list(map(pN.__rmod__, map(math.prod, zip(*rows))))
-            check = [gamma_orbit(ctx, Fraction(d * J + u, M)) for J in ends]
-            # the gamma memo pays only inside one build, where rows i >= 1
-            # repeat row 0's residues; the column holds the products
-            ctx._gamma_memo.clear()
-        col = array("q", entries)
-        if [col[J] for J in ends] != check:
-            raise InvariantViolation(f"Gauss-orbit column {key} fails its recheck")
-        self[key] = col
-        return col
-
-
-# the columns of each (field, N), shared by every kernel
-_gauss_orbits = lru_cache(maxsize=32)(_GaussCosets)
-
-
 def _omega_scaled_is(ctx: PadicCtx, field, b: int, e: int, scalar, value) -> bool:
     """omega(b)^e * scalar == value in GR(p^N, r), for b prime to p and the
     residues scalar and value in Z_p."""
@@ -354,7 +353,7 @@ def product_formula_check(x, m: int, ctx: PadicCtx, field) -> bool:
     """
     if ctx.field is not field:
         raise ValueError("field and p-adic context disagree")
-    x = Fraction(x)
+    x = _rational(x)
     if m < 1 or m % ctx.p == 0:
         raise HypothesisViolation("m must be positive and prime to p")
     if (x * (ctx.q - 1)).denominator != 1:
@@ -369,7 +368,7 @@ def product_formula_check(x, m: int, ctx: PadicCtx, field) -> bool:
 
 def reflection_check(x, ctx: PadicCtx) -> bool:
     """Gamma_p(x) * Gamma_p(1-x) = (-1)^(a0(x)) mod p^N."""
-    x = Fraction(x)
+    x = _rational(x)
     lhs = ctx.gamma(x) * ctx.gamma(1 - x) % ctx.pN
     return lhs == (-1) ** a0(x, ctx.p) % ctx.pN
 
@@ -440,7 +439,7 @@ def floor_positive_multiple_check(l: int, a: int, i: int, p: int, q: int) -> boo
 
 def floor_halving_check(x, j: int, i: int, p: int, q: int) -> bool:
     """Both halving identities for floor(<x p^i> -+ 2j p^i/(q-1))."""
-    x = Fraction(x)
+    x = _rational(x)
     y, z = x / 2, (1 + x) / 2
     return all(
         floor_orbit(x, 2 * e, i, p, q)

@@ -189,7 +189,7 @@ def raw_eval_by_coefficients(kern, t):
     pNw = kern.work.pN
     acc = [0] * field.r
     for a, c in zip(kern.avals, kern.cvals):
-        for j, w in enumerate(kern.teich[-a * l % m]):
+        for j, w in enumerate(kern.work.teichmuller_powers()[-a * l % m]):
             acc[j] += c * w
     lead = -pow(m, -1, pNw) % pNw
     return tuple(v * lead % pNw for v in acc), kern.shift

@@ -346,20 +346,15 @@ def test_verify_reports_cache_activity(capsys):
     assert code == 0
     caches = json.loads(out)["caches"]
     assert set(caches) == {
-        "build_field", "gamma_steps", "teichmuller_tables", "family_traces",
-        "pair_setups", "gauss_orbits", "kernels", "stable_kernels",
+        "build_field", "gamma_steps", "rings", "family_traces", "pair_setups", "kernels",
+        "stable_kernels",
     }
-    for name in (
-        "build_field", "gamma_steps", "teichmuller_tables", "family_traces", "pair_setups",
-        "gauss_orbits",
-    ):
+    for name in ("build_field", "gamma_steps", "rings", "family_traces", "pair_setups"):
         assert set(caches[name]) == {"hits", "misses"}
         assert all(isinstance(v, int) and v >= 0 for v in caches[name].values())
     # the suite looks up its three fields once
     assert caches["build_field"]["hits"] + caches["build_field"]["misses"] == 3
     assert caches["gamma_steps"]["hits"] + caches["gamma_steps"]["misses"] >= 1
-    tables = caches["teichmuller_tables"]
-    assert tables["hits"] + tables["misses"] >= 1
     assert isinstance(caches["kernels"], int) and caches["kernels"] >= 2
     # the identity checkers read vectors, so no kernel decides its path
     assert caches["stable_kernels"] == 0
@@ -367,9 +362,10 @@ def test_verify_reports_cache_activity(capsys):
     # suite reads two entries and one (theorem, field) set-up per row
     assert caches["family_traces"] == {"hits": 0, "misses": 0}
     assert caches["pair_setups"] == {"hits": 0, "misses": 0}
-    # every kernel reads its columns through the (field, N) Gauss-orbit table
-    orbits = caches["gauss_orbits"]
-    assert orbits["hits"] + orbits["misses"] >= 2
+    # every kernel reads its columns and Teichmuller table through the
+    # shared context of its (field, N)
+    rings = caches["rings"]
+    assert rings["hits"] + rings["misses"] >= 2
     gfunc._KERNELS.clear()
     code, out = run(capsys, "verify", "--suite", "t13", "--pmax", "7", "--rmax", "1")
     assert code == 0
@@ -385,14 +381,16 @@ def test_verify_reports_cache_activity(capsys):
 
 
 @pytest.mark.parametrize("suite", ["lemmas", "oracle"])
-def test_suites_without_g_values_build_no_gauss_orbit_column(capsys, suite):
+def test_suites_without_g_values_build_no_gauss_orbit_column(capsys, monkeypatch, suite):
     # the lemma checkers and the character-sum oracles evaluate no G, so
-    # they must neither build nor hold a Gauss-orbit table
-    padic._gauss_orbits.cache_clear()
+    # they read Teichmuller powers but must build no Gauss-orbit column
+    columns = []
+    monkeypatch.setattr(padic.PadicCtx, "column", lambda self, *key: columns.append(key))
     code, out = run(capsys, "verify", "--suite", suite)
     assert code == 0
-    assert json.loads(out)["caches"]["gauss_orbits"] == {"hits": 0, "misses": 0}
-    assert padic._gauss_orbits.cache_info().currsize == 0
+    rings = json.loads(out)["caches"]["rings"]
+    assert rings["hits"] + rings["misses"] > 0
+    assert columns == []
 
 
 @pytest.mark.parametrize("suite", frobtrace.PAIR_THEOREMS)

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -155,8 +156,10 @@ def test_packed_slots_reach_their_bound_without_carrying(p, r, N):
     kern = new_kernel((HALF,), (Fraction(0),), field, N)
     m, pNw = field.q - 1, kern.work.pN
     kern.avals, kern.cvals = list(range(m)), [pNw - 1] * m
-    kern.teich = worst = padic._TeichTable([(pNw - 1,) * r] * m)
-    kern.width, kern.packed = worst.packed(pNw)
+    # a context of its own whose Teichmuller coordinates are all p^Nw - 1
+    worst = kern.work = PadicCtx(field, kern.work.N)
+    worst._powers = ((pNw - 1,) * r,) * m
+    kern.width, kern.packed = worst.packed()
     assert kern.width == (m * (pNw - 1) ** 2).bit_length()
     slot = m * (pNw - 1) ** 2 * (-pow(m, -1, pNw)) % pNw
     t = field.generator
@@ -164,30 +167,44 @@ def test_packed_slots_reach_their_bound_without_carrying(p, r, N):
     assert raw_eval_by_coefficients(kern, t) == kern.raw_eval(t)
     # one bit narrower, the slots carry into each other and the sum is wrong
     kern.width -= 1
-    kern.packed = [sum(c << j * kern.width for j, c in enumerate(w)) for w in worst]
+    kern.packed = [sum(c << j * kern.width for j, c in enumerate(w)) for w in worst._powers]
     assert kern.raw_eval(t) != ((slot,) * r, kern.shift)
 
 
 def test_kernel_working_precision_is_capped():
     # N fits the table cap, N + shift does not: the kernel raises before
-    # it builds a gamma or Teichmuller table
+    # it builds a gamma or Teichmuller table, having read only digit sums
     field = build_field(3, 3)
     N = max(N for N in range(1, 40) if 3 ** ((N + 1) // 2) <= TABLE_CAP)
     ctx = PadicCtx(field, N)
-    before = padic._gamma_steps.cache_info().misses, padic._teich_table.cache_info().misses
+    padic._ring.cache_clear()
+    before = padic._gamma_steps.cache_info().misses
     with pytest.raises(PrecisionTooLarge):
         evaluate_G(GParams((HALF, HALF), (HALF, HALF), field.one), field, ctx)
-    assert (padic._gamma_steps.cache_info().misses,
-            padic._teich_table.cache_info().misses) == before
+    assert padic._gamma_steps.cache_info().misses == before
+    assert padic._ring.cache_info().currsize == 1
+    ring = padic._ring(field, N)
+    assert ring._powers is ring._packed is ring._traces is None
+    assert {kind for kind, _, _ in ring._columns} == {"digits"}
+    padic._ring.cache_clear()
 
 
-def test_kernels_share_one_teichmuller_table():
+def test_kernels_tables_and_trace_column_share_one_context():
+    # every kernel of one (field, N), the Teichmuller powers of any context
+    # with that (field, N) and the trace column read one shared context
     field = build_field(7, 2)
+    gfunc._KERNELS.clear()
+    ring = padic._ring(field, 3)
     k1 = _kernel(TOP4, QUARTERS, field, 3)
     k2 = _kernel((HALF, HALF), (Fraction(0), Fraction(0)), field, 3)
     assert k1.shift == k2.shift == 0
-    assert k1.teich is k2.teich
-    assert PadicCtx(field, 3).teichmuller_powers() is k1.teich
+    assert k1.work is k2.work is ring
+    assert PadicCtx(field, 3).teichmuller_powers() is ring.teichmuller_powers()
+    assert k1.packed is k2.packed is ring.packed()[1]
+    assert k1.stable()
+    tr, const = ring.traces()
+    assert {id(col) for _, _, col in k1.orbit_terms} == {id(tr), id(const)}
+    gfunc._KERNELS.clear()
 
 
 def test_evaluate_G_lifts_at_most_once(monkeypatch):
@@ -200,7 +217,7 @@ def test_evaluate_G_lifts_at_most_once(monkeypatch):
 
     monkeypatch.setattr(padic, "teichmuller", counting)
     gfunc._KERNELS.clear()
-    padic._teich_table.cache_clear()
+    padic._ring.cache_clear()
     field = build_field(5, 2)
     ctx = PadicCtx(field, 3)
     for v in range(1, 11):
@@ -320,6 +337,25 @@ def test_mixed_fields_rejected():
     with pytest.raises(ValueError):
         check_splitting_identity(HALF, HALF, Fraction(0), Fraction(0),
                                  field.elem(7), field, PadicCtx(other, 3))
+    # a context of a second F_5 has the right p and r but not the field
+    small = build_field(5, 1)
+    with pytest.raises(ValueError):
+        evaluate_G(GParams(TOP4, QUARTERS, small.one), small, PadicCtx(FqField(5, 1), 3))
+
+
+@pytest.mark.parametrize("x", [0.1, 0.5, Decimal("0.5"), "1/2"], ids=repr)
+def test_parameters_other_than_int_and_fraction_are_rejected(x):
+    # at 0.1, Fraction(x) would read 3602879701896397/2^55
+    field, prime = build_field(5, 2), build_field(5, 1)
+    with pytest.raises(TypeError):
+        GParams((x,), (0,), field.one)
+    with pytest.raises(TypeError):
+        GParams((0,), (x,), field.one)
+    with pytest.raises(TypeError):
+        check_splitting_identity(x, HALF, 0, 0, field.one, field, PadicCtx(field, 3))
+    with pytest.raises(TypeError):
+        check_reduction_identity((x,), (0,), 3, prime.one, 5)
+    assert GParams((0, HALF), (1, 0), field.one).top == (Fraction(0), HALF)
 
 
 def test_kernel_cache_evicts_the_oldest():
@@ -572,10 +608,15 @@ def test_a_second_kernel_of_known_rows_builds_no_column(monkeypatch):
     # a kernel of the same or other headline rows builds none
     field = build_field(7, 2)
     built = []
-    missing = padic._GaussCosets.__missing__
-    monkeypatch.setattr(padic._GaussCosets, "__missing__",
-                        lambda self, key: built.append(key) or missing(self, key))
-    padic._gauss_orbits.cache_clear()
+    column = PadicCtx.column
+
+    def recording(self, *key):
+        if key not in self._columns:
+            built.append(key)
+        return column(self, *key)
+
+    monkeypatch.setattr(PadicCtx, "column", recording)
+    padic._ring.cache_clear()
     gfunc._KERNELS.clear()
     first = _kernel(TOP4, QUARTERS, field, 3)
     assert built == [("digits", 0, 1), ("units", 0, 1)] and first.shift == 0
@@ -584,8 +625,7 @@ def test_a_second_kernel_of_known_rows_builds_no_column(monkeypatch):
             (frobtrace.TOP4, frobtrace.BOT_EIGHTHS), (frobtrace.TOP6, frobtrace.BOT6)]
     kernels = [_kernel(top, bottom, field, 3) for top, bottom in rows]
     assert len(built) == 2
-    assert all(kern.shift == 0 and kern.work is padic._gauss_orbits(field, 3).ctx
-               for kern in kernels)
+    assert all(kern.shift == 0 and kern.work is padic._ring(field, 3) for kern in kernels)
     gfunc._KERNELS.clear()
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from array import array
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -118,13 +119,57 @@ def test_gamma_tables_shared_by_p_and_N():
     assert a.warm_gamma_table() is not ctx_of(5, 1, 3).warm_gamma_table()
 
 
-def test_src_has_no_assert_statements():
-    # invariant checks raise InvariantViolation so that they survive python -O
+def src_nodes(names=None):
+    """(file name, node) for every AST node of src/padic_hg, or of the
+    files named."""
     src = pathlib.Path(padic_hg.__file__).parent
     for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        asserts = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
-        assert not asserts, f"{path.name}: assert at lines {asserts}"
+        if names is None or path.name in names:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                yield path.name, node
+
+
+def test_src_has_no_assert_statements():
+    # invariant checks raise InvariantViolation so that they survive python -O
+    asserts = [(name, n.lineno) for name, n in src_nodes() if isinstance(n, ast.Assert)]
+    assert not asserts
+
+
+def is_float_node(node):
+    """A float or complex constant, a float() or complex() call, or a cmath import."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (float, complex)
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id in ("float", "complex")
+    if isinstance(node, ast.Import):
+        return any(alias.name == "cmath" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and node.module == "cmath"
+
+
+def test_p_adic_side_has_no_floats():
+    # no float touches GR(p^N, r) or F_q; charsum and cli keep their
+    # complex-number oracles
+    assert [any(map(is_float_node, ast.walk(ast.parse(text)))) for text in (
+        "0.5", "2j", "float(x)", "complex(1, 2)", "import cmath", "from cmath import exp",
+        "1", "Fraction(1, 2)", "import math")] == [True] * 6 + [False] * 3
+    files = {"padic.py", "gfunc.py", "ffield.py", "frobtrace.py"}
+    floats = [(name, n.lineno) for name, n in src_nodes(files) if is_float_node(n)]
+    assert not floats
+
+
+@pytest.mark.parametrize("x", [0.1, 0.5, 2.0, Decimal("0.5"), "1/2"], ids=repr)
+def test_arguments_other_than_int_and_fraction_are_rejected(x):
+    # at 0.1, Fraction(x) would read 3602879701896397/2^55
+    field = build_field(5, 2)
+    ctx = PadicCtx(field, 2)
+    for call in (frac, lambda x: a0(x, 5), lambda x: gamma_p(x, ctx), ctx.gamma,
+                 lambda x: reflection_check(x, ctx),
+                 lambda x: product_formula_check(x, 2, ctx, field),
+                 lambda x: floor_halving_check(x, 1, 0, 5, 25)):
+        with pytest.raises(TypeError):
+            call(x)
+    assert frac(3) == 0 and frac(Fraction(-1, 4)) == Fraction(3, 4)
+    assert gamma_p(1, ctx).value == gamma_p(Fraction(1), ctx).value
 
 
 def test_gamma_values_are_units():
@@ -224,7 +269,7 @@ def test_gauss_coset_columns_match_the_fraction_route_at_every_entry(p, r):
     # included, and the kernel's reading of it: the point y with side s
     # reads summand a at index (Y - s*a) mod (q-1)
     field = build_field(p, r)
-    q, orbits = field.q, padic._GaussCosets(field, 2)
+    q, ring = field.q, PadicCtx(field, 2)
     ctx = PadicCtx(field, 2)
     points = [x for x in orbit_points(p) if abs(x) <= 1] + [Fraction(1, 13), Fraction(-2, 11)]
     cosets = set()
@@ -232,7 +277,7 @@ def test_gauss_coset_columns_match_the_fraction_route_at_every_entry(p, r):
         Y, u, d = padic._coset(y.numerator, y.denominator, q - 1)
         assert (Y, u, d) == coset_by_fractions(y, q), y
         cosets.add((u, d))
-        M, digits, units = d * (q - 1), orbits["digits", u, d], orbits["units", u, d]
+        M, digits, units = d * (q - 1), ring.column("digits", u, d), ring.column("units", u, d)
         for s in (1, -1):
             for a in range(q - 1):
                 J = (Y - s * a) % (q - 1)
@@ -244,11 +289,11 @@ def test_gauss_coset_columns_match_the_fraction_route_at_every_entry(p, r):
     for u, d in cosets:
         M = d * (q - 1)
         xs = [Fraction(d * J + u, M) for J in range(q - 1)]
-        assert list(orbits["digits", u, d]) == [
+        assert list(ring.column("digits", u, d)) == [
             M * sum(frac(x * p**i) for i in range(r)) for x in xs], (u, d)
-        assert list(orbits["units", u, d]) == [
+        assert list(ring.column("units", u, d)) == [
             gamma_orbit_by_fractions(ctx, x) for x in xs], (u, d)
-    assert set(orbits) == {(kind, u, d) for kind in ("digits", "units") for u, d in cosets}
+    assert set(ring._columns) == {(kind, u, d) for kind in ("digits", "units") for u, d in cosets}
 
 
 @pytest.mark.parametrize("kind", ["digits", "units"])
@@ -263,10 +308,10 @@ def test_gauss_coset_column_recheck_catches_a_corrupted_entry(monkeypatch, kind,
         return col
 
     monkeypatch.setattr(padic, "array", corrupted)
-    orbits = padic._GaussCosets(build_field(7, 2), 2)
+    ring = PadicCtx(build_field(7, 2), 2)
     with pytest.raises(InvariantViolation, match="Gauss-orbit column"):
-        orbits[(kind, *coset)]
-    assert not orbits
+        ring.column(kind, *coset)
+    assert not ring._columns
 
 
 def test_gauss_coset_column_recheck_holds_under_optimize():
@@ -282,7 +327,7 @@ def test_gauss_coset_column_recheck_holds_under_optimize():
         "    col[-1] += 1\n"
         "    return col\n"
         "field = ffield.build_field(7, 2)\n"
-        "padic._gauss_orbits(field, 2)['digits', 0, 1]\n"
+        "padic._ring(field, 2).column('digits', 0, 1)\n"
         "padic.array = corrupted\n"
         "try:\n"
         "    gfunc._GKernel(((0, 1), (1, 1)), ((0, 1), (0, 1)), field, 2)\n"
@@ -341,19 +386,22 @@ def test_teichmuller_root_of_unity():
 def test_teichmuller_table_matches_lifts(p, r, N):
     field = build_field(p, r)
     ctx = PadicCtx(field, N)
-    table = padic._teich_table(field, N)
+    table = ctx.teichmuller_powers()
     assert len(table) == field.q - 1
     for k in range(field.q - 1):
         assert table[k] == teichmuller(field.exp(k), ctx)
-    assert ctx.teichmuller_powers() is table
+    assert padic._ring(field, N).teichmuller_powers() is table
 
 
 def test_teichmuller_table_checks_the_order(monkeypatch):
     # omega(g) replaced by the plain lift of g, whose order mod 25 is 20
     field = build_field(5, 1)
     monkeypatch.setattr(padic, "teichmuller", lambda t, ctx: t.coeffs)
+    padic._ring.cache_clear()
     with pytest.raises(InvariantViolation):
-        padic._teich_table.__wrapped__(field, 2)
+        PadicCtx(field, 2).teichmuller_powers()
+    assert padic._ring(field, 2)._powers is None
+    padic._ring.cache_clear()
 
 
 @pytest.mark.parametrize("p,r,N", [(13, 1, 2), (7, 2, 3), (3, 3, 2), (5, 4, 1)])
@@ -362,9 +410,10 @@ def test_trace_column_sums_each_frobenius_orbit(p, r, N):
     # i < r, and reduces mod p to the trace of g^k from F_q to F_p
     field = build_field(p, r)
     m, pN = field.q - 1, p**N
-    table = padic._teich_table(field, N)
-    tr, const = table.traces(p, pN)
-    assert table.traces(p, pN) is table.traces(p, pN)
+    ring = padic._ring(field, N)
+    table = ring.teichmuller_powers()
+    tr, const = ring.traces()
+    assert ring.traces() is ring.traces()
     assert const == [w[0] for w in table]
     ref = TupleField(p, field.modulus)
     for k in range(m):
@@ -373,12 +422,14 @@ def test_trace_column_sums_each_frobenius_orbit(p, r, N):
 
 
 def test_trace_column_rejects_a_corrupted_teichmuller_entry():
-    # one extension coordinate of omega(g) off by one
-    table = padic._teich_table(build_field(7, 2), 2)
+    # one extension coordinate of omega(g) off by one, in a context of its own
+    field = build_field(7, 2)
+    bad, table = PadicCtx(field, 2), padic._ring(field, 2).teichmuller_powers()
     w = table[1]
-    bad = padic._TeichTable(table[:1] + ((w[0], (w[1] + 1) % 49),) + table[2:])
+    bad._powers = table[:1] + ((w[0], (w[1] + 1) % 49),) + table[2:]
     with pytest.raises(InvariantViolation, match="Teichmuller orbit"):
-        bad.traces(7, 49)
+        bad.traces()
+    assert bad._traces is None
 
 
 def test_trace_column_check_holds_under_optimize():
@@ -387,11 +438,11 @@ def test_trace_column_check_holds_under_optimize():
         "from padic_hg import ffield, padic\n"
         "from padic_hg.errors import InvariantViolation\n"
         "field = ffield.build_field(7, 2)\n"
-        "table = padic._teich_table(field, 2)\n"
+        "bad, table = padic.PadicCtx(field, 2), padic._ring(field, 2).teichmuller_powers()\n"
         "w = table[1]\n"
-        "bad = padic._TeichTable(table[:1] + ((w[0], (w[1] + 1) % 49),) + table[2:])\n"
+        "bad._powers = table[:1] + ((w[0], (w[1] + 1) % 49),) + table[2:]\n"
         "try:\n"
-        "    bad.traces(7, 49)\n"
+        "    bad.traces()\n"
         "except InvariantViolation as exc:\n"
         "    print('InvariantViolation:', exc)\n"
     )
@@ -410,11 +461,11 @@ def test_unit_columns_leave_no_gamma_memo():
     from padic_hg import frobtrace, gfunc
 
     field = build_field(7, 2)
-    padic._gauss_orbits.cache_clear()
+    padic._ring.cache_clear()
     gfunc._KERNELS.clear()
     kern = gfunc._kernel(frobtrace.TOP4, frobtrace.BOT_QUARTERS, field, 3)
-    assert ("units", 0, 1) in padic._gauss_orbits(field, 3)
-    assert kern.work is padic._gauss_orbits(field, 3).ctx
+    assert kern.work is padic._ring(field, 3)
+    assert ("units", 0, 1) in kern.work._columns
     assert kern.work._gamma_memo == {}
     gfunc._KERNELS.clear()
 
@@ -474,7 +525,7 @@ def test_gamma_product_checks_lift_at_most_once(monkeypatch):
         return lift(t, ctx)
 
     monkeypatch.setattr(padic, "teichmuller", counting)
-    padic._teich_table.cache_clear()
+    padic._ring.cache_clear()
     field = build_field(5, 2)
     for N in (2, 3):
         ctx = PadicCtx(field, N)
