@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import FieldTooLarge, HypothesisViolation, InvariantViolation
-from .padic import PadicCtx, gamma_orbit
+from .padic import PadicCtx, _gamma_orbit_nd
 
 COMPLEX_CAP = 2500  # double precision headroom for q^2-size sums
 
@@ -163,20 +163,17 @@ def davenport_hasse_check(m: int, psi_index: int, field, rel_tol=1e-5) -> bool:
 
 def jacobi_sum_padic(a: int, b: int, field, ctx: PadicCtx):
     """J(omega-bar^a, omega-bar^b) computed exactly in GR(p^N, r), as its
-    coefficient tuple mod p^N."""
+    coefficient tuple mod p^N.
+
+    x = 0, 1 contribute 0 by convention; x = g^k for k in 1..q-2 has
+    1 - x = 1 + g^(k + (q-1)/2) = g^Z(k + (q-1)/2), Z the Zech logarithm, so
+    omega-bar^a(x) omega-bar^b(1 - x) is the Teichmuller power
+    -a k - b Z(k + (q-1)/2)."""
     if ctx.field is not field:
         raise ValueError("field and p-adic context disagree")
-    q = field.q
-    pows = ctx.teichmuller_powers()
-    logs = field.log_table
-    acc = [0] * ctx.r
-    one = field.one
-    for v in range(2, q):  # x = 0, 1 contribute 0 by convention
-        # omega-bar^a(x) omega-bar^b(1 - x) is one power of omega(g)
-        k = (-a * logs[v] - b * logs[(one - field.elem(v)).enc]) % (q - 1)
-        for j, c in enumerate(pows[k]):
-            acc[j] += c
-    return tuple(c % ctx.pN for c in acc)
+    m, zech, pows = field.q - 1, field.zech_table, ctx.teichmuller_powers()
+    terms = [pows[(-a * k - b * zech[(k + m // 2) % m]) % m] for k in range(1, m)]
+    return tuple(sum(c) % ctx.pN for c in zip(*terms))
 
 
 def gross_koblitz_jacobi_check(a: int, b: int, field, ctx: PadicCtx) -> bool:
@@ -197,9 +194,8 @@ def gross_koblitz_jacobi_check(a: int, b: int, field, ctx: PadicCtx) -> bool:
     )
     e, rem = divmod(e_num, q - 1)
     if rem or e < 0:
-        e_frac = Fraction(e_num, q - 1)
-        raise InvariantViolation(f"Gross-Koblitz exponent {e_frac} not in N")
-    unit = gamma_orbit(ctx, Fraction(a, q - 1), Fraction(b, q - 1))
-    unit = unit * ctx.inv(gamma_orbit(ctx, Fraction(a + b, q - 1))) % ctx.pN
+        raise InvariantViolation(f"Gross-Koblitz exponent {Fraction(e_num, q - 1)} not in N")
+    unit = _gamma_orbit_nd(ctx, [(a, q - 1), (b, q - 1)])
+    unit = unit * ctx.inv(_gamma_orbit_nd(ctx, [(a + b, q - 1)])) % ctx.pN
     rhs = -pow(-p, e, ctx.pN) * unit % ctx.pN
     return jacobi_sum_padic(a, b, field, ctx) == (rhs,) + (0,) * (r - 1)

@@ -225,6 +225,10 @@ class PadicCtx:
         key = kind, u, d
         if key in self._columns:
             return self._columns[key]
+        if kind == "digits" and (ring := _ring(self.field, 1)) is not self:
+            # digit sums do not depend on N: one column per (field, coset)
+            self._columns[key] = ring.column(kind, u, d)
+            return self._columns[key]
         p, q, pN, M, ends = self.p, self.q, self.pN, d * (self.q - 1), (0, self.q - 2)
         # <x p^i> = ((dJ + u) p^i mod M)/M
         rows = [list(map(M.__rmod__, range(u * p**i, (M + u) * p**i, d * p**i)))
@@ -232,13 +236,13 @@ class PadicCtx:
         if kind == "digits":
             entries = list(map(sum, zip(*rows)))
             # M<x p^i> = (dJ + u) p^i - M floor(x p^i), x = u/M + J/(q-1), u p^i < M
-            check = [(d * J + u) * (q - 1) // (p - 1) - M * sum(floor_orbit(
-                Fraction(u, M), J, i, p, q) for i in range(self.r)) for J in ends]
+            check = [(d * J + u) * (q - 1) // (p - 1) - M * sum(
+                _floor_nd(u, M, J, p**i, q - 1) for i in range(self.r)) for J in ends]
         else:
             gam, inv_M = self.gamma_at_residue, self.inv(M)
             rows = [list(map(gam, (v * inv_M % pN for v in row))) for row in rows]
             entries = list(map(pN.__rmod__, map(math.prod, zip(*rows))))
-            check = [gamma_orbit(self, Fraction(d * J + u, M)) for J in ends]
+            check = [_gamma_orbit_nd(self, [(d * J + u, M)]) for J in ends]
             # the gamma memo pays only inside one build, where rows i >= 1
             # repeat row 0's residues; the column holds the products
             self._gamma_memo.clear()
@@ -304,31 +308,38 @@ def teichmuller(t, ctx: PadicCtx) -> tuple:
 # ---------------------------------------------------------------------------
 # gamma-product and floor identities (the test oracles of the evaluator),
 # each stated through the two Gross-Koblitz orbit quantities below.  Both
-# are computed in integers: for x = n/d, <x p^i> = (n p^i mod d)/d.
+# are computed on integer pairs (n, d), reduced or not, d != 0: for x = n/d,
+# <x p^i> = (n p^i mod d)/d.  The checkers turn their arguments into such
+# pairs once and build no Fraction past that point.
 
-def gamma_orbit(ctx: PadicCtx, *xs) -> int:
-    """prod over x in xs and i < r of Gamma_p(<x p^i>) mod p^N.
-
-    Each x is an int or a Fraction n/d with p prime to d; the residue of
-    <x p^i> mod p^N is (n p^i mod d) * d^-1.
-    """
+def _gamma_orbit_nd(ctx: PadicCtx, pairs) -> int:
+    """prod over (n, d) in pairs and i < r of Gamma_p(<n p^i/d>) mod p^N,
+    at the residue (n p^i mod d) * d^-1, for p prime to d."""
     p, pN, gam = ctx.p, ctx.pN, ctx.gamma_at_residue
     prod = 1
-    for x in xs:
-        n, d = x.numerator, x.denominator
+    for n, d in pairs:
         if d % p == 0:
-            raise DenominatorDivisibleByP(f"{x} is not in Z_{p}")
+            raise DenominatorDivisibleByP(f"{n}/{d} is not in Z_{p}")
         inv_d = ctx.inv(d)
         for i in range(ctx.r):
             prod = prod * gam(n * p**i % d * inv_d % pN) % pN
     return prod
 
 
+def _floor_nd(n: int, d: int, e: int, pi: int, m: int) -> int:
+    """floor(<n pi/d> + e pi/m) for pi = p^i and m = q-1."""
+    return (n * pi % d * m + e * pi * d) // (d * m)
+
+
+def gamma_orbit(ctx: PadicCtx, *xs) -> int:
+    """prod over x in xs and i < r of Gamma_p(<x p^i>) mod p^N, for ints and
+    Fractions x with p prime to the denominator."""
+    return _gamma_orbit_nd(ctx, [(x.numerator, x.denominator) for x in xs])
+
+
 def floor_orbit(x, e: int, i: int, p: int, q: int) -> int:
-    """floor(<x p^i> + e p^i/(q-1)) for an int or Fraction x = n/d."""
-    n, d = x.numerator, x.denominator
-    pi = p**i
-    return (n * pi % d * (q - 1) + e * pi * d) // (d * (q - 1))
+    """floor(<x p^i> + e p^i/(q-1)) for an int or Fraction x."""
+    return _floor_nd(x.numerator, x.denominator, e, p**i, q - 1)
 
 
 def _coset(n: int, e: int, m: int):
@@ -341,7 +352,7 @@ def _coset(n: int, e: int, m: int):
 def _omega_scaled_is(ctx: PadicCtx, field, b: int, e: int, scalar, value) -> bool:
     """omega(b)^e * scalar == value in GR(p^N, r), for b prime to p and the
     residues scalar and value in Z_p."""
-    w = ctx.teichmuller_powers()[e * field.log(field.from_int(b)) % (ctx.q - 1)]
+    w = ctx.teichmuller_powers()[e * field.log_table[b % ctx.p] % (ctx.q - 1)]
     return tuple(c * scalar % ctx.pN for c in w) == (value,) + (0,) * (ctx.r - 1)
 
 
@@ -353,24 +364,25 @@ def product_formula_check(x, m: int, ctx: PadicCtx, field) -> bool:
     """
     if ctx.field is not field:
         raise ValueError("field and p-adic context disagree")
-    x = _rational(x)
+    n, d = _rational(x).as_integer_ratio()
     if m < 1 or m % ctx.p == 0:
         raise HypothesisViolation("m must be positive and prime to p")
-    if (x * (ctx.q - 1)).denominator != 1:
+    if (ctx.q - 1) % d:
         raise HypothesisViolation("x(q-1) must be an integer")
-    lhs = gamma_orbit(ctx, *((x + h) / m for h in range(m)))
-    rhs = gamma_orbit(ctx, x, *(Fraction(h, m) for h in range(1, m)))
-    e = (1 - x) * (1 - ctx.q)
-    if e.denominator != 1:
+    # (x + h)/m = (n + h d)/(d m)
+    lhs = _gamma_orbit_nd(ctx, [(n + h * d, d * m) for h in range(m)])
+    rhs = _gamma_orbit_nd(ctx, [(n, d)] + [(h, m) for h in range(1, m)])
+    e, rem = divmod((d - n) * (1 - ctx.q), d)
+    if rem:
         raise InvariantViolation("Teichmuller exponent (1-x)(1-q) is not an integer")
-    return _omega_scaled_is(ctx, field, m, int(e), rhs, lhs)
+    return _omega_scaled_is(ctx, field, m, e, rhs, lhs)
 
 
 def reflection_check(x, ctx: PadicCtx) -> bool:
     """Gamma_p(x) * Gamma_p(1-x) = (-1)^(a0(x)) mod p^N."""
-    x = _rational(x)
-    lhs = ctx.gamma(x) * ctx.gamma(1 - x) % ctx.pN
-    return lhs == (-1) ** a0(x, ctx.p) % ctx.pN
+    # the residue m of x gives 1 - m for 1 - x, and m mod p for a0(x)
+    m, gam, pN = ctx.rational_residue(x), ctx.gamma_at_residue, ctx.pN
+    return gam(m) * gam((1 - m) % pN) % pN == (-1) ** (m % ctx.p or ctx.p) % pN
 
 
 def _shift_sides(t: int, a: int, ctx: PadicCtx, field):
@@ -381,10 +393,10 @@ def _shift_sides(t: int, a: int, ctx: PadicCtx, field):
         raise ValueError("field and p-adic context disagree")
     if t < 1 or t % ctx.p == 0:
         raise HypothesisViolation("t must be positive and prime to p")
-    nu = Fraction(a, ctx.q - 1)
-    hs = [Fraction(h, t) for h in range(1, t)]
-    lhs = gamma_orbit(ctx, t * nu, *hs)
-    rhs = gamma_orbit(ctx, nu, *(h + nu for h in hs))
+    m = ctx.q - 1
+    lhs = _gamma_orbit_nd(ctx, [(t * a, m)] + [(h, t) for h in range(1, t)])
+    # h/t + nu = (h m + t a)/(t m)
+    rhs = _gamma_orbit_nd(ctx, [(a, m)] + [(h * m + t * a, t * m) for h in range(1, t)])
     return t * a, lhs, rhs
 
 
@@ -409,41 +421,41 @@ def gamma_complement_product_check(a: int, ctx: PadicCtx) -> bool:
     """prod_i Gamma(<(1 - a/(q-1))p^i>) Gamma(<a p^i/(q-1)>) = (-1)^r (-1)^a."""
     if not 0 < a <= ctx.q - 2:
         raise HypothesisViolation("need 0 < a <= q-2")
-    nu = Fraction(a, ctx.q - 1)
-    return gamma_orbit(ctx, 1 - nu, nu) == (-1) ** ctx.r * (-1) ** a % ctx.pN
+    m = ctx.q - 1
+    return _gamma_orbit_nd(ctx, [(m - a, m), (a, m)]) == (-1) ** ctx.r * (-1) ** a % ctx.pN
 
 
 def gamma_half_shift_check(a: int, ctx: PadicCtx) -> bool:
     """The <1/2 +- a/(q-1)> gamma quotient equals (-1)^a off the midpoint."""
     if a == (ctx.q - 1) // 2:
         raise HypothesisViolation("a = (q-1)/2 is excluded")
-    nu = Fraction(a, ctx.q - 1)
-    half = Fraction(1, 2)
-    lhs = gamma_orbit(ctx, half - nu, half + nu)
-    return lhs == (-1) ** a * gamma_orbit(ctx, half, half) % ctx.pN
+    m = ctx.q - 1
+    # 1/2 -+ a/m = (m -+ 2a)/(2m)
+    lhs = _gamma_orbit_nd(ctx, [(m - 2 * a, 2 * m), (m + 2 * a, 2 * m)])
+    return lhs == (-1) ** a * _gamma_orbit_nd(ctx, [(1, 2), (1, 2)]) % ctx.pN
 
 
 def floor_negative_multiple_check(d: int, a: int, i: int, p: int, q: int) -> bool:
     """floor(a p^i/(q-1)) + floor(-d a p^i/(q-1)) matches the h/d shift sum."""
-    lhs = floor_orbit(0, a, i, p, q) + floor_orbit(0, -d * a, i, p, q)
-    rhs = sum(floor_orbit(Fraction(h, d), -a, i, p, q) for h in range(1, d)) - 1
-    return lhs == rhs
+    pi, m = p**i, q - 1
+    lhs = _floor_nd(0, 1, a, pi, m) + _floor_nd(0, 1, -d * a, pi, m)
+    return lhs == sum(_floor_nd(h, d, -a, pi, m) for h in range(1, d)) - 1
 
 
 def floor_positive_multiple_check(l: int, a: int, i: int, p: int, q: int) -> bool:
     """floor(l a p^i/(q-1)) matches the -h/l shift sum."""
-    lhs = floor_orbit(0, l * a, i, p, q)
-    rhs = sum(floor_orbit(Fraction(-h, l), a, i, p, q) for h in range(l))
-    return lhs == rhs
+    pi, m = p**i, q - 1
+    return _floor_nd(0, 1, l * a, pi, m) == sum(_floor_nd(-h, l, a, pi, m) for h in range(l))
 
 
 def floor_halving_check(x, j: int, i: int, p: int, q: int) -> bool:
     """Both halving identities for floor(<x p^i> -+ 2j p^i/(q-1))."""
-    x = _rational(x)
-    y, z = x / 2, (1 + x) / 2
+    n, d = _rational(x).as_integer_ratio()
+    pi, m = p**i, q - 1
+    # x/2 = n/(2d) and (1 + x)/2 = (n + d)/(2d)
     return all(
-        floor_orbit(x, 2 * e, i, p, q)
-        == floor_orbit(y, e, i, p, q) + floor_orbit(z, e, i, p, q)
+        _floor_nd(n, d, 2 * e, pi, m)
+        == _floor_nd(n, 2 * d, e, pi, m) + _floor_nd(n + d, 2 * d, e, pi, m)
         for e in (-j, j)
     )
 
@@ -455,18 +467,16 @@ def quarter_gamma_product_check(n: int, ctx: PadicCtx) -> bool:
         raise HypothesisViolation("requires q = 1 mod 4")
     if n in ((q - 1) // 4, 3 * (q - 1) // 4):
         raise HypothesisViolation("n on the quarter points is excluded")
-    quarter, three_quarter = Fraction(1, 4), Fraction(3, 4)
-    nu = Fraction(n, q - 1)
+    m = q - 1
     # p is odd, so {<p^i/4>, <3p^i/4>} = {1/4, 3/4} and the constant
     # quarters of the exponent are the orbit floors of 1/4 and 3/4
     s = -sum(
-        floor_orbit(c, e, i, ctx.p, q)
-        for c in (quarter, three_quarter) for e in (n, -n) for i in range(ctx.r)
+        _floor_nd(c, 4, e, ctx.p**i, m)
+        for c in (1, 3) for e in (n, -n) for i in range(ctx.r)
     )
-    num = gamma_orbit(
-        ctx, quarter + nu, three_quarter - nu, quarter - nu, three_quarter + nu
-    )
-    den = gamma_orbit(ctx, quarter, quarter, three_quarter, three_quarter)
+    # c/4 +- n/m = (c m +- 4n)/(4m)
+    num = _gamma_orbit_nd(ctx, [(c * m + 4 * e, 4 * m) for c in (1, 3) for e in (n, -n)])
+    den = _gamma_orbit_nd(ctx, [(1, 4), (1, 4), (3, 4), (3, 4)])
     if s >= 0:
         return pow(-ctx.p, s, ctx.pN) * num % ctx.pN == den
     return num == pow(-ctx.p, -s, ctx.pN) * den % ctx.pN
@@ -479,7 +489,8 @@ def dth_root_gamma_quotient_check(d: int, n: int, ctx: PadicCtx) -> bool:
         raise HypothesisViolation("stated over the prime field only")
     if (p + 1) % d != 0:
         raise HypothesisViolation("requires p = -1 mod d")
-    nu = Fraction(n, p - 1)
-    od = Fraction(1, d)
-    lhs = gamma_orbit(ctx, nu - od, nu - (1 - od), od - nu, (1 - od) - nu)
-    return lhs == gamma_orbit(ctx, od, od, 1 - od, 1 - od)
+    m = p - 1
+    # n/m - 1/d = (nd - m)/(dm) and n/m - (1 - 1/d) = (nd - (d-1)m)/(dm)
+    a, b = n * d - m, n * d - (d - 1) * m
+    lhs = _gamma_orbit_nd(ctx, [(a, d * m), (b, d * m), (-a, d * m), (-b, d * m)])
+    return lhs == _gamma_orbit_nd(ctx, [(1, d), (1, d), (d - 1, d), (d - 1, d)])

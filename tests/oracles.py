@@ -106,6 +106,23 @@ def floor_orbit_by_fractions(x, e, i, p, q):
     return math.floor(frac(Fraction(x) * p**i) + Fraction(e * p**i, q - 1))
 
 
+def jacobi_sum_padic_by_elements(a, b, field, ctx):
+    """J(omega-bar^a, omega-bar^b) in GR(p^N, r), one element x at a time:
+    1 - x by coefficient arithmetic in TupleField, never by the field's
+    Zech table, then omega-bar^a(x) omega-bar^b(1 - x) as the Teichmuller
+    power of its discrete logs, added coefficient by coefficient."""
+    p, q = field.p, field.q
+    ref = TupleField(p, field.modulus)
+    pows, logs = ctx.teichmuller_powers(), field.log_table
+    acc = [0] * ctx.r
+    for v in range(2, q):  # x = 0, 1 contribute 0 by convention
+        w = ref.sub(ref.one, ref.decode(v))
+        k = (-a * logs[v] - b * logs[sum(c * p**i for i, c in enumerate(w))]) % (q - 1)
+        for j, c in enumerate(pows[k]):
+            acc[j] += c
+    return tuple(c % ctx.pN for c in acc)
+
+
 def kernel_by_inline_passes(top, bottom, field, N):
     """(shift, avals, cvals) of the G-kernel of the rows over field at
     precision N, by the two inline passes the kernel ran before it read

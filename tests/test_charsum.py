@@ -16,6 +16,7 @@ from padic_hg.charsum import (
 from padic_hg.errors import FieldTooLarge, HypothesisViolation
 from padic_hg.ffield import CurveSpec, FqField, build_field, quad_char, trace_of_frobenius
 from padic_hg.padic import PadicCtx
+from oracles import jacobi_sum_padic_by_elements
 
 
 def test_gauss_trivial_character():
@@ -144,6 +145,30 @@ def test_jacobi_padic_trivial():
     ctx = PadicCtx(field, 3)
     value = jacobi_sum_padic(0, 0, field, ctx)
     assert value == (23, 0)
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize("N", [1, 3])
+def test_jacobi_padic_matches_the_per_element_sum(p, r, N):
+    # the Zech-table route at every pair of characters, trivial ones too
+    field = build_field(p, r)
+    ctx = PadicCtx(field, N)
+    pairs = [(a, b) for a in range(field.q - 1) for b in range(field.q - 1)]
+    assert [jacobi_sum_padic(a, b, field, ctx) for a, b in pairs] == [
+        jacobi_sum_padic_by_elements(a, b, field, ctx) for a, b in pairs]
+
+
+def test_jacobi_padic_reads_the_zech_table():
+    # one wrong Zech logarithm, in a field of its own, moves the Zech
+    # route away from the per-element sum, which never reads the table
+    field = FqField(5, 2)
+    ctx = PadicCtx(field, 2)
+    k = 3
+    field.zech_table[k] = (field.zech_table[k] + 1) % (field.q - 1)
+    pairs = [(a, b) for a in range(field.q - 1) for b in range(field.q - 1)]
+    wrong = [(a, b) for a, b in pairs
+             if jacobi_sum_padic(a, b, field, ctx) != jacobi_sum_padic_by_elements(a, b, field, ctx)]
+    assert wrong and all(b for _, b in wrong)
 
 
 def test_jacobi_padic_magnitude_consistency():

@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import pathlib
 import subprocess
@@ -157,6 +158,33 @@ def test_p_adic_side_has_no_floats():
     assert not floats
 
 
+def fraction_calls_outside_raise(tree):
+    """Line numbers of the Fraction(...) calls in tree outside a raise."""
+    exempt = {id(n) for r in ast.walk(tree) if isinstance(r, ast.Raise) for n in ast.walk(r)}
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call) and id(n) not in exempt
+            and getattr(n.func, "id", getattr(n.func, "attr", None)) == "Fraction"]
+
+
+def test_identity_checkers_build_no_fraction():
+    # past their argument boundary the checkers, the two integer orbit
+    # cores and the p-adic Jacobi sum work on integers: a Fraction call may
+    # only build the message of an error
+    assert [bool(fraction_calls_outside_raise(ast.parse(text))) for text in (
+        "Fraction(1, 2)", "x = fractions.Fraction(a)", "f(Fraction(n, d) + 1)",
+        "raise E(f'{Fraction(e, m)}')", "x.as_integer_ratio()", "Fraction")] == [True] * 3 + [False] * 3
+    targets = {
+        "padic.py": lambda name: name.endswith("_check") or name in (
+            "_shift_sides", "_gamma_orbit_nd", "_floor_nd"),
+        "charsum.py": lambda name: name in ("jacobi_sum_padic", "gross_koblitz_jacobi_check"),
+    }
+    checked, found = set(), []
+    for file, node in src_nodes(set(targets)):
+        if isinstance(node, ast.FunctionDef) and targets[file](node.name):
+            checked.add(node.name)
+            found += [(file, node.name, line) for line in fraction_calls_outside_raise(node)]
+    assert len(checked) == 16 and not found
+
+
 @pytest.mark.parametrize("x", [0.1, 0.5, 2.0, Decimal("0.5"), "1/2"], ids=repr)
 def test_arguments_other_than_int_and_fraction_are_rejected(x):
     # at 0.1, Fraction(x) would read 3602879701896397/2^55
@@ -255,6 +283,51 @@ def test_floor_orbit_matches_fraction_route(p, r):
             ], (x, i)
 
 
+def checker_pairs(p, q):
+    """Every (n, d), -d <= n <= d, over the denominators the checkers build
+    at q: d and 2d for d in ORBIT_DENOMS prime to p (halving), t(q-1) for
+    the shifts t, and d'k for d' dividing q-1 and k in the multipliers of
+    the product formula (the quarters' 4(q-1) among them).  Negative
+    numerators and unreduced pairs included."""
+    m = q - 1
+    dens = {d * k for d in ORBIT_DENOMS if d % p for k in (1, 2)}
+    dens |= {t * m for t in (2, 3, 4, 6) if t % p}
+    dens |= {e * k for e in range(1, m + 1) if m % e == 0 for k in (1, 2, 3, 4, 6) if k % p}
+    return [(n, d) for d in sorted(dens) for n in range(-d, d + 1)]
+
+
+@pytest.mark.parametrize("p,r", ORBIT_FIELDS)
+def test_integer_cores_match_the_fraction_routes(p, r):
+    q, m = p**r, p**r - 1
+    ctx = ctx_of(p, r, 3)
+    pairs = checker_pairs(p, q)
+    assert any(math.gcd(n, d) > 1 for n, d in pairs if n > 0)
+    es = [s * e for e in (0, 1, m - 1, m, m + 1, 2 * m - 1, 12 * m) for s in (1, -1)]
+    for n, d in pairs:
+        assert padic._gamma_orbit_nd(ctx, [(n, d)]) == gamma_orbit_by_fractions(
+            ctx, Fraction(n, d)), (n, d)
+        for i in range(r):
+            assert [padic._floor_nd(n, d, e, p**i, m) for e in es] == [
+                floor_orbit_by_fractions(Fraction(n, d), e, i, p, q) for e in es], (n, d, i)
+    assert padic._gamma_orbit_nd(ctx, pairs) == gamma_orbit_by_fractions(
+        ctx, *(Fraction(n, d) for n, d in pairs))
+    with pytest.raises(DenominatorDivisibleByP):
+        padic._gamma_orbit_nd(ctx, [(1, 2), (p, p * 4)])
+
+
+def test_digits_columns_are_shared_across_precisions():
+    # digit sums do not depend on N: every context of one field reads one
+    # digits column per coset, kept by the N = 1 context; units columns
+    # are built per N
+    field = build_field(7, 2)
+    for coset in ((0, 1), (1, 3)):
+        cols = [padic._ring(field, N).column("digits", *coset) for N in (2, 5, 1)]
+        assert cols[0] is cols[1] is cols[2]
+        assert PadicCtx(field, 3).column("digits", *coset) is cols[0]
+    units = [padic._ring(field, N).column("units", 0, 1) for N in (2, 5)]
+    assert units[0] is not units[1] and units[0] != units[1]
+
+
 def coset_by_fractions(y, q):
     """(Y mod (q-1), u, d) with y(q-1) = Y + u/d, by Fraction floor and
     fractional part."""
@@ -301,17 +374,19 @@ def test_gauss_coset_columns_match_the_fraction_route_at_every_entry(p, r):
 @pytest.mark.parametrize("coset", [(0, 1), (3, 5)], ids=["d1", "d5"])
 def test_gauss_coset_column_recheck_catches_a_corrupted_entry(monkeypatch, kind, index, coset):
     # one wrong entry at either end of a column fails its build, and the
-    # column is not kept
+    # column is not kept, neither by the context nor, for digits, by the
+    # N = 1 context of a field of its own that builds them
     def corrupted(typecode, entries):
         col = array(typecode, entries)
         col[index] += 1
         return col
 
     monkeypatch.setattr(padic, "array", corrupted)
-    ring = PadicCtx(build_field(7, 2), 2)
+    field = FqField(7, 2)
+    ring = PadicCtx(field, 2)
     with pytest.raises(InvariantViolation, match="Gauss-orbit column"):
         ring.column(kind, *coset)
-    assert not ring._columns
+    assert not ring._columns and not padic._ring(field, 1)._columns
 
 
 def test_gauss_coset_column_recheck_holds_under_optimize():
