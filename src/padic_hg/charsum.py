@@ -1,4 +1,4 @@
-"""Character-sum oracles, complex and p-adic.
+"""Character-sum oracles, complex and p-adic, on the field's integer tables.
 
 Complex double-precision Gauss/Jacobi sums and the two finite-field
 hypergeometric sums give an arithmetic route that shares nothing with
@@ -8,7 +8,9 @@ uniformizer cancels to an integer power of (-p).
 
 Characters are always indexed by their discrete-log exponent k (the
 character T^k), so the trivial character is k = 0 and the quadratic one
-is k = (q-1)/2.
+is k = (q-1)/2; T^k(x) is read from field.log_table.  The only floats of
+the package live here: the complex sums and the three checks that
+compare them within the tolerances below.
 """
 
 import cmath
@@ -16,78 +18,73 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import FieldTooLarge, HypothesisViolation, InvariantViolation
+from .ffield import CurveSpec, quad_char, trace_of_frobenius
 from .padic import PadicCtx, _gamma_orbit_nd
 
 COMPLEX_CAP = 2500  # double precision headroom for q^2-size sums
-
-
-class _ComplexTables:
-    """Per-field roots of unity and the full Gauss-sum vector."""
-
-    def __init__(self, field):
-        q, p = field.q, field.p
-        self.field = field
-        self.unit_root = [
-            cmath.exp(2j * cmath.pi * k / (q - 1)) for k in range(q - 1)
-        ]
-        p_root = [cmath.exp(2j * cmath.pi * m / p) for m in range(p)]
-        logs = field.log_table
-        psi = [None] + [
-            p_root[field.absolute_trace(field.elem(v))] for v in range(1, q)
-        ]
-        self.gauss = [
-            sum(
-                self.unit_root[k * logs[v] % (q - 1)] * psi[v]
-                for v in range(1, q)
-            )
-            for k in range(q - 1)
-        ]
-        self._jacobi = {}
-
-    def chi(self, k, x):
-        """T^k(x) with the chi(0) = 0 convention."""
-        if x.is_zero():
-            return 0.0
-        return self.unit_root[k * self.field.log_table[x.enc] % (self.field.q - 1)]
-
-    def jacobi(self, a, b):
-        q = self.field.q
-        a %= q - 1
-        b %= q - 1
-        hit = self._jacobi.get((a, b))
-        if hit is None:
-            field = self.field
-            one = field.one
-            hit = 0.0
-            for v in range(2, q):  # x = 0, 1 contribute 0 by convention
-                x = field.elem(v)
-                hit += self.chi(a, x) * self.chi(b, one - x)
-            self._jacobi[(a, b)] = hit
-        return hit
+CONJUGATE_REL_TOL = 1e-6  # conjugate product, relative to q
+DH_REL_TOL = 1e-5  # Davenport-Hasse, relative to the larger side
+KOIKE_TOL = 1e-4  # Koike bridge, absolute on each of re and im
 
 
 @lru_cache(maxsize=32)
-def _tables(field) -> _ComplexTables:
-    """The field's complex tables, shared by the 32 fields used last."""
-    if field.q > COMPLEX_CAP:
-        raise FieldTooLarge(f"q = {field.q} exceeds complex cap {COMPLEX_CAP}")
-    return _ComplexTables(field)
+def _pairs(field) -> tuple:
+    """(log x, log(1 - x)) for each x = g^k outside {0, 1}, in encoding
+    order: 1 - x = 1 + g^(k + (q-1)/2) = g^Z(k + (q-1)/2), Z the Zech log."""
+    m, zech = field.q - 1, field.zech_table
+    return tuple((k, zech[(k + m // 2) % m]) for k in field.log_table[2:])
+
+
+@lru_cache(maxsize=32)
+def _tables(field) -> tuple:
+    """(roots, gauss, jacobi memo): roots[k] = exp(2 pi i k/(q-1)) and
+    gauss[k] = g(T^k), shared by the 32 fields used last."""
+    q, p = field.q, field.p
+    if q > COMPLEX_CAP:
+        raise FieldTooLarge(f"q = {q} exceeds complex cap {COMPLEX_CAP}")
+    roots = [cmath.exp(2j * cmath.pi * k / (q - 1)) for k in range(q - 1)]
+    p_root = [cmath.exp(2j * cmath.pi * m / p) for m in range(p)]
+    logs = field.log_table
+    psi = [None] + [p_root[field.absolute_trace(field.elem(v))] for v in range(1, q)]
+    gauss = [sum(roots[k * logs[v] % (q - 1)] * psi[v] for v in range(1, q))
+             for k in range(q - 1)]
+    return roots, gauss, {}
+
+
+def _characters_at(x, field, a_indices, b_indices) -> list:
+    """[T^s(x) for s in 0..q-2], T^s(0) = 0, for a hypergeometric sum:
+    ValueError for an x of another field or a_indices not one longer."""
+    if len(a_indices) != len(b_indices) + 1:
+        raise ValueError("expected one more numerator character")
+    if x.field is not field:
+        raise ValueError(f"x = {x!r} does not lie in {field}")
+    roots, k = _tables(field)[0], field.log_table[x.enc]
+    return [0.0 if k is None else roots[s * k % len(roots)] for s in range(len(roots))]
 
 
 def gauss_sum(k: int, field) -> complex:
     """g(T^k) as a complex number; |g| = sqrt(q) off the trivial character."""
-    return _tables(field).gauss[k % (field.q - 1)]
+    return _tables(field)[1][k % (field.q - 1)]
 
 
 def jacobi_sum_complex(a: int, b: int, field) -> complex:
-    """J(T^a, T^b) = sum_x T^a(x) T^b(1-x)."""
-    return _tables(field).jacobi(a, b)
+    """J(T^a, T^b) = sum_x T^a(x) T^b(1-x), where x = 0, 1 contribute 0."""
+    roots, _, memo = _tables(field)
+    m = field.q - 1
+    a, b = a % m, b % m
+    hit = memo.get((a, b))
+    if hit is None:
+        hit = 0.0
+        for k, z in _pairs(field):
+            hit += roots[a * k % m] * roots[b * z % m]
+        memo[(a, b)] = hit
+    return hit
 
 
 def binomial_complex(a: int, b: int, field) -> complex:
     """The character binomial (T^a over T^b) = T^b(-1)/q * J(T^a, T^-b)."""
     sign = -1.0 if b % 2 else 1.0  # T^b(-1) = (-1)^b since log(-1) = (q-1)/2
-    return sign / field.q * _tables(field).jacobi(a, -b)
+    return sign / field.q * jacobi_sum_complex(a, -b, field)
 
 
 def greene_F(a_indices, b_indices, x, field) -> complex:
@@ -96,16 +93,14 @@ def greene_F(a_indices, b_indices, x, field) -> complex:
     a_indices = (A_0, ..., A_n), b_indices = (B_1, ..., B_n), all by
     discrete-log exponent.
     """
-    tb = _tables(field)
+    chi = _characters_at(x, field, a_indices, b_indices)
     q = field.q
-    if len(a_indices) != len(b_indices) + 1:
-        raise ValueError("expected one more numerator character")
     total = 0.0
     for s in range(q - 1):
         term = binomial_complex((a_indices[0] + s) % (q - 1), s, field)
         for aj, bj in zip(a_indices[1:], b_indices):
             term *= binomial_complex((aj + s) % (q - 1), (bj + s) % (q - 1), field)
-        total += term * tb.chi(s, x)
+        total += term * chi[s]
     return total * q / (q - 1)
 
 
@@ -118,12 +113,9 @@ def mccarthy_Fstar(a_indices, b_indices, x, field) -> complex:
     binomial bridge to the Greene sum holds, as cross-checked against
     both the complex trace formula and the p-adic route.
     """
-    tb = _tables(field)
-    q = field.q
-    if len(a_indices) != len(b_indices) + 1:
-        raise ValueError("expected one more numerator character")
+    chi = _characters_at(x, field, a_indices, b_indices)
+    q, g = field.q, _tables(field)[1]
     n = len(b_indices)
-    g = tb.gauss
     total = 0.0
     for s in range(q - 1):
         term = 1.0
@@ -134,17 +126,25 @@ def mccarthy_Fstar(a_indices, b_indices, x, field) -> complex:
         term *= g[-s % (q - 1)] / g[0]
         if (s * (n + 1)) % 2:
             term = -term
-        total += term * tb.chi(s, x)
+        total += term * chi[s]
     return -total / (q - 1)
 
 
-def davenport_hasse_check(m: int, psi_index: int, field, rel_tol=1e-5) -> bool:
+def conjugate_product_check(k: int, field) -> bool:
+    """g(T^k) g(T^-k) = q (-1)^k for a nontrivial character T^k."""
+    q = field.q
+    if k % (q - 1) == 0:
+        raise HypothesisViolation("the character must be nontrivial")
+    z = gauss_sum(k, field) * gauss_sum(-k, field)
+    return abs(z - q * (-1) ** k) <= CONJUGATE_REL_TOL * q
+
+
+def davenport_hasse_check(m: int, psi_index: int, field) -> bool:
     """Product relation for Gauss sums over the characters with chi^m = 1."""
     q = field.q
     if (q - 1) % m != 0:
         raise HypothesisViolation(f"q = {q} is not 1 mod {m}")
-    tb = _tables(field)
-    g = tb.gauss
+    roots, g, _ = _tables(field)
     step = (q - 1) // m
     s = psi_index % (q - 1)
     lhs = 1.0
@@ -152,10 +152,19 @@ def davenport_hasse_check(m: int, psi_index: int, field, rel_tol=1e-5) -> bool:
     for j in range(m):
         lhs *= g[(j * step + s) % (q - 1)]
         rhs *= g[j * step]
-    m_elem = field.from_int(m) ** (-m)
-    rhs *= tb.chi(s, m_elem)
+    rhs *= roots[-s * m * field.log_table[m % field.p] % (q - 1)]  # T^s(m^-m)
     scale = max(1.0, abs(lhs), abs(rhs))
-    return abs(lhs - rhs) <= rel_tol * scale
+    return abs(lhs - rhs) <= DH_REL_TOL * scale
+
+
+def koike_bridge_check(lam, field) -> bool:
+    """Koike's a_q(y^2 = x(x-1)(x-lam)) = -q phi(-1) 2F1(phi, phi; eps | lam)
+    for lam in field outside {0, 1}."""
+    q = field.q
+    phi = (q - 1) // 2
+    z = -q * quad_char(-field.one) * greene_F((phi, phi), (0,), lam, field)
+    aq = trace_of_frobenius(CurveSpec.legendre(lam), field)
+    return abs(z.real - aq) <= KOIKE_TOL and abs(z.imag) <= KOIKE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +174,13 @@ def jacobi_sum_padic(a: int, b: int, field, ctx: PadicCtx):
     """J(omega-bar^a, omega-bar^b) computed exactly in GR(p^N, r), as its
     coefficient tuple mod p^N.
 
-    x = 0, 1 contribute 0 by convention; x = g^k for k in 1..q-2 has
-    1 - x = 1 + g^(k + (q-1)/2) = g^Z(k + (q-1)/2), Z the Zech logarithm, so
-    omega-bar^a(x) omega-bar^b(1 - x) is the Teichmuller power
-    -a k - b Z(k + (q-1)/2)."""
+    x = 0, 1 contribute 0 by convention; each other x, with its pair
+    (log x, log(1 - x)) = (k, z) from the Zech table (_pairs), contributes
+    omega-bar^a(x) omega-bar^b(1 - x), the Teichmuller power -a k - b z."""
     if ctx.field is not field:
         raise ValueError("field and p-adic context disagree")
-    m, zech, pows = field.q - 1, field.zech_table, ctx.teichmuller_powers()
-    terms = [pows[(-a * k - b * zech[(k + m // 2) % m]) % m] for k in range(1, m)]
+    m, pows = field.q - 1, ctx.teichmuller_powers()
+    terms = [pows[(-a * k - b * z) % m] for k, z in _pairs(field)]
     return tuple(sum(c) % ctx.pN for c in zip(*terms))
 
 

@@ -23,8 +23,6 @@ from .ffield import (
     build_field,
     count_points,
     family_traces,
-    quad_char,
-    trace_of_frobenius,
 )
 from .gfunc import GParams, PadicCtx, choose_precision, evaluate_G, trace_bound
 
@@ -330,24 +328,14 @@ def _lemma_cases(**_):
 
 def _oracle_checks(field):
     q = field.q
-    phi = (q - 1) // 2
-    scale = -q * quad_char(field.from_int(-1))
-
-    def conjugate_product(k):
-        z = charsum.gauss_sum(k, field) * charsum.gauss_sum(-k, field)
-        return abs(z - q * (-1) ** k) <= 1e-6 * q
-
-    def koike_bridge(lam):
-        z = scale * charsum.greene_F((phi, phi), (0,), lam, field)
-        aq = trace_of_frobenius(CurveSpec.legendre(lam), field)
-        return abs(z.real - aq) <= 1e-4 and abs(z.imag) <= 1e-4
-
     return [
-        ("conjugate-product", conjugate_product, ((k,) for k in range(1, q - 1))),
+        ("conjugate-product", charsum.conjugate_product_check,
+         ((k, field) for k in range(1, q - 1))),
         ("davenport-hasse", charsum.davenport_hasse_check,
          ((m, s, field) for m in (2, 3, 4, 6) for s in range(q - 1))),
         # every lambda outside {0, 1}: the Legendre curve at -1 is nonsingular
-        ("koike-bridge", koike_bridge, ((field.elem(v),) for v in range(2, q))),
+        ("koike-bridge", charsum.koike_bridge_check,
+         ((field.elem(v), field) for v in range(2, q))),
     ]
 
 

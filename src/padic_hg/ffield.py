@@ -470,6 +470,11 @@ def _plus_table(c, p, r):
     return table
 
 
+def _phi_by_encoding(field):
+    """[phi(v) for every encoding v]: 0 at 0, else the parity sign of log v."""
+    return [0] + [1 - 2 * (k & 1) for k in field.log_table[1:]]
+
+
 def _phi_sum(curve, field):
     """sum_x phi(4x^3 + b2 x^2 + 2 b4 x + b6), which is -a_q when the curve
     is nonsingular.  No discriminant check, so that the family tables can
@@ -489,7 +494,7 @@ def _phi_sum(curve, field):
         plus = _plus_table(c.enc, p, r)
         ys = [exp[log[plus[y]] + lx] for y, lx in zip(ys, log)]
     plus = _plus_table(b6.enc, p, r)
-    phi = [0] + [1 - 2 * (k & 1) for k in field.log_table[1:]]
+    phi = _phi_by_encoding(field)
     return sum([phi[plus[y]] for y in ys])
 
 
@@ -637,9 +642,7 @@ def family_traces(family: str, field: FqField) -> tuple:
     """
     h, c = _histogram(family, field)
     p = field.p
-    log = field.log_table
-    phi = [0] + [1 - 2 * (log[e] & 1) for e in range(1, field.q)]
-    table = [c - v for v in _correlate(h, phi, p, field.r)]
+    table = [c - v for v in _correlate(h, _phi_by_encoding(field), p, field.r)]
     for m in {1, field.q - 1}:
         if table[m] != -_phi_sum(_member(family, field.elem(m), field), field):
             raise InvariantViolation(

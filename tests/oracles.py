@@ -5,6 +5,7 @@ most transparent way possible (Fractions, exhaustive enumeration) and
 deliberately shares no bookkeeping with the package internals it checks.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -121,6 +122,23 @@ def jacobi_sum_padic_by_elements(a, b, field, ctx):
         for j, c in enumerate(pows[k]):
             acc[j] += c
     return tuple(c % ctx.pN for c in acc)
+
+
+def jacobi_sum_complex_by_elements(a, b, field):
+    """J(T^a, T^b) as a complex sum, one element x at a time in encoding
+    order: 1 - x by coefficient arithmetic in TupleField, never by the
+    field's Zech table, then T^a(x) T^b(1 - x) from the discrete logs of
+    both, added in double precision."""
+    p, q = field.p, field.q
+    ref = TupleField(p, field.modulus)
+    roots = [cmath.exp(2j * cmath.pi * k / (q - 1)) for k in range(q - 1)]
+    logs = field.log_table
+    total = 0.0
+    for v in range(2, q):  # x = 0, 1 contribute 0 by convention
+        w = ref.sub(ref.one, ref.decode(v))
+        lw = logs[sum(c * p**i for i, c in enumerate(w))]
+        total += roots[a * logs[v] % (q - 1)] * roots[b * lw % (q - 1)]
+    return total
 
 
 def kernel_by_inline_passes(top, bottom, field, N):

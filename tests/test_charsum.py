@@ -5,6 +5,7 @@ import pytest
 from padic_hg import charsum
 from padic_hg.charsum import (
     binomial_complex,
+    conjugate_product_check,
     davenport_hasse_check,
     gauss_sum,
     greene_F,
@@ -16,7 +17,7 @@ from padic_hg.charsum import (
 from padic_hg.errors import FieldTooLarge, HypothesisViolation
 from padic_hg.ffield import CurveSpec, FqField, build_field, quad_char, trace_of_frobenius
 from padic_hg.padic import PadicCtx
-from oracles import jacobi_sum_padic_by_elements
+from oracles import jacobi_sum_complex_by_elements, jacobi_sum_padic_by_elements
 
 
 def test_gauss_trivial_character():
@@ -42,6 +43,9 @@ def test_conjugate_product_law(p, r):
         lhs = gauss_sum(k, field) * gauss_sum(-k, field)
         rhs = q * (-1) ** k - (q - 1) * (1 if k == 0 else 0)
         assert abs(lhs - rhs) <= 1e-6 * q
+        assert k == 0 or conjugate_product_check(k, field)
+    with pytest.raises(HypothesisViolation):
+        conjugate_product_check(q - 1, field)
 
 
 def test_jacobi_trivial():
@@ -88,6 +92,14 @@ def test_koike_trace_formula(p, r):
         assert abs(z.imag) < 1e-4
         assert abs(z.real - aq) < 1e-4
         assert round(z.real) == aq
+
+
+@pytest.mark.parametrize("x", [build_field(7, 1).from_int(3), build_field(5, 2).elem(20)])
+@pytest.mark.parametrize("hypergeometric_sum", [greene_F, mccarthy_Fstar])
+def test_hypergeometric_sums_reject_x_of_another_field(hypergeometric_sum, x):
+    # 3 in F_7 used to read F_13's log table at 3, and 20 in F_25 ran off its end
+    with pytest.raises(ValueError, match="does not lie in"):
+        hypergeometric_sum((6, 6), (0,), x, build_field(13, 1))
 
 
 def test_greene_fstar_bridge():
@@ -168,6 +180,27 @@ def test_jacobi_padic_reads_the_zech_table():
     pairs = [(a, b) for a in range(field.q - 1) for b in range(field.q - 1)]
     wrong = [(a, b) for a, b in pairs
              if jacobi_sum_padic(a, b, field, ctx) != jacobi_sum_padic_by_elements(a, b, field, ctx)]
+    assert wrong and all(b for _, b in wrong)
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (3, 2), (13, 1), (5, 2), (3, 3)])
+def test_jacobi_complex_matches_the_per_element_sum(p, r):
+    # the pair-table route, bit for bit, at every pair of characters with
+    # exponents from -1 to q - 1
+    field = build_field(p, r)
+    pairs = [(a, b) for a in range(-1, field.q) for b in range(-1, field.q)]
+    assert [jacobi_sum_complex(a, b, field) for a, b in pairs] == [
+        jacobi_sum_complex_by_elements(a, b, field) for a, b in pairs]
+
+
+def test_jacobi_complex_reads_the_zech_table():
+    # the complex twin of test_jacobi_padic_reads_the_zech_table
+    field = FqField(5, 2)
+    k = 3
+    field.zech_table[k] = (field.zech_table[k] + 1) % (field.q - 1)
+    pairs = [(a, b) for a in range(field.q - 1) for b in range(field.q - 1)]
+    wrong = [(a, b) for a, b in pairs
+             if jacobi_sum_complex(a, b, field) != jacobi_sum_complex_by_elements(a, b, field)]
     assert wrong and all(b for _, b in wrong)
 
 

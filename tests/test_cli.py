@@ -218,12 +218,13 @@ def test_koike_bridge_runs_every_lambda_outside_zero_and_one(p, r):
     # the Legendre curve at lambda = -1 is nonsingular, so the bridge covers
     # q - 2 values, -1 among them, and holds at each
     field = build_field(p, r)
-    (checker, args), = [(c, a) for name, c, a in cli._oracle_checks(field)
+    (checker, args), = [(c, list(a)) for name, c, a in cli._oracle_checks(field)
                         if name == "koike-bridge"]
-    lams = [lam for lam, in args]
+    lams = [lam for lam, _ in args]
+    assert all(f is field for _, f in args)
     assert len(set(lams)) == len(lams) == field.q - 2
     assert -field.one in lams and field.zero not in lams and field.one not in lams
-    assert all(checker(lam) for lam in lams)
+    assert all(checker(*a) for a in args)
 
 
 def test_oracle_greene_without_top_is_a_usage_error(capsys):

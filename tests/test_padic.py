@@ -148,12 +148,12 @@ def is_float_node(node):
 
 
 def test_p_adic_side_has_no_floats():
-    # no float touches GR(p^N, r) or F_q; charsum and cli keep their
-    # complex-number oracles
+    # no float touches GR(p^N, r) or F_q, and none the command line:
+    # charsum is the one module that keeps complex-number oracles
     assert [any(map(is_float_node, ast.walk(ast.parse(text)))) for text in (
         "0.5", "2j", "float(x)", "complex(1, 2)", "import cmath", "from cmath import exp",
         "1", "Fraction(1, 2)", "import math")] == [True] * 6 + [False] * 3
-    files = {"padic.py", "gfunc.py", "ffield.py", "frobtrace.py"}
+    files = {"padic.py", "gfunc.py", "ffield.py", "frobtrace.py", "cli.py"}
     floats = [(name, n.lineno) for name, n in src_nodes(files) if is_float_node(n)]
     assert not floats
 
