@@ -377,7 +377,7 @@ class CurveSpec:
     @staticmethod
     def legendre(lam):
         # y^2 = x(x-1)(x-lambda); lambda in {0,1} is singular and is
-        # reported by count_points and family_trace, not here.  lambda = -1
+        # reported by count_points and member_trace, not here.  lambda = -1
         # is a valid curve (only the +-lambda pairing of the trace theorems
         # excludes it).
         return CurveSpec(LEGENDRE, (lam,))
@@ -689,10 +689,3 @@ def member_trace(family: str, m: FqElem, field: FqField) -> int:
     if a * a > 4 * field.q:
         raise InvariantViolation("Hasse bound violated: counting bug")
     return a
-
-
-def family_trace(curve: CurveSpec, field: FqField) -> int:
-    """a_q of a Legendre, a1a3, fg or cd curve: its twist times the trace
-    of its family member (family_member, member_trace)."""
-    m, twist = family_member(curve, field)
-    return twist * member_trace(curve.family, m, field)

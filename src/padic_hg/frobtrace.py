@@ -1,13 +1,14 @@
 """Trace-of-Frobenius formulas: each side computed independently.
 
-The G-function side goes through the evaluator.  The trace side of the
-pair formulas is read from the family tables of ffield, and that of the
+The G-function side of every formula is a pair formula's G-value, read
+from the cached kernel of its (formula, field) set-up: the formulas over Q
+are pair formulas at particular parameters.  The trace side of the pair
+formulas is read from the family tables of ffield, and that of the
 formulas over Q comes from point counting: for curves over Q the F_p
 trace propagates to F_{p^r} through the power-sum recurrence below.
 Both sides of every formula are exact integers and must agree exactly.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,8 +24,7 @@ from .ffield import (
     quad_char,
     trace_of_frobenius,
 )
-from .gfunc import GParams, PadicCtx, choose_precision, evaluate_G, trace_bound
-from .gfunc import _kernel_key, _value_and_lift
+from .gfunc import _row_pairs, _value_and_lift, choose_precision, trace_bound
 
 HALF = Fraction(1, 2)
 TOP4 = (Fraction(0), HALF, Fraction(0), HALF)
@@ -93,23 +93,6 @@ RATIONAL_THEOREMS = {
 }
 
 
-def ordp(x, p: int):
-    """p-adic valuation of an exact rational; infinity at 0."""
-    x = Fraction(x)
-    if x == 0:
-        return math.inf
-
-    def v(n):
-        n = abs(n)
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        return e
-
-    return v(x.numerator) - v(x.denominator)
-
-
 @dataclass(frozen=True)
 class TheoremInstance:
     """One theorem applied to one field and one parameter tuple."""
@@ -139,12 +122,21 @@ def _sign_and_correction(name, m, f):
 def _pair_setup(name, field):
     """(kernel key, bound) of pair formula name over field, which depend
     on nothing else: its rows, checked once, at the precision that lifts
-    the trace bound."""
+    the trace bound.  No G-value of a formula exceeds the bound: the two
+    traces are each at most 2*sqrt(q) in size and the correction at most 2,
+    so |G| <= 2*floor(2*sqrt(q)) + 2 <= 4*isqrt(q) + 4."""
     formula = PAIR_FORMULAS[name]
-    params = GParams(formula.top, formula.bottom, field.one)
     bound = trace_bound(field.q)
     N = choose_precision(field.q, bound)
-    return _kernel_key(params.top, params.bottom, field, N), bound
+    return (*_row_pairs(formula.top, formula.bottom, field.p), field, N), bound
+
+
+def _pair_g(name, m, field):
+    """The integer G-value of pair formula name at its member m over field:
+    G(top; bottom | scale * m^2) from the cached kernel of _pair_setup."""
+    key, bound = _pair_setup(name, field)
+    t = field.from_rational(PAIR_FORMULAS[name].scale) * m * m
+    return _value_and_lift(key, t, bound)[1]
 
 
 def trace_sum_pair(inst: TheoremInstance):
@@ -153,18 +145,16 @@ def trace_sum_pair(inst: TheoremInstance):
     The curve at inst.params is the twist of its family member m, so both
     sides are the twist times those at m: lhs the table entries of the
     members m and -m, which also reject a singular member, and rhs the
-    sign times the G-value at scale * m^2, read from the cached kernel of
-    the (theorem, field) set-up of _pair_setup, plus the correction.
+    sign times the G-value at scale * m^2 (_pair_g) plus the correction.
     """
     if inst.theorem not in PAIR_FORMULAS:
         raise ValueError(f"unknown pair theorem {inst.theorem!r}")
     f = inst.field
-    family, _, _, scale = PAIR_FORMULAS[inst.theorem]
+    family = PAIR_FORMULAS[inst.theorem].family
     m, twist = family_member(getattr(CurveSpec, family)(*inst.params), f)
     sign, correction = _sign_and_correction(inst.theorem, m, f)
     lhs = member_trace(family, m, f) + member_trace(family, -m, f)
-    key, bound = _pair_setup(inst.theorem, f)
-    g = _value_and_lift(key, f.from_rational(scale) * m * m, bound)[1]
+    g = _pair_g(inst.theorem, m, f)
     return twist * lhs, twist * (sign * g + correction)
 
 
@@ -196,7 +186,7 @@ def _rational_pair(theorem, alpha, p):
         raise HypothesisViolation("lambda must be 2 or 1/2")
     if not holds_at(p):
         raise HypothesisViolation(f"p = {p} is outside the primes of {theorem}")
-    if ordp(alpha, p) != 0:
+    if any(x % p == 0 for x in alpha.as_integer_ratio()):
         raise HypothesisViolation("requires ord_p(alpha) = 0")
     return pair, pair_params(alpha)
 
@@ -213,8 +203,7 @@ def _rational_sides(theorem, p, r, alpha):
     field = build_field(p, r)
     base = build_field(p, 1)
     pair, params = _rational_pair(theorem, alpha, p)
-    family, top, bottom, scale = PAIR_FORMULAS[pair]
-    make = getattr(CurveSpec, family)
+    make = getattr(CurveSpec, PAIR_FORMULAS[pair].family)
 
     def curves(f):  # the pair's two curves over f: the second at member -m
         *head, last = (f.from_rational(x) for x in params)
@@ -224,11 +213,7 @@ def _rational_sides(theorem, p, r, alpha):
     m, twist = family_member(curve, field)
     sign, correction = _sign_and_correction(pair, m, field)
     curve_p, partner_p = curves(base)
-
-    bound = trace_bound(field.q) + 4
-    ctx = PadicCtx(field, choose_precision(field.q, bound))
-    arg = field.from_rational(scale) * m * m
-    g_int = evaluate_G(GParams(top, bottom, arg), field, ctx, bound=bound).integer
+    g_int = _pair_g(pair, m, field)
     counted = trace_of_frobenius(curve, field)
     ap = trace_of_frobenius(curve_p, base)
     if counted != trace_power(ap, p, r):

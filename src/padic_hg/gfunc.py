@@ -52,29 +52,41 @@ from .padic import PadicCtx, PadicInt, _coset, _rational, _ring
 
 @dataclass(frozen=True)
 class GParams:
-    """Parameter rows a_1..a_n / b_1..b_n plus the argument t in F_q^x."""
+    """Parameter rows a_1..a_n / b_1..b_n plus the argument t in F_q^x.
+    The rows are checked once, at construction, and kept as Fractions and,
+    in .pairs, as the kernel's integer pairs."""
 
     top: tuple
     bottom: tuple
     t: FqElem
 
     def __post_init__(self):
-        top = tuple(x if type(x) is Fraction else _rational(x) for x in self.top)
-        bottom = tuple(x if type(x) is Fraction else _rational(x) for x in self.bottom)
+        top = tuple([x if type(x) is Fraction else _rational(x) for x in self.top])
+        bottom = tuple([x if type(x) is Fraction else _rational(x) for x in self.bottom])
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "bottom", bottom)
-        if len(top) != len(bottom) or not top:
-            raise ValueError("parameter rows must have equal positive length")
-        p = self.t.field.p
-        for c in top + bottom:
-            if c.denominator % p == 0:
-                raise DenominatorDivisibleByP(f"{c} is not in Z_{p}")
+        object.__setattr__(self, "pairs", _row_pairs(top, bottom, self.t.field.p))
         if self.t.is_zero():
             raise ZeroArgument("t = 0 is rejected; no theorem evaluates there")
 
     @property
     def n(self):
         return len(self.top)
+
+
+def _row_pairs(top, bottom, p):
+    """(top, bottom) as tuples of integer (numerator, denominator) pairs,
+    the kernel's rows, which hash far faster than Fractions: the one place
+    parameter rows are checked.  The rows must have equal positive length
+    and p must divide no denominator."""
+    top, bottom = [tuple([(x if type(x) is Fraction else _rational(x)).as_integer_ratio()
+                          for x in row]) for row in (top, bottom)]
+    if len(top) != len(bottom) or not top:
+        raise ValueError("parameter rows must have equal positive length")
+    for n, d in top + bottom:
+        if d % p == 0:
+            raise DenominatorDivisibleByP(f"{n}/{d} is not in Z_{p}")
+    return top, bottom
 
 
 @dataclass(frozen=True)
@@ -92,8 +104,8 @@ class GValue:
 class _GKernel:
     """Summand coefficients for fixed parameter rows over a fixed field.
 
-    The rows are tuples of (numerator, denominator) pairs, as in a
-    _kernel_key.  cvals[j] is the scalar multiplying omega-bar^a(t) for
+    The rows are tuples of (numerator, denominator) pairs, as _row_pairs
+    returns them.  cvals[j] is the scalar multiplying omega-bar^a(t) for
     a = avals[j], over the summands whose power of -p is nonzero mod
     p^(N + shift); the true value is
     (-1/(q-1)) * sum_j cvals[j] * omega-bar^avals[j](t) / (-p)^shift.
@@ -218,27 +230,21 @@ KERNEL_CACHE_SIZE = 256
 _KERNELS = {}
 
 
-def _kernel_key(top, bottom, field, N):
-    """The rows as integer (numerator, denominator) pairs, which hash far
-    faster than Fractions, with the field and the precision."""
-    ratio = Fraction.as_integer_ratio
-    return tuple(map(ratio, top)), tuple(map(ratio, bottom)), field, N
-
-
 def _rotated(col, Y, s):
     """col read by summand: entry a is col[(Y - s*a) mod len(col)]."""
     return col[Y:] + col[:Y] if s < 0 else col[Y::-1] + col[:Y:-1]
 
 
 def _kernel(top, bottom, field, N):
-    """The cached kernel of these rows (tuples of Fractions) over field at
+    """The cached kernel of these rows (ints and Fractions) over field at
     precision N."""
-    return _kernel_at(_kernel_key(top, bottom, field, N))
+    return _kernel_at((*_row_pairs(top, bottom, field.p), field, N))
 
 
 def _kernel_at(key):
-    """The cached kernel at a _kernel_key; a new kernel evicts the oldest
-    once KERNEL_CACHE_SIZE are held."""
+    """The cached kernel at key = (top pairs, bottom pairs, field, N), the
+    rows as _row_pairs returns them; a new kernel evicts the oldest once
+    KERNEL_CACHE_SIZE are held."""
     kern = _KERNELS.get(key)
     if kern is None:
         if len(_KERNELS) >= KERNEL_CACHE_SIZE:
@@ -297,8 +303,7 @@ def evaluate_G(params: GParams, field: FqField, ctx: PadicCtx, bound=None) -> GV
         raise ValueError("field and p-adic context disagree")
     if params.t.field is not field:
         raise ValueError("argument t lives in a different field")
-    key = _kernel_key(params.top, params.bottom, field, ctx.N)
-    value, integer = _value_and_lift(key, params.t, bound)
+    value, integer = _value_and_lift((*params.pairs, field, ctx.N), params.t, bound)
     return GValue(PadicInt(value, ctx), integer, ctx.N)
 
 
@@ -399,9 +404,7 @@ def check_reduction_identity(a, b, d: int, t: FqElem, p: int, N: int = 3) -> boo
         raise HypothesisViolation("stated over the prime field F_p only")
     if (p + 1) % d != 0:
         raise HypothesisViolation(f"p = {p} is not -1 mod {d}")
-    top = tuple(map(_rational, a))
-    bottom = tuple(map(_rational, b))
-    pair = (Fraction(1, d), Fraction(d - 1, d))
-    kn = _kernel(top, bottom, field, N)
-    kx = _kernel(top + pair, bottom + pair, field, N)
+    a, b, pair = tuple(a), tuple(b), (Fraction(1, d), Fraction(d - 1, d))
+    kn = _kernel(a, b, field, N)
+    kx = _kernel(a + pair, b + pair, field, N)
     return _raw_sum_is_zero([(*kx.raw_eval(t), 1), (*kn.raw_eval(t), -1)], p, N)

@@ -43,15 +43,6 @@ def frac(x):
     return x - math.floor(x)
 
 
-def a0(x, p: int) -> int:
-    """The representative of x mod p in {1, ..., p}."""
-    x = _rational(x)
-    if x.denominator % p == 0:
-        raise DenominatorDivisibleByP(f"{x} is not in Z_{p}")
-    v = x.numerator * pow(x.denominator, -1, p) % p
-    return p if v == 0 else v
-
-
 @lru_cache(maxsize=32)
 def _gamma_steps(p: int, N: int):
     """Baby-step/giant-step tables for Gamma_p mod p^N, shared by every
@@ -217,8 +208,8 @@ class PadicCtx:
 
     def column(self, kind, u, d):
         """The Gauss-orbit column (kind, u, d): ("units", u, d) lists the
-        Gross-Koblitz unit gamma_orbit(x) mod p^N and ("digits", u, d) the
-        Stickelberger digit sum M * sum_i <x p^i>, where M = d(q-1), over the
+        Gross-Koblitz unit prod_i Gamma_p(<x p^i>) mod p^N and ("digits", u,
+        d) the Stickelberger digit sum M * sum_i <x p^i>, where M = d(q-1), over the
         coset x = (J + u/d)/(q-1) for J in [0, q-2], as an array('q'), which
         holds p^N under the table cap.  A digits column reads no gamma table.
         Its first and last entries are rechecked before it is kept."""
@@ -331,17 +322,6 @@ def _floor_nd(n: int, d: int, e: int, pi: int, m: int) -> int:
     return (n * pi % d * m + e * pi * d) // (d * m)
 
 
-def gamma_orbit(ctx: PadicCtx, *xs) -> int:
-    """prod over x in xs and i < r of Gamma_p(<x p^i>) mod p^N, for ints and
-    Fractions x with p prime to the denominator."""
-    return _gamma_orbit_nd(ctx, [(x.numerator, x.denominator) for x in xs])
-
-
-def floor_orbit(x, e: int, i: int, p: int, q: int) -> int:
-    """floor(<x p^i> + e p^i/(q-1)) for an int or Fraction x."""
-    return _floor_nd(x.numerator, x.denominator, e, p**i, q - 1)
-
-
 def _coset(n: int, e: int, m: int):
     """(Y mod m, u, d), u < d coprime, with n/e at index Y of the coset (j + u/d)/m."""
     g = math.gcd(e, m)
@@ -379,7 +359,8 @@ def product_formula_check(x, m: int, ctx: PadicCtx, field) -> bool:
 
 
 def reflection_check(x, ctx: PadicCtx) -> bool:
-    """Gamma_p(x) * Gamma_p(1-x) = (-1)^(a0(x)) mod p^N."""
+    """Gamma_p(x) * Gamma_p(1-x) = (-1)^(a0(x)) mod p^N, where a0(x) is the
+    representative of x mod p in {1, ..., p}."""
     # the residue m of x gives 1 - m for 1 - x, and m mod p for a0(x)
     m, gam, pN = ctx.rational_residue(x), ctx.gamma_at_residue, ctx.pN
     return gam(m) * gam((1 - m) % pN) % pN == (-1) ** (m % ctx.p or ctx.p) % pN

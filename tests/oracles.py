@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from padic_hg import frobtrace
-from padic_hg.errors import HypothesisViolation, SingularCurve
+from padic_hg.errors import DenominatorDivisibleByP, HypothesisViolation, SingularCurve
 from padic_hg.ffield import (
     CurveSpec,
     _b_invariants,
@@ -90,6 +90,16 @@ def gamma_table_by_recurrence(p, pN):
         g = -g * (m if m % p else 1) % pN
         table[m + 1] = g
     return table
+
+
+def a0(x, p):
+    """The representative of x mod p in {1, ..., p}, the exponent of the
+    reflection formula Gamma_p(x) Gamma_p(1 - x) = (-1)^a0(x)."""
+    x = Fraction(x)
+    if x.denominator % p == 0:
+        raise DenominatorDivisibleByP(f"{x} is not in Z_{p}")
+    v = x.numerator * pow(x.denominator, -1, p) % p
+    return p if v == 0 else v
 
 
 def gamma_orbit_by_fractions(ctx, *xs):

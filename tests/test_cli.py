@@ -381,6 +381,17 @@ def test_verify_reports_cache_activity(capsys):
     assert setups["hits"] + setups["misses"] == payload["total"]
 
 
+def test_rational_suites_set_up_pair_kernels(capsys):
+    # t18 reads the G side of each row from the t13 set-up of its field
+    frobtrace._pair_setup.cache_clear()
+    code, out = run(capsys, "verify", "--suite", "t18")
+    assert code == 0
+    payload = json.loads(out)
+    setups = payload["caches"]["pair_setups"]
+    assert setups["misses"] > 0
+    assert setups["hits"] + setups["misses"] == payload["total"]
+
+
 @pytest.mark.parametrize("suite", ["lemmas", "oracle"])
 def test_suites_without_g_values_build_no_gauss_orbit_column(capsys, monkeypatch, suite):
     # the lemma checkers and the character-sum oracles evaluate no G, so

@@ -19,8 +19,9 @@ from padic_hg.ffield import (
     build_field,
     count_points,
     discriminant,
-    family_trace,
+    family_member,
     family_traces,
+    member_trace,
     quad_char,
     trace_of_frobenius,
 )
@@ -334,6 +335,12 @@ def test_family_tables_match_point_counts(p, r):
         assert family_traces(family, field)[v] == trace_of_frobenius(curve, field)
         checked.add(family)
     assert checked == ({"legendre", "fg"} if p == 3 else set(FAMILY_MEMBERS))
+
+
+def family_trace(curve, field):
+    """a_q of a family curve: the twist times its family member's entry."""
+    m, twist = family_member(curve, field)
+    return twist * member_trace(curve.family, m, field)
 
 
 def _same_trace_or_both_singular(curve, field):

@@ -1,11 +1,10 @@
-import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from padic_hg import frobtrace
+from padic_hg import frobtrace, gfunc
 from padic_hg.cli import PRIMES
 from padic_hg.errors import HypothesisViolation, PadicHGError, SingularCurve
 from padic_hg.ffield import CurveSpec, build_field, quad_char, trace_of_frobenius
@@ -14,20 +13,11 @@ from padic_hg.frobtrace import (
     TheoremInstance,
     _rational_sides,
     corollary_g_values,
-    ordp,
     rational_curve_trace,
     trace_power,
     trace_sum_pair,
 )
 from oracles import frobenius_power_series, trace_sum_pair_per_instance
-
-
-def test_ordp():
-    assert ordp(Fraction(0), 7) == math.inf
-    assert ordp(Fraction(1, 2), 2) == -1
-    assert ordp(Fraction(50), 5) == 2
-    assert ordp(Fraction(3, 98), 7) == -2
-    assert ordp(Fraction(49, 2), 7) == 2
 
 
 def test_frobenius_power_series_examples():
@@ -221,8 +211,12 @@ def test_rational_curve_hypotheses():
         rational_curve_trace("t19", 17, 1, Fraction(2))  # excluded prime
     with pytest.raises(HypothesisViolation):
         rational_curve_trace("t19", 7, 1, Fraction(2))  # 7 = 7 mod 12
-    with pytest.raises(HypothesisViolation):
-        rational_curve_trace("t110", 11, 1, Fraction(11))  # ord_p != 0
+    for theorem in ("t19", "t110", "t111"):  # 11 is one of their primes
+        for alpha in (Fraction(11), Fraction(1, 11), Fraction(-22, 3), Fraction(0)):
+            with pytest.raises(HypothesisViolation, match="ord_p"):
+                rational_curve_trace(theorem, 11, 1, alpha)  # p | num or den
+    predicted, counted = rational_curve_trace("t110", 11, 1, Fraction(3, 2))
+    assert predicted == counted  # other primes in alpha are admitted
     with pytest.raises(HypothesisViolation):
         rational_curve_trace("t111", 5, 1, Fraction(2))  # 5 = 5 mod 12
 
@@ -251,6 +245,26 @@ def test_rational_rows_reduce_to_pair_rows(name, primes):
                 predicted, counted = rational_curve_trace(name, p, r, alpha)
                 assert lhs == counted + partner
                 assert rhs - partner == predicted
+
+
+@pytest.mark.parametrize("theorem,p,r,params", [
+    ("t18", 11, 2, (3,)),
+    # at q = 5 the old route's bound of trace_bound + 4 took N = 3, not 2
+    ("t110", 5, 1, (1, 2)),
+])
+def test_rational_route_shares_the_pair_kernel(theorem, p, r, params):
+    # a rational theorem is its pair formula at particular parameters: once
+    # the pair formula has run over a field, the rational route reads the
+    # same set-up and builds no kernel
+    field = build_field(p, r)
+    pair = RATIONAL_THEOREMS[theorem].pair
+    trace_sum_pair(TheoremInstance(pair, field, tuple(map(field.from_int, params))))
+    kernels = set(gfunc._KERNELS)
+    hits = frobtrace._pair_setup.cache_info().hits
+    predicted, counted = rational_curve_trace(theorem, p, r, Fraction(2))
+    assert predicted == counted
+    assert set(gfunc._KERNELS) == kernels
+    assert frobtrace._pair_setup.cache_info().hits == hits + 1
 
 
 @pytest.mark.parametrize("name", sorted(RATIONAL_THEOREMS))

@@ -27,16 +27,28 @@ from padic_hg.gfunc import (
     reconstruct_integer,
     trace_bound,
 )
-from oracles import kernel_by_inline_passes, naive_G, raw_eval_by_coefficients
+from oracles import (
+    floor_orbit_by_fractions,
+    kernel_by_inline_passes,
+    naive_G,
+    raw_eval_by_coefficients,
+)
 
 HALF = Fraction(1, 2)
 QUARTERS = (Fraction(1, 4), Fraction(3, 4), Fraction(1, 4), Fraction(3, 4))
 TOP4 = (Fraction(0), HALF, Fraction(0), HALF)
 
 
+def kernel_key(top, bottom, field, N):
+    """The kernel cache key of the rows (ints and Fractions) over field at N."""
+    return (*gfunc._row_pairs(top, bottom, field.p), field, N)
+
+
 def new_kernel(top, bottom, field, N):
-    """An uncached kernel of the rows (tuples of Fractions)."""
-    return gfunc._GKernel(*gfunc._kernel_key(top, bottom, field, N))
+    """An uncached kernel of the rows (ints and Fractions), built without
+    the row check, so a denominator divisible by p reaches the kernel."""
+    rows = (tuple(Fraction(x).as_integer_ratio() for x in row) for row in (top, bottom))
+    return gfunc._GKernel(*rows, field, N)
 
 
 def test_choose_precision_examples():
@@ -247,7 +259,7 @@ def test_trace_sum_matches_the_vector_path_at_every_t(p, r, naive_ts):
     field = build_field(p, r)
     rng = random.Random(p * r)
     for top, bottom in PAIR_ROWS + [THIRDS]:
-        key = gfunc._kernel_key(top, bottom, field, 2)
+        key = kernel_key(top, bottom, field, 2)
         kern = gfunc._kernel_at(key)
         assert kern.stable()
         naive = set(rng.sample(range(1, field.q), naive_ts))
@@ -313,7 +325,7 @@ def test_a_corrupted_coefficient_sends_the_kernel_to_the_vector_path():
     # one full-orbit coefficient off by one before the first G-value: the
     # kernel fails its Frobenius check, and the vector path sees the error
     field = build_field(7, 2)
-    key = gfunc._kernel_key(TOP4, QUARTERS, field, 2)
+    key = kernel_key(TOP4, QUARTERS, field, 2)
     assert gfunc._GKernel(*key).stable()
     gfunc._KERNELS.clear()
     kern = gfunc._kernel_at(key)
@@ -373,7 +385,7 @@ def test_kernel_cache_evicts_the_oldest():
     assert _kernel(*rows[0], field, 1) is first  # a hit evicts nothing
     _kernel(*rows[-1], field, 1)
     assert len(gfunc._KERNELS) == gfunc.KERNEL_CACHE_SIZE
-    held = [gfunc._kernel_key(top, bottom, field, 1) in gfunc._KERNELS
+    held = [kernel_key(top, bottom, field, 1) in gfunc._KERNELS
             for top, bottom in rows]
     assert held == [False] + [True] * gfunc.KERNEL_CACHE_SIZE
     gfunc._KERNELS.clear()
@@ -536,7 +548,7 @@ def doubled_row(a1, a2, a3, a4):
 
 @pytest.mark.parametrize("p,r", [(5, 2), (3, 3), (7, 2), (11, 2)])
 def test_kernel_shift_matches_floor_orbit_sums(p, r):
-    # the shift is minus the least sum of padic.floor_orbit over a summand's
+    # the shift is minus the least sum of floor_orbit_by_fractions over a summand's
     # parameters and Frobenius powers, which the kernel reads from columns
     field = build_field(p, r)
     q = field.q
@@ -554,7 +566,8 @@ def test_kernel_shift_matches_floor_orbit_sums(p, r):
             continue
         exps = [
             -sum(
-                padic.floor_orbit(ak, -a, i, p, q) + padic.floor_orbit(-bk, a, i, p, q)
+                floor_orbit_by_fractions(ak, -a, i, p, q)
+                + floor_orbit_by_fractions(-bk, a, i, p, q)
                 for ak, bk in zip(top, bottom) for i in range(r)
             )
             for a in range(q - 1)
@@ -715,6 +728,19 @@ def test_reduction_identity_hypotheses():
     f25 = build_field(5, 2)
     with pytest.raises(HypothesisViolation):
         check_reduction_identity([HALF], [Fraction(0)], 2, f25.one, 5)
+    # rows are checked as GParams checks them, before any kernel is cached
+    f5 = build_field(5, 1)
+    gfunc._KERNELS.clear()
+    for top, bottom, error, message in [
+        ([Fraction(1, 3)], [0, HALF], ValueError, "equal positive length"),
+        ([], [], ValueError, "equal positive length"),
+        ([Fraction(1, 5)], [0], DenominatorDivisibleByP, "1/5 is not in Z_5"),
+    ]:
+        with pytest.raises(error, match=message):
+            check_reduction_identity(top, bottom, 3, f5.from_int(2), 5)
+        with pytest.raises(error, match=message):
+            GParams(top, bottom, f5.from_int(2))
+    assert not gfunc._KERNELS
 
 
 def test_reduction_identity_breaks_at_two():

@@ -23,16 +23,13 @@ from padic_hg.errors import (
 from padic_hg.ffield import TABLE_CAP, FqField, _poly_mulmod, build_field
 from padic_hg.padic import (
     PadicCtx,
-    a0,
     dth_root_gamma_quotient_check,
     floor_halving_check,
     floor_negative_multiple_check,
-    floor_orbit,
     floor_positive_multiple_check,
     frac,
     gamma_complement_product_check,
     gamma_half_shift_check,
-    gamma_orbit,
     gamma_p,
     gamma_product_downshift_check,
     gamma_product_upshift_check,
@@ -43,6 +40,7 @@ from padic_hg.padic import (
 )
 from oracles import (
     TupleField,
+    a0,
     floor_orbit_by_fractions,
     gamma_by_direct_product,
     gamma_orbit_by_fractions,
@@ -190,7 +188,7 @@ def test_arguments_other_than_int_and_fraction_are_rejected(x):
     # at 0.1, Fraction(x) would read 3602879701896397/2^55
     field = build_field(5, 2)
     ctx = PadicCtx(field, 2)
-    for call in (frac, lambda x: a0(x, 5), lambda x: gamma_p(x, ctx), ctx.gamma,
+    for call in (frac, lambda x: gamma_p(x, ctx), ctx.gamma,
                  lambda x: reflection_check(x, ctx),
                  lambda x: product_formula_check(x, 2, ctx, field),
                  lambda x: floor_halving_check(x, 1, 0, 5, 25)):
@@ -259,24 +257,26 @@ def orbit_points(p):
 @pytest.mark.parametrize("p,r", ORBIT_FIELDS)
 @pytest.mark.parametrize("N", [1, 3, 5])
 def test_gamma_orbit_matches_fraction_route(p, r, N):
-    ctx = ctx_of(p, r, N)
+    ctx, gamma = ctx_of(p, r, N), padic._gamma_orbit_nd
     xs = orbit_points(p)
-    for x in xs:
-        assert gamma_orbit(ctx, x) == gamma_orbit_by_fractions(ctx, x), x
-    assert gamma_orbit(ctx, -3, 2) == gamma_orbit_by_fractions(ctx, -3, 2)
-    assert gamma_orbit(ctx, *xs) == gamma_orbit_by_fractions(ctx, *xs)
-    assert gamma_orbit(ctx) == 1
+    pairs = [x.as_integer_ratio() for x in xs]
+    for x, pair in zip(xs, pairs):
+        assert gamma(ctx, [pair]) == gamma_orbit_by_fractions(ctx, x), x
+    assert gamma(ctx, [(-3, 1), (2, 1)]) == gamma_orbit_by_fractions(ctx, -3, 2)
+    assert gamma(ctx, pairs) == gamma_orbit_by_fractions(ctx, *xs)
+    assert gamma(ctx, []) == 1
     for d in ORBIT_DENOMS:
         with pytest.raises(DenominatorDivisibleByP):
-            gamma_orbit(ctx, Fraction(1, 2), Fraction(1, p * d))
+            gamma(ctx, [(1, 2), (1, p * d)])
 
 
 @pytest.mark.parametrize("p,r", ORBIT_FIELDS)
 def test_floor_orbit_matches_fraction_route(p, r):
     q = p**r
     for x in orbit_points(p):
+        n, d = x.as_integer_ratio()
         for i in range(r):
-            got = [floor_orbit(x, e, i, p, q) for e in range(-2 * (q - 1), 2 * q - 1)]
+            got = [padic._floor_nd(n, d, e, p**i, q - 1) for e in range(-2 * (q - 1), 2 * q - 1)]
             assert got == [
                 floor_orbit_by_fractions(x, e, i, p, q)
                 for e in range(-2 * (q - 1), 2 * q - 1)
