@@ -15,14 +15,14 @@ that no sum of q-1 products carries (Kronecker substitution), so a vector
 at t costs one big-integer dot product over the nonzero coefficients and
 no Galois-ring product.
 
-A G-value takes a shorter path when its kernel is Frobenius-stable: when
-the coefficients satisfy c[p*a mod (q-1)] = c[a], as they do for rows
-closed under multiplication by p mod 1, since Frobenius fixes Gauss sums.
-Then each Frobenius orbit of summands sums to a trace, so the value lies
-in Z/p^N and is one small-integer dot product with the table's trace
-column, one term per orbit.  The kernel checks the identity once, on its
-first G-value; a kernel that fails it takes the vector path, whose value
-must then have zero extension coordinates.
+A kernel decides its path once, at build, from its rows.  Rows closed
+under x -> p*x mod 1 (every row at r = 1) give c[p*a mod (q-1)] = c[a],
+since Frobenius fixes Gauss sums, so the kernel computes one coefficient
+per Frobenius orbit of summands, rechecks the identity at two orbits, and
+each orbit sums to a trace: the value lies in Z/p^N and is one
+small-integer dot product with the table's trace column, one term per
+orbit.  Any other kernel takes the vector path, whose value must then have
+zero extension coordinates.
 
 Individual summands may carry a negative power of (-p) for some parameter
 lists.  The evaluator measures the worst exponent first and works at a
@@ -34,12 +34,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, cycle, repeat
+from itertools import compress, repeat
 from operator import mul
 
 from .errors import (
     DenominatorDivisibleByP,
     HypothesisViolation,
+    InvariantViolation,
     NoRepresentative,
     NonConstantResult,
     NonIntegralValue,
@@ -47,7 +48,7 @@ from .errors import (
     ZeroArgument,
 )
 from .ffield import FqElem, FqField, prime_factors
-from .padic import PadicCtx, PadicInt, _coset, _rational, _ring
+from .padic import PadicCtx, PadicInt, _coset, _rational, _ring, frobenius_orbits
 
 
 @dataclass(frozen=True)
@@ -105,28 +106,42 @@ class _GKernel:
     """Summand coefficients for fixed parameter rows over a fixed field.
 
     The rows are tuples of (numerator, denominator) pairs, as _row_pairs
-    returns them.  cvals[j] is the scalar multiplying omega-bar^a(t) for
-    a = avals[j], over the summands whose power of -p is nonzero mod
-    p^(N + shift); the true value is
-    (-1/(q-1)) * sum_j cvals[j] * omega-bar^avals[j](t) / (-p)^shift.
+    returns them.  The value at t is (-1/(q-1)) * sum_a c[a] *
+    omega-bar^a(t) / (-p)^shift over the summands a whose power of -p is
+    nonzero mod p^(N + shift).
 
-    raw_eval returns that sum as a vector of GR(p^(N + shift), r).  A G-value
-    of a Frobenius-stable kernel (see stable) skips the vector: its value at
-    every t is fixed by Frobenius, so lies in Z/p^N, and trace_sum adds one
-    trace per orbit of summands.
+    The path is decided at build, from the rows.  If each row is closed as
+    a multiset under x -> p*x mod 1, Frobenius, which fixes Gauss sums,
+    permutes the summands' Gauss-sum quotients, so c[p*a mod (q-1)] = c[a]
+    (at r = 1 each summand is its own orbit, whatever the rows).  Such a
+    kernel computes one c per Frobenius orbit of summands and keeps
+    orbit_terms (a, c, column): one per full orbit (r members), at its least
+    member, over the trace column, and every summand of a shorter orbit
+    over the constant column; its value lies in Z/p^N and trace_sum adds
+    one term per orbit.  Any other kernel keeps avals and cvals, every
+    surviving summand and its c, for raw_eval's vector in GR(p^(N + shift),
+    r), and orbit_terms is None.
     """
 
-    orbit_terms = None  # decided by stable() on the first G-value
+    orbit_terms = None
 
     def __init__(self, top, bottom, field, N):
         self.field = field
-        p, n, m = field.p, len(top), field.q - 1
+        p, n, m, r = field.p, len(top), field.q - 1, field.r
         # summand a takes a Gauss-sum quotient at x = y - s*a/(q-1) from each
         # top value y = a_k (s = 1) and bottom value y = -b_k (s = -1): entry
         # (Y - s*a) mod (q-1) of the columns of the coset u/d that holds y at
         # Y.  Equal parameters are read once, with their multiplicity k
         params = Counter(_coset(num * s, den, m) + (s,)
                          for row, s in ((top, 1), (bottom, -1)) for num, den in row)
+        # p*y sits at index p*Y + floor(p*u/d) of coset (p*u mod d)/d: the rows
+        # are closed iff that map keeps every multiplicity.  A closed kernel
+        # reads its columns at reps, the orbits' least members, any other at
+        # every a, which at r = 1 are the orbits
+        closed = r == 1 or all(params[(p * Y + p * u // d) % m, p * u % d, d, s] == k
+                               for (Y, u, d, s), k in params.items())
+        orbits, nfull, reps, pick = (frobenius_orbits(p, m) if closed and r > 1
+                                     else ((), m, range(m), None))
         ring = _ring(field, N)
         lcm = math.lcm(*(d for _, _, d, _ in params))
         digits = [(_rotated(ring.column("digits", u, d), Y, s), k, lcm // d)
@@ -135,11 +150,12 @@ class _GKernel:
         # summand a has floor sum sum_k sigma(y_k) - sigma(x_k) - s_k*a/(p-1), sigma = digit
         # sum / M; the a/(p-1) cancel, so its (-p)-exponent is (sums[a] - base)/M.  A column
         # of weight k*lcm/d enters k times when lcm = d, which costs less than a product per entry
-        sums = list(map(sum, zip(*[c for c, k, w in digits if w == 1 for _ in range(k)],
-                                 *[map((k * w).__mul__, c) for c, k, w in digits if w > 1])))
+        picked = [(pick(c), k, w) for c, k, w in digits] if pick else digits
+        sums = list(map(sum, zip(*[c for c, k, w in picked if w == 1 for _ in range(k)],
+                                 *[map((k * w).__mul__, c) for c, k, w in picked if w > 1])))
         self.shift = shift = max(0, (base - min(sums)) // M)
         keep = list(map((base + N * M).__gt__, sums))  # exponent below N
-        self.avals = list(compress(range(m), keep))
+        avals = list(compress(reps, keep))
         work = self.work = _ring(field, N + shift)
         pNw = work.pN
         units = {}  # the unit columns by multiplicity
@@ -151,15 +167,31 @@ class _GKernel:
                  for e in range(N + shift)}
         factors = []  # each multiplicity's product at the surviving summands, raised to it
         for k, cols in units.items():
-            f = map(math.prod, zip(*(compress(col, keep) for col in cols)))
+            f = map(math.prod, zip(*(compress(pick(col) if pick else col, keep) for col in cols)))
             factors.append(f if k == 1 else map(pow, f, repeat(k)))
         if n % 2:
-            factors.append(compress(cycle((1, -1)), keep))  # (-1)^(a*n)
+            factors.append([1 - 2 * (a & 1) for a in avals])  # (-1)^(a*n)
         prods = factors[0] if len(factors) == 1 else map(math.prod, zip(*factors))
-        self.cvals = list(map(pNw.__rmod__, map(
+        cvals = list(map(pNw.__rmod__, map(
             mul, map(scale.__getitem__, compress(sums, keep)), prods)))
-        self.width, self.packed = work.packed()
         self.lead = -work.inv(field.q - 1) % pNw
+        if not closed:
+            self.avals, self.cvals = avals, cvals
+            self.width, self.packed = work.packed()
+            return
+        # the surviving full orbits come first; the first and the last
+        # recheck c[p*a] = c[a] by the per-summand formula at their p*a
+        full = len(avals) - sum(keep[nfull:])
+        for j in (0, full - 1) if full and r > 1 else ():
+            b = avals[j] * p % m
+            e = sum([k * w * col[b] for col, k, w in digits])
+            unit = math.prod([col[b] ** k for k, cols in units.items() for col in cols])
+            if scale.get(e, 0) * unit * (-1) ** (b * n) % pNw != cvals[j]:
+                raise InvariantViolation(f"c[{b}] differs from its Frobenius orbit's")
+        tr, const = work.traces()
+        short = zip(compress(orbits[nfull:], keep[nfull:]), cvals[full:])
+        self.orbit_terms = list(zip(avals[:full], cvals[:full], repeat(tr))) + [
+            (a, c, const) for orbit, c in short for a in orbit]
 
     def raw_eval(self, t):
         """Return (vec, shift): the value is the GR element vec / (-p)^shift.
@@ -170,9 +202,12 @@ class _GKernel:
         width W are the r coefficient sums, none of which carries.  Nothing
         is lifted per argument.  The vector is kept whole because G-values
         for parameter rows that are not closed under multiplication by p
-        mod 1 genuinely live in the extension ring, not in Z_p.
+        mod 1 genuinely live in the extension ring, not in Z_p; a closed
+        kernel's vector is (trace_sum(t), 0, ..., 0).
         """
         field = self.field
+        if self.orbit_terms is not None:
+            return (self.trace_sum(t),) + (0,) * (field.r - 1), self.shift
         m, step, packed = field.q - 1, self._step(t), self.packed
         total = sum([c * packed[a * step % m] for a, c in zip(self.avals, self.cvals)])
         width, lead, pNw = self.width, self.lead, self.work.pN
@@ -190,37 +225,13 @@ class _GKernel:
             raise ZeroArgument("t = 0 is rejected")
         return -field.log_table[t.enc] % (field.q - 1)
 
-    def stable(self):
-        """Whether the kernel is Frobenius-stable: avals closed under
-        a -> p*a mod (q-1), with equal cvals along each orbit.  Decided on
-        the first call, never at build, so callers that read vectors pay
-        nothing.  A stable kernel keeps its terms (a, c, column): one per
-        full orbit (r members), at its least member, over the trace column,
-        and every summand of a shorter orbit over the constant column."""
-        if self.orbit_terms is None:
-            field = self.field
-            p, m = field.p, field.q - 1
-            c = dict(zip(self.avals, self.cvals))
-            terms = []
-            if all(c.get(a * p % m) == v for a, v in c.items()):
-                tr, const = self.work.traces()
-                pows = [p**i for i in range(1, field.r)]
-                for a, v in c.items():
-                    orbit = [a * pi % m for pi in pows]
-                    if a in orbit:
-                        terms.append((a, v, const))
-                    elif a < min(orbit, default=m):
-                        terms.append((a, v, tr))
-            self.orbit_terms = terms
-        return bool(self.orbit_terms)
-
     def trace_sum(self, t):
-        """vec[0] of raw_eval(t) for a stable kernel, whose other
-        coordinates vanish: the full orbit of a contributes
-        c * sum_{i<r} omega-bar^(a p^i)(t) = c * tr[-a log(t)], and a short
-        orbit its summands' constant coefficients.  The sum is exactly the
-        constant slot of raw_eval's, regrouped, so it is exact mod
-        p^(N + shift)."""
+        """The constant coordinate of the value's vector at t for a closed
+        kernel, whose other coordinates vanish: the full orbit of a
+        contributes c * sum_{i<r} omega-bar^(a p^i)(t) = c * tr[-a log(t)],
+        and a short orbit its summands' constant coefficients.  The sum is
+        exactly the constant slot of the vector's, regrouped, so it is exact
+        mod p^(N + shift)."""
         m, step = self.field.q - 1, self._step(t)
         total = sum([c * col[a * step % m] for a, c, col in self.orbit_terms])
         return total * self.lead % self.work.pN
@@ -295,8 +306,8 @@ def evaluate_G(params: GParams, field: FqField, ctx: PadicCtx, bound=None) -> GV
     """Evaluate the G-function defined by params over GR(p^N, r).
 
     The value must lie in Z_p (Galois stability is asserted, not assumed):
-    once per kernel by its Frobenius check, or else for each value by its
-    vector's extension coordinates.  If bound is given the symmetric
+    by the closed kernel's Frobenius recheck at build, or else for each
+    value by its vector's extension coordinates.  If bound is given the symmetric
     residue with absolute value at most bound is attached as .integer.
     """
     if ctx.field is not field:
@@ -310,12 +321,12 @@ def evaluate_G(params: GParams, field: FqField, ctx: PadicCtx, bound=None) -> GV
 def _value_and_lift(key, t, bound):
     """(residue mod p^N, its lift to |m| <= bound or None without a bound)
     of G at t from the kernel at key: the one path from a cached kernel to
-    a G-value, for callers that checked the rows themselves.  A stable
+    a G-value, for callers that checked the rows themselves.  A closed
     kernel gives the value as one trace sum; any other gives a vector,
     which must be constant."""
     field, N = key[2], key[3]
     kern = _kernel_at(key)
-    if kern.stable():
+    if kern.orbit_terms is not None:
         value = _unshift(kern.trace_sum(t), kern.shift, field.p, N)
     else:
         value = _raw_to_residue(kern.raw_eval(t), field.p, N)
@@ -373,18 +384,16 @@ def check_splitting_identity(a1, a2, a3, a4, x: FqElem, field: FqField,
         raise ValueError("argument x lives in a different field")
     if ctx.field is not field:
         raise ValueError("field and p-adic context disagree")
-    pairs = [_rational(c).as_integer_ratio() for c in (a1, a2, a3, a4)]
-    p, q = field.p, field.q
+    top, bottom = _row_pairs((a1, a2), (a3, a4), field.p)
+    pairs, p, q = top + bottom, field.p, field.q
     d = math.lcm(*(den for _, den in pairs))
-    if d % p == 0:
-        raise HypothesisViolation("p divides a parameter denominator")
     if (q - 1) % d != 0:
         raise HypothesisViolation(f"q = {q} is not 1 mod {d}")
     if x.is_zero():
         raise ZeroArgument("x = 0 is rejected")
     # each a = n/d of the 2-row gives a/2 and (1 + a)/2 to the 4-row
     halves = [_half(n + e * den, den) for n, den in pairs for e in (0, 1)]
-    k2 = _kernel_at((tuple(pairs[:2]), tuple(pairs[2:]), field, ctx.N))
+    k2 = _kernel_at((top, bottom, field, ctx.N))
     k4 = _kernel_at((tuple(halves[:4]), tuple(halves[4:]), field, ctx.N))
     return _raw_sum_is_zero([(*k2.raw_eval(x), 1), (*k2.raw_eval(-x), 1),
                              (*k4.raw_eval(x * x), -1)], p, ctx.N)

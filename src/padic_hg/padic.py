@@ -5,7 +5,8 @@ Holds the p-adic gamma function (baby-step/giant-step tables shared by
 identities, stated in integers, and the context _ring(field, N) that every
 G-function kernel and every context of one (field, N) shares: its table of
 Teichmuller powers, their packing and trace column, and the Gauss-orbit
-columns, one pair per coset of the grid j/(q-1), each built on first use.
+columns, one pair per coset of the grid j/(q-1), each built on first use;
+and the Frobenius orbits a -> p*a of [0, q-1), cached per (p, q-1).
 Floating point is forbidden throughout: the floor identities are
 exact-arithmetic-fragile, so every rational argument must be an int or a
 Fraction.
@@ -16,6 +17,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter, mul
 
 from .errors import (
     DenominatorDivisibleByP,
@@ -150,19 +152,31 @@ class PadicCtx:
     def teichmuller_powers(self):
         """The coefficient tuples of omega(g)^k mod p^N for k in 0..q-2, g the
         field generator, so that omega(t)^k is entry k * log(t) mod (q-1):
-        one lift and q-2 ring products, built by _ring(field, N) and read by
-        every context with this (field, N)."""
+        one lift, then q-2 steps of one fixed product by omega(g), built by
+        _ring(field, N) and read by every context with this (field, N).
+
+        The step is the r x r matrix of multiplication by omega(g), column j
+        the coefficients of x^j * omega(g) packed in slots of W bits, W the
+        bit length of r(p^N-1)^2, so no slot of a sum of r column multiples
+        carries: a power costs r products and r shifts and masks."""
         if self._powers is None:
             ring = _ring(self.field, self.N)
             if ring is not self:
                 self._powers = ring.teichmuller_powers()
                 return self._powers
-            mod, pN = self.modulus, self.pN
-            w = teichmuller(self.field.generator, self)
-            table = [(1,) + (0,) * (self.r - 1), w]
-            for _ in range(self.q - 3):
-                table.append(_poly_mulmod(table[-1], w, mod, pN))
-            if _poly_mulmod(table[-1], w, mod, pN) != table[0]:
+            mod, pN, r = self.modulus, self.pN, self.r
+            x = (0, 1) + (0,) * (r - 2)
+            cols = [teichmuller(self.field.generator, self)]
+            for _ in range(r - 1):
+                cols.append(_poly_mulmod(cols[-1], x, mod, pN))
+            width = (r * (pN - 1) ** 2).bit_length()
+            cols = [sum(c << i * width for i, c in enumerate(col)) for col in cols]
+            shifts, mask = range(0, r * width, width), (1 << width) - 1
+            table = [(1,) + (0,) * (r - 1)]
+            for _ in range(self.q - 1):
+                total = sum(map(mul, table[-1], cols))
+                table.append(tuple([(total >> s & mask) % pN for s in shifts]))
+            if table.pop() != table[0]:
                 raise InvariantViolation("omega(g) must have order q-1")
             self._powers = tuple(table)
         return self._powers
@@ -184,25 +198,19 @@ class PadicCtx:
         coefficient of entry k and tr[k] = Tr(omega(g)^k) = sum_{i<r}
         const[k p^i mod (q-1)], its trace to Z/p^N.  Frobenius maps
         omega(g)^k to omega(g)^(pk), so the entries of each Frobenius orbit
-        of k sum to an element of Z/p^N: its extension coordinates are
-        checked to vanish, once per orbit, and the trace is r/(orbit length)
-        times that sum."""
+        of k (frobenius_orbits) sum to an element of Z/p^N: its extension
+        coordinates are checked to vanish, once per orbit, and the trace is
+        r/(orbit length) times that sum."""
         if self._traces is None:
-            powers, p, pN, r = self.teichmuller_powers(), self.p, self.pN, self.r
-            m = len(powers)
-            tr = [None] * m
-            for k in range(m):
-                if tr[k] is None:
-                    orbit, j = [k], k * p % m
-                    while j != k:
-                        orbit.append(j)
-                        j = j * p % m
-                    total = [sum(c) % pN for c in zip(*map(powers.__getitem__, orbit))]
-                    if any(total[1:]):
-                        raise InvariantViolation(
-                            f"Teichmuller orbit of omega(g)^{k} does not sum into Z/p^N")
-                    for j in orbit:
-                        tr[j] = r // len(orbit) * total[0] % pN
+            powers, pN, r = self.teichmuller_powers(), self.pN, self.r
+            tr = [0] * len(powers)
+            for orbit in frobenius_orbits(self.p, len(powers))[0]:
+                total = [sum(c) % pN for c in zip(*map(powers.__getitem__, orbit))]
+                if any(total[1:]):
+                    raise InvariantViolation(
+                        f"Teichmuller orbit of omega(g)^{orbit[0]} does not sum into Z/p^N")
+                for j in orbit:
+                    tr[j] = r // len(orbit) * total[0] % pN
             self._traces = tr, [w[0] for w in powers]
         return self._traces
 
@@ -249,6 +257,30 @@ class PadicCtx:
 
 # the context of each (field, N), shared by every kernel and Teichmuller table
 _ring = lru_cache(maxsize=32)(PadicCtx)
+
+
+@lru_cache(maxsize=32)
+def frobenius_orbits(p: int, m: int):
+    """(orbits, full, reps, pick) for the map a -> p*a mod m on [0, m),
+    m = p^r - 1: its orbits, each a tuple from its least member along the
+    map, the full ones (r members) first, then the shorter ones, each part
+    in order of least members; the number of full orbits; the orbits' least
+    members in that order; and an itemgetter that reads them from a list
+    indexed by a."""
+    orbits, seen = [], bytearray(m)
+    for a in range(m):
+        if not seen[a]:
+            orbit, j = [a], a * p % m
+            while j != a:
+                orbit.append(j)
+                j = j * p % m
+            for j in orbit:
+                seen[j] = 1
+            orbits.append(tuple(orbit))
+    r = len(orbits[1])  # the orbit of 1, {p^i}
+    orbits.sort(key=lambda orbit: len(orbit) < r)
+    reps = [orbit[0] for orbit in orbits]
+    return orbits, sum(len(orbit) == r for orbit in orbits), reps, itemgetter(*reps)
 
 
 @dataclass(frozen=True)

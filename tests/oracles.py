@@ -223,21 +223,44 @@ def kernel_by_inline_passes(top, bottom, field, N):
     return shift, avals, cvals
 
 
-def raw_eval_by_coefficients(kern, t):
-    """kern.raw_eval(t) by the per-coefficient loop: each summand's
-    coefficient times every coordinate of Teichmuller table entry
-    -a log(t) mod (q-1), accumulated one multiply-add at a time, then the
-    factor -1/(q-1) mod p^(N + shift)."""
-    field = kern.field
+def raw_eval_by_coefficients(coeffs, work, t):
+    """The vector (vec, shift) at t of the kernel coefficients coeffs =
+    (shift, avals, cvals) by the per-coefficient loop: each summand's
+    coefficient times every coordinate of entry -a log(t) mod (q-1) of the
+    Teichmuller table of work, the context at the working precision,
+    accumulated one multiply-add at a time, then the factor -1/(q-1) mod
+    p^(N + shift)."""
+    shift, avals, cvals = coeffs
+    field = work.field
     m = field.q - 1
     l = field.log(t)
-    pNw = kern.work.pN
+    pNw = work.pN
     acc = [0] * field.r
-    for a, c in zip(kern.avals, kern.cvals):
-        for j, w in enumerate(kern.work.teichmuller_powers()[-a * l % m]):
+    for a, c in zip(avals, cvals):
+        for j, w in enumerate(work.teichmuller_powers()[-a * l % m]):
             acc[j] += c * w
     lead = -pow(m, -1, pNw) % pNw
-    return tuple(v * lead % pNw for v in acc), kern.shift
+    return tuple(v * lead % pNw for v in acc), shift
+
+
+def is_frobenius_stable(coeffs, p, q):
+    """Whether kernel coefficients (shift, avals, cvals) are closed under
+    a -> p*a mod (q-1) with equal coefficients along each orbit, checked
+    at every a: the identity a closed kernel is built on."""
+    _, avals, cvals = coeffs
+    c = dict(zip(avals, cvals))
+    return all(c.get(a * p % (q - 1)) == v for a, v in c.items())
+
+
+def teichmuller_powers_by_products(ctx):
+    """omega(g)^k for k in 0..q-2 by q-2 generic Galois-ring products of
+    the previous power with a fresh lift of the generator."""
+    mod, pN = ctx.modulus, ctx.pN
+    w = teichmuller(ctx.field.generator, ctx)
+    table = [(1,) + (0,) * (ctx.r - 1), w]
+    for _ in range(ctx.q - 3):
+        table.append(_poly_mulmod(table[-1], w, mod, pN))
+    return tuple(table)
 
 
 def naive_G(top, bottom, t, field, N, shift_extra=3):

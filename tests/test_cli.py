@@ -357,8 +357,11 @@ def test_verify_reports_cache_activity(capsys):
     assert caches["build_field"]["hits"] + caches["build_field"]["misses"] == 3
     assert caches["gamma_steps"]["hits"] + caches["gamma_steps"]["misses"] >= 1
     assert isinstance(caches["kernels"], int) and caches["kernels"] >= 2
-    # the identity checkers read vectors, so no kernel decides its path
-    assert caches["stable_kernels"] == 0
+    # each kernel decides its path at build: at seed 0 the three rows and
+    # their 4-rows of halves give six kernels, four of them closed under
+    # x -> p*x mod 1 and so on the trace path
+    assert caches["kernels"] == 6
+    assert caches["stable_kernels"] == 4
     # this suite reads no family table and sets up no pair formula; a pair
     # suite reads two entries and one (theorem, field) set-up per row
     assert caches["family_traces"] == {"hits": 0, "misses": 0}
@@ -371,7 +374,7 @@ def test_verify_reports_cache_activity(capsys):
     code, out = run(capsys, "verify", "--suite", "t13", "--pmax", "7", "--rmax", "1")
     assert code == 0
     payload = json.loads(out)
-    # every t13 kernel takes the Frobenius-stable path
+    # every t13 kernel is closed and takes the trace path
     assert payload["caches"]["stable_kernels"] == payload["caches"]["kernels"] >= 1
     tables = payload["caches"]["family_traces"]
     assert tables["misses"] <= 2

@@ -1,12 +1,14 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from padic_hg.errors import (
     DenominatorDivisibleByP,
     HypothesisViolation,
+    InvariantViolation,
     NoRepresentative,
     NonConstantResult,
     NonIntegralValue,
@@ -29,6 +31,7 @@ from padic_hg.gfunc import (
 )
 from oracles import (
     floor_orbit_by_fractions,
+    is_frobenius_stable,
     kernel_by_inline_passes,
     naive_G,
     raw_eval_by_coefficients,
@@ -49,6 +52,32 @@ def new_kernel(top, bottom, field, N):
     the row check, so a denominator divisible by p reaches the kernel."""
     rows = (tuple(Fraction(x).as_integer_ratio() for x in row) for row in (top, bottom))
     return gfunc._GKernel(*rows, field, N)
+
+
+def kernel_coefficients(kern):
+    """(shift, avals, cvals) of a kernel of either path, every surviving
+    summand and its coefficient: a closed kernel's terms over the trace
+    column expanded to all r members of their orbits."""
+    if kern.orbit_terms is None:
+        return kern.shift, kern.avals, kern.cvals
+    field, tr = kern.field, kern.work.traces()[0]
+    coeff = {}
+    for a, c, col in kern.orbit_terms:
+        for i in range(field.r if col is tr else 1):
+            coeff[a * field.p**i % (field.q - 1)] = c
+    avals = sorted(coeff)
+    return kern.shift, avals, [coeff[a] for a in avals]
+
+
+def full_vector_kernel(coeffs, field, N):
+    """A vector-path kernel holding the coefficients coeffs = (shift, avals,
+    cvals) of a full build, at every surviving summand."""
+    kern = object.__new__(gfunc._GKernel)
+    kern.field, (kern.shift, kern.avals, kern.cvals) = field, coeffs
+    kern.work = padic._ring(field, N + kern.shift)
+    kern.width, kern.packed = kern.work.packed()
+    kern.lead = -kern.work.inv(field.q - 1) % kern.work.pN
+    return kern
 
 
 def test_choose_precision_examples():
@@ -143,7 +172,9 @@ THIRDS = ((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 4), Fraction(3, 4)))
 
 @pytest.mark.parametrize("p,r", [(13, 1), (7, 2), (5, 3), (5, 4)])
 def test_packed_raw_eval_matches_per_coefficient_loop(p, r):
-    # the four headline rows (shift 0) and a row with shift r, at every t
+    # the four headline rows (shift 0), a row with shift r and, off r = 1,
+    # a row that is not closed, at every t: each kernel's vector against
+    # the per-coefficient loop over the full build's coefficients
     field = build_field(p, r)
     rows = [
         (frobtrace.TOP4, frobtrace.BOT_QUARTERS),
@@ -151,13 +182,17 @@ def test_packed_raw_eval_matches_per_coefficient_loop(p, r):
         (frobtrace.TOP4, frobtrace.BOT_EIGHTHS),
         (frobtrace.TOP6, frobtrace.BOT6),
         THIRDS,
+        ((HALF, Fraction(1, 3)), (Fraction(0), Fraction(3, 4))),
     ]
     kernels = [new_kernel(top, bottom, field, 2) for top, bottom in rows]
-    assert [k.shift for k in kernels] == [0, 0, 0, 0, r]
+    assert [k.shift for k in kernels[:5]] == [0, 0, 0, 0, r]
+    assert [k.orbit_terms is None for k in kernels] == [False] * 5 + [r > 1]
+    full = [kernel_by_inline_passes(top, bottom, field, 2) for top, bottom in rows]
+    works = [padic._ring(field, 2 + k.shift) for k in kernels]
     for v in range(1, field.q):
         t = field.elem(v)
-        for kern in kernels:
-            assert kern.raw_eval(t) == raw_eval_by_coefficients(kern, t)
+        for kern, coeffs, work in zip(kernels, full, works):
+            assert kern.raw_eval(t) == raw_eval_by_coefficients(coeffs, work, t)
 
 
 @pytest.mark.parametrize("p,r,N", [(3, 1, 1), (5, 2, 2), (7, 3, 1), (5, 4, 3)])
@@ -167,7 +202,8 @@ def test_packed_slots_reach_their_bound_without_carrying(p, r, N):
     field = build_field(p, r)
     kern = new_kernel((HALF,), (Fraction(0),), field, N)
     m, pNw = field.q - 1, kern.work.pN
-    kern.avals, kern.cvals = list(range(m)), [pNw - 1] * m
+    # the vector path, with every coefficient p^Nw - 1
+    kern.orbit_terms, kern.avals, kern.cvals = None, list(range(m)), [pNw - 1] * m
     # a context of its own whose Teichmuller coordinates are all p^Nw - 1
     worst = kern.work = PadicCtx(field, kern.work.N)
     worst._powers = ((pNw - 1,) * r,) * m
@@ -176,7 +212,8 @@ def test_packed_slots_reach_their_bound_without_carrying(p, r, N):
     slot = m * (pNw - 1) ** 2 * (-pow(m, -1, pNw)) % pNw
     t = field.generator
     assert kern.raw_eval(t) == ((slot,) * r, kern.shift)
-    assert raw_eval_by_coefficients(kern, t) == kern.raw_eval(t)
+    coeffs = kern.shift, kern.avals, kern.cvals
+    assert raw_eval_by_coefficients(coeffs, worst, t) == kern.raw_eval(t)
     # one bit narrower, the slots carry into each other and the sum is wrong
     kern.width -= 1
     kern.packed = [sum(c << j * kern.width for j, c in enumerate(w)) for w in worst._powers]
@@ -206,19 +243,24 @@ def test_kernel_working_precision_is_capped():
 
 def test_kernels_tables_and_trace_column_share_one_context():
     # every kernel of one (field, N), the Teichmuller powers of any context
-    # with that (field, N) and the trace column read one shared context
+    # with that (field, N) and the trace column read one shared context;
+    # closed kernels never build the packing, which the first kernel on
+    # the vector path builds
     field = build_field(7, 2)
     gfunc._KERNELS.clear()
+    padic._ring.cache_clear()
     ring = padic._ring(field, 3)
     k1 = _kernel(TOP4, QUARTERS, field, 3)
     k2 = _kernel((HALF, HALF), (Fraction(0), Fraction(0)), field, 3)
     assert k1.shift == k2.shift == 0
     assert k1.work is k2.work is ring
     assert PadicCtx(field, 3).teichmuller_powers() is ring.teichmuller_powers()
-    assert k1.packed is k2.packed is ring.packed()[1]
-    assert k1.stable()
     tr, const = ring.traces()
     assert {id(col) for _, _, col in k1.orbit_terms} == {id(tr), id(const)}
+    assert ring._packed is None
+    k3 = _kernel((Fraction(1, 4), HALF), (Fraction(0), Fraction(0)), field, 3)
+    assert k3.orbit_terms is None and k3.work is ring
+    assert k3.packed is ring.packed()[1]
     gfunc._KERNELS.clear()
 
 
@@ -253,19 +295,22 @@ def vector_path(kern, t, N):
 
 @pytest.mark.parametrize("p,r,naive_ts", [(13, 1, 12), (7, 2, 3), (5, 3, 2), (5, 4, 0)])
 def test_trace_sum_matches_the_vector_path_at_every_t(p, r, naive_ts):
-    # the five pair rows (shift 0) and a row with shift r: the Frobenius-
-    # stable path against the vector path at every t, and against the
-    # defining sum at naive_ts of them
+    # the five pair rows (shift 0) and a row with shift r: the trace path
+    # against the vector path of the full build at every t, and against
+    # the defining sum at naive_ts of them
     field = build_field(p, r)
     rng = random.Random(p * r)
     for top, bottom in PAIR_ROWS + [THIRDS]:
         key = kernel_key(top, bottom, field, 2)
         kern = gfunc._kernel_at(key)
-        assert kern.stable()
+        assert kern.orbit_terms is not None
+        coeffs = kernel_by_inline_passes(top, bottom, field, 2)
+        assert kernel_coefficients(kern) == coeffs
+        full = full_vector_kernel(coeffs, field, 2)
         naive = set(rng.sample(range(1, field.q), naive_ts))
         for v in range(1, field.q):
             t = field.elem(v)
-            want = vector_path(kern, t, 2)
+            want = vector_path(full, t, 2)
             try:
                 got = gfunc._value_and_lift(key, t, None)[0]
             except NonIntegralValue:
@@ -278,6 +323,57 @@ def test_trace_sum_matches_the_vector_path_at_every_t(p, r, naive_ts):
     gfunc._KERNELS.clear()
 
 
+SPLIT_DENOMS = (1, 2, 3, 4, 6)
+
+
+def closed_pairs(p, q):
+    """The 2-rows over SPLIT_DENOMS allowed at q, as the splitting identity
+    requires, that are closed under x -> p*x mod 1, one per multiset."""
+    values = sorted({Fraction(n, d) for d in SPLIT_DENOMS
+                     if d % p and (q - 1) % d == 0 for n in range(d)})
+    return [(x, y) for i, x in enumerate(values) for y in values[i:]
+            if sorted([p * x % 1, p * y % 1]) == [x, y]]
+
+
+def assert_descends_to_the_full_build(top, bottom, field, N):
+    """A closed kernel of the rows equals the full build by the inline
+    passes at every a and, by its vector, the full build's vector at every
+    t; the full build is Frobenius-stable at every a.  Returns the shift."""
+    kern = new_kernel(top, bottom, field, N)
+    assert kern.orbit_terms is not None, (top, bottom)
+    full = kernel_by_inline_passes(top, bottom, field, N)
+    assert kernel_coefficients(kern) == full, (top, bottom)
+    assert is_frobenius_stable(full, field.p, field.q)
+    vec = full_vector_kernel(full, field, N)
+    for v in range(1, field.q):
+        t = field.elem(v)
+        assert kern.raw_eval(t) == vec.raw_eval(t), (top, bottom, v)
+    return kern.shift
+
+
+@pytest.mark.parametrize("p,r", [(5, 2), (3, 3), (7, 2), (3, 4), (5, 3)])
+def test_closed_splitting_rows_descend_to_the_full_build(p, r):
+    # every closed splitting row over SPLIT_DENOMS and its 4-row of halves,
+    # the rows check_splitting_identity builds kernels of, some with a
+    # shift; the defining sum checks one row at two t per field
+    field = build_field(p, r)
+    pairs = closed_pairs(p, field.q)
+    shifts = []
+    for top in pairs:
+        for bottom in pairs:
+            shifts.append(assert_descends_to_the_full_build(top, bottom, field, 2))
+            shifts.append(assert_descends_to_the_full_build(
+                *doubled_row(*top, *bottom), field, 2))
+    assert max(shifts) > 0
+    # the defining sum at two t, for the last 2-row with the largest shift
+    top, bottom = [rows for rows, s in zip(product(pairs, pairs), shifts[::2])
+                   if s == max(shifts[::2])][-1]
+    kern = new_kernel(top, bottom, field, 2)
+    for v in (2, field.q - 2):
+        vec, s = kern.raw_eval(field.elem(v))
+        assert list(vec) == naive_G(top, bottom, field.elem(v), field, 2, shift_extra=s)["coeffs"]
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_every_pair_row_takes_the_stable_path(p):
     # each pair formula's kernel, as trace_sum_pair reads it, on every
@@ -288,7 +384,7 @@ def test_every_pair_row_takes_the_stable_path(p):
         field = build_field(p, r)
         for name in frobtrace.PAIR_FORMULAS:
             key, _ = frobtrace._pair_setup(name, field)
-            assert gfunc._kernel_at(key).stable(), (name, field.q)
+            assert gfunc._kernel_at(key).orbit_terms is not None, (name, field.q)
     gfunc._KERNELS.clear()
 
 
@@ -306,7 +402,7 @@ def test_unstable_rows_keep_the_vector_path(p, r, top, bottom):
     field = build_field(p, r)
     ctx = PadicCtx(field, 2)
     kern = _kernel(top, bottom, field, 2)
-    assert not kern.stable() and kern.orbit_terms == []
+    assert kern.orbit_terms is None
     outcomes = set()
     for v in range(1, field.q):
         t = field.elem(v)
@@ -321,21 +417,25 @@ def test_unstable_rows_keep_the_vector_path(p, r, top, bottom):
     gfunc._KERNELS.clear()
 
 
-def test_a_corrupted_coefficient_sends_the_kernel_to_the_vector_path():
-    # one full-orbit coefficient off by one before the first G-value: the
-    # kernel fails its Frobenius check, and the vector path sees the error
-    field = build_field(7, 2)
-    key = kernel_key(TOP4, QUARTERS, field, 2)
-    assert gfunc._GKernel(*key).stable()
-    gfunc._KERNELS.clear()
-    kern = gfunc._kernel_at(key)
-    m = field.q - 1
-    j = next(j for j, a in enumerate(kern.avals) if a * field.p % m != a)
-    kern.cvals[j] = (kern.cvals[j] + 1) % kern.work.pN
-    with pytest.raises(NonConstantResult):
-        evaluate_G(GParams(TOP4, QUARTERS, field.generator), field, PadicCtx(field, 2))
-    assert not kern.stable()
-    gfunc._KERNELS.clear()
+def test_a_corrupted_unit_entry_fails_the_closed_kernel_build():
+    # a field of its own, so its shared context is this test's alone.  The
+    # top row 1/5..4/5 is closed under x -> 7x mod 1 and puts each value on
+    # a coset u/5 of its own, so the units column of 1/5 is read by that
+    # parameter alone.  The kernel rechecks c[p*a] = c[a] at its first
+    # full orbit a, reading that column at Y - p*a; that entry off by one
+    # changes c[p*a] and not c[a], and fails the build
+    field, m = FqField(7, 2), 48
+    key = kernel_key([Fraction(i, 5) for i in range(1, 5)], [0] * 4, field, 2)
+    kern = gfunc._GKernel(*key)
+    a, _, col = kern.orbit_terms[0]
+    assert col is kern.work.traces()[0]
+    Y, u, d = padic._coset(1, 5, m)
+    col, e = kern.work.column("units", u, d), (Y - field.p * a) % m
+    col[e] = (col[e] + 1) % kern.work.pN
+    with pytest.raises(InvariantViolation, match=f"c\\[{field.p * a % m}\\]"):
+        gfunc._GKernel(*key)
+    col[e] = (col[e] - 1) % kern.work.pN
+    assert kernel_coefficients(gfunc._GKernel(*key)) == kernel_coefficients(kern)
 
 
 def test_mixed_fields_rejected():
@@ -595,10 +695,9 @@ def test_kernel_matches_inline_passes_on_headline_rows(p, r):
     ]
     for N in (1, 3):
         for top, bottom in rows:
-            kern = new_kernel(top, bottom, field, N)
-            got = kern.shift, kern.avals, kern.cvals
+            got = kernel_coefficients(new_kernel(top, bottom, field, N))
             assert got == kernel_by_inline_passes(top, bottom, field, N), (top, bottom, N)
-        assert kern.shift == r
+        assert got[0] == r
 
 
 def test_kernel_matches_inline_passes_on_identity_suite_rows():
@@ -609,8 +708,7 @@ def test_kernel_matches_inline_passes_on_identity_suite_rows():
     assert all(result for _, result in cli._reduction_cases(trials=30, rng=rng))
     keys = list(gfunc._KERNELS)
     for key in keys:
-        kern = gfunc._KERNELS[key]
-        got = kern.shift, kern.avals, kern.cvals
+        got = kernel_coefficients(gfunc._KERNELS[key])
         assert got == kernel_by_inline_passes(*kernel_rows(key)), key
     shifts = [gfunc._KERNELS[key].shift for key in keys]
     assert len(keys) >= 80 and sum(s > 0 for s in shifts) >= 10 and max(shifts) >= 3
@@ -669,8 +767,7 @@ def test_kernel_matches_inline_passes_off_the_grid(p, r):
                 with pytest.raises(type(exc)):
                     new_kernel(top, bottom, field, N)
                 continue
-            kern = new_kernel(top, bottom, field, N)
-            assert (kern.shift, kern.avals, kern.cvals) == want, (top, bottom, N)
+            assert kernel_coefficients(new_kernel(top, bottom, field, N)) == want, (top, bottom, N)
 
 
 def test_rotated_reads_entry_y_minus_s_a():
@@ -683,10 +780,13 @@ def test_rotated_reads_entry_y_minus_s_a():
 def test_splitting_identity_hypotheses():
     field = build_field(7, 1)
     ctx = PadicCtx(field, 2)
-    with pytest.raises(HypothesisViolation):
+    # rows are checked as GParams checks them, before any kernel is cached
+    gfunc._KERNELS.clear()
+    with pytest.raises(DenominatorDivisibleByP, match="1/7 is not in Z_7"):
         check_splitting_identity(
             Fraction(1, 7), Fraction(0), Fraction(0), Fraction(0), field.one, field, ctx
         )
+    assert not gfunc._KERNELS
     with pytest.raises(HypothesisViolation):
         # q = 7 is not 1 mod 4
         check_splitting_identity(

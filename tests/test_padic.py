@@ -20,7 +20,7 @@ from padic_hg.errors import (
     PrecisionTooLarge,
     ZeroInput,
 )
-from padic_hg.ffield import TABLE_CAP, FqField, _poly_mulmod, build_field
+from padic_hg.ffield import TABLE_CAP, FqField, _poly_mulmod, build_field, is_prime
 from padic_hg.padic import (
     PadicCtx,
     dth_root_gamma_quotient_check,
@@ -45,6 +45,7 @@ from oracles import (
     gamma_by_direct_product,
     gamma_orbit_by_fractions,
     gamma_table_by_recurrence,
+    teichmuller_powers_by_products,
 )
 
 
@@ -466,6 +467,42 @@ def test_teichmuller_table_matches_lifts(p, r, N):
     for k in range(field.q - 1):
         assert table[k] == teichmuller(field.exp(k), ctx)
     assert padic._ring(field, N).teichmuller_powers() is table
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_teichmuller_step_matches_repeated_products(r):
+    # the fixed multiply-by-omega(g) step against q-2 generic Galois-ring
+    # products, on every field of degree r with q <= 7^4 at every N <= 6
+    # the gamma table cap allows
+    checked = 0
+    for p in range(3, 7**4 + 1, 2):
+        if p**r > 7**4:
+            break
+        if not is_prime(p):
+            continue
+        field = build_field(p, r)
+        for N in range(1, 7):
+            if p ** ((N + 1) // 2) <= TABLE_CAP:
+                ctx = PadicCtx(field, N)
+                assert ctx.teichmuller_powers() == teichmuller_powers_by_products(ctx), (p, N)
+                checked += 1
+    assert checked >= 6
+
+
+def test_frobenius_orbits_partition_the_exponents():
+    # full orbits (r members) first, then the shorter ones, each from its
+    # least member along a -> p*a, and pick reads the least members
+    for p, r in [(3, 1), (13, 1), (5, 2), (3, 3), (7, 2), (3, 4), (5, 4)]:
+        m = p**r - 1
+        orbits, full, reps, pick = padic.frobenius_orbits(p, m)
+        assert sorted(a for orbit in orbits for a in orbit) == list(range(m))
+        lengths = [len(orbit) for orbit in orbits]
+        assert [n == r for n in lengths] == [True] * full + [False] * (len(orbits) - full)
+        for orbit in orbits:
+            assert orbit[0] == min(orbit)
+            assert [a * p % m for a in orbit] == list(orbit[1:] + orbit[:1])
+        assert list(pick(list(range(m)))) == reps == [orbit[0] for orbit in orbits]
+        assert padic.frobenius_orbits(p, m) is padic.frobenius_orbits(p, m)
 
 
 def test_teichmuller_table_checks_the_order(monkeypatch):
