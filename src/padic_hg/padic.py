@@ -1,6 +1,6 @@
 """Exact arithmetic mod p^N in the Galois ring GR(p^N, r).
 
-Holds the p-adic gamma function (baby-step/giant-step tables shared by
+Holds the p-adic gamma function (giant, mid and low step tables shared by
 (p, N)), Teichmuller lifts, the Gross-Koblitz gamma-product and floor
 identities, stated in integers, and the context _ring(field, N) that every
 G-function kernel and every context of one (field, N) shares: its table of
@@ -47,39 +47,64 @@ def frac(x):
 
 @lru_cache(maxsize=32)
 def _gamma_steps(p: int, N: int):
-    """Baby-step/giant-step tables for Gamma_p mod p^N, shared by every
-    context with the same (p, N).
-
-    With L = ceil(N/2) and B = p^L, write m = k*B + s with 0 <= s < B, and
-    let P_s(z) be the product of z + t over the 0 < t < s prime to p.  Then
-    Gamma_p(m) = (-1)^m * giant[k] * P_s(k*B), where giant[k] is the product
-    of the 0 < j < k*B prime to p.  Since p^L divides k*B and 2L >= N, only
-    the linear part c0[s] + c1[s]*z of P_s(z) matters at z = k*B.  With the
-    signs (-1)^s and (-1)^(kB) and the factor k*B folded into the tables,
-
-        Gamma_p(m) = giant0[k] * c0[s] + giant1[k] * c1[s]  mod p^N.
-
-    Returns (B, c0, c1, giant0, giant1); building costs O(p^ceil(N/2)).
+    """Three-level tables for Gamma_p mod p^N, shared by every context with
+    the same (p, N).  With F(m) the product of the 0 < t < m prime to p and
+    P_n(z) that of z + t over the 0 < t < n prime to p, Gamma_p(m) = (-1)^m
+    F(m) and F(a + b) = F(a) P_b(a) for p | a.  So for L = ceil(N/2), B =
+    p^L, C = p^c, c = max(1, floor(N/3)), D = ceil(N/c) and m = kB + iC + j,
+    j < C, i < B/C, Gamma_p(m) = (-1)^m F(kB) P_iC(kB) P_j(kB + iC) mod p^N:
+    low[j] = P_j(w) mod (w^D, p^N), highest degree first, exact at w = kB +
+    iC as cD >= N; mid0[i] + mid1[i]*y = P_iC(y) mod y^2, exact at y = kB as
+    2L >= N; giant0[k] = F(kB) and giant1[k] = kB F(kB); each signed by its
+    part of m.  Returns (B, C, low, mid0, mid1, giant0, giant1), of C, B/C
+    and p^(N-L) entries, built in O(p^c D + p^(L-c) D + p^(N-L)), rechecked.
     """
-    pN = p**N
-    B = p ** ((N + 1) // 2)
-    c0, c1 = [0] * B, [0] * B
-    u0, u1 = 1, 0  # P_s(z) mod (z^2, p^N)
-    for s in range(B):
-        c0[s] = u0 if s % 2 == 0 else -u0 % pN
-        c1[s] = u1 if s % 2 == 0 else -u1 % pN
-        if s % p:
-            u0, u1 = u0 * s % pN, (u1 * s + u0) % pN
-    # (u0, u1) is now P_B(z), the product over a whole block
-    giant0, giant1 = [], []
-    g = 1  # giant[k]
-    for k in range(pN // B):
-        z = k * B
-        sign = -1 if z % 2 else 1
-        giant0.append(sign * g % pN)
-        giant1.append(sign * g * z % pN)
-        g = g * (u0 + u1 * z) % pN
-    return B, c0, c1, giant0, giant1
+    pN, L, c = p**N, (N + 1) // 2, max(1, N // 3)
+    B, C, D = p**L, p**c, -(-N // c)
+    low, u = [], [1] + [0] * (D - 1)  # P_j(w) mod (w^D, p^N), constant first
+    for j in range(C):
+        low.append(tuple(-a % pN if j % 2 else a for a in reversed(u)))
+        if j % p:
+            u = [(a * j + b) % pN for a, b in zip(u, [0] + u)]
+    mid0, mid1, v0, v1 = [], [], 1, 0  # P_iC(y) mod (y^2, p^N)
+    for x in range(0, B, C):
+        mid0.append(-v0 % pN if x % 2 else v0)
+        mid1.append(-v1 % pN if x % 2 else v1)
+        val = der = 0  # P_C(x + y) mod y^2, from u = P_C(w)
+        for a in reversed(u):
+            der, val = der * x + val, val * x + a
+        v0, v1 = v0 * val % pN, (v1 * val + v0 * der) % pN
+    giant0, giant1, g = [], [], 1  # g = F(kB), stepped by P_B(kB)
+    for z in range(0, pN, B):
+        giant0.append(-g % pN if z % 2 else g)
+        giant1.append(giant0[-1] * z % pN)
+        g = g * (v0 + v1 * z) % pN
+    if g != pN - 1:
+        raise InvariantViolation(f"the units below {p}^{N} do not multiply to -1 (Wilson)")
+    tables = B, C, low, mid0, mid1, giant0, giant1
+    _gamma_recheck(tables, pN)
+    return tables
+
+
+def _gamma_value(tables, pN: int, m: int) -> int:
+    """Gamma_p(m) mod p^N from the tables of _gamma_steps, for 0 <= m < p^N."""
+    B, C, low, mid0, mid1, giant0, giant1 = tables
+    k, s = divmod(m, B)
+    i, j = divmod(s, C)
+    w, acc = m - j, 0
+    for a in low[j]:
+        acc = acc * w + a
+    return (giant0[k] * mid0[i] + giant1[k] * mid1[i]) * acc % pN
+
+
+def _gamma_recheck(tables, pN: int):
+    """Check Gamma_p(m + 1) = -m Gamma_p(m) mod p^N through the tables at each
+    C seam B <= m + 1 <= 2B below p^N, which reads low[0], low[C-1], giant[0..2]
+    and every mid0 and mid1 entry, the latter times giant1[1] = B F(B) != 0."""
+    B, C = tables[:2]
+    for m in range(B - 1, min(2 * B, pN - 1), C):
+        if _gamma_value(tables, pN, m + 1) != -m * _gamma_value(tables, pN, m) % pN:
+            raise InvariantViolation(f"gamma tables mod {pN} fail the step {m} -> {m + 1}")
 
 
 class PadicCtx:
@@ -94,7 +119,7 @@ class PadicCtx:
         if N < 1:
             raise ValueError("precision N must be >= 1")
         if field.p ** ((N + 1) // 2) > TABLE_CAP:
-            raise PrecisionTooLarge(f"N = {N}: p^ceil(N/2) passes the table cap {TABLE_CAP}")
+            raise PrecisionTooLarge(f"N = {N}: gamma table length bound p^ceil(N/2) > {TABLE_CAP}")
         self.field = field
         self.p = field.p
         self.r = field.r
@@ -134,13 +159,11 @@ class PadicCtx:
         return self._gamma_tables
 
     def gamma_at_residue(self, m: int) -> int:
-        """Gamma_p(m) mod p^N for the integer residue m in [0, p^N)."""
+        """Gamma_p(m) mod p^N for any integer m; it depends on m mod p^N only."""
         hit = self._gamma_memo.get(m)
         if hit is None:
-            B, c0, c1, giant0, giant1 = self._gamma_tables or self.warm_gamma_table()
-            k, s = divmod(m, B)
-            hit = giant0[k] * c0[s] + giant1[k] * c1[s]
-            hit = self._gamma_memo[m] = hit % self.pN
+            tables, pN = self._gamma_tables or self.warm_gamma_table(), self.pN
+            hit = self._gamma_memo[m] = _gamma_value(tables, pN, m % pN)
         return hit
 
     def gamma(self, x) -> int:

@@ -92,6 +92,42 @@ def gamma_table_by_recurrence(p, pN):
     return table
 
 
+def gamma_steps_two_level(p, N):
+    """The two-level gamma tables that the three-level ones replaced.
+
+    With B = p^ceil(N/2) and m = k*B + s, (-1)^m Gamma_p(m) is the product
+    of the units below kB (giant[k]) times the linear part c0[s] + c1[s]*z
+    at z = kB of the product of z + t over the units t < s, since z^2 = 0
+    mod p^N.  Returns (B, c0, c1, giant0, giant1), signs and the factor kB
+    folded in, so that Gamma_p(m) = giant0[k] c0[s] + giant1[k] c1[s]; read
+    it with gamma_by_two_level.  O(p^ceil(N/2)) time and memory."""
+    pN = p**N
+    B = p ** ((N + 1) // 2)
+    c0, c1 = [0] * B, [0] * B
+    u0, u1 = 1, 0
+    for s in range(B):
+        c0[s] = u0 if s % 2 == 0 else -u0 % pN
+        c1[s] = u1 if s % 2 == 0 else -u1 % pN
+        if s % p:
+            u0, u1 = u0 * s % pN, (u1 * s + u0) % pN
+    giant0, giant1 = [], []
+    g = 1
+    for k in range(pN // B):
+        z = k * B
+        sign = -1 if z % 2 else 1
+        giant0.append(sign * g % pN)
+        giant1.append(sign * g * z % pN)
+        g = g * (u0 + u1 * z) % pN
+    return B, c0, c1, giant0, giant1
+
+
+def gamma_by_two_level(steps, pN, m):
+    """Gamma_p(m) mod pN from gamma_steps_two_level's tables, 0 <= m < pN."""
+    B, c0, c1, giant0, giant1 = steps
+    k, s = divmod(m, B)
+    return (giant0[k] * c0[s] + giant1[k] * c1[s]) % pN
+
+
 def a0(x, p):
     """The representative of x mod p in {1, ..., p}, the exponent of the
     reflection formula Gamma_p(x) Gamma_p(1 - x) = (-1)^a0(x)."""

@@ -43,7 +43,9 @@ from oracles import (
     a0,
     floor_orbit_by_fractions,
     gamma_by_direct_product,
+    gamma_by_two_level,
     gamma_orbit_by_fractions,
+    gamma_steps_two_level,
     gamma_table_by_recurrence,
     teichmuller_powers_by_products,
 )
@@ -85,32 +87,98 @@ def test_gamma_table_matches_direct_product(p, N):
 
 
 @pytest.mark.parametrize(
-    "p,N", [(3, 1), (3, 2), (5, 3), (7, 4), (11, 3), (5, 7), (3, 10)]
+    "p,N", [(3, 1), (3, 2), (5, 3), (7, 4), (11, 3), (5, 7), (3, 10), (3, 9), (7, 5), (3, 11)]
 )
 def test_gamma_matches_dense_recurrence_everywhere(p, N):
-    # N = 1, even and odd N, and block sizes p^ceil(N/2) != p^floor(N/2)
+    # N = 1 (one level), N = 2 (no mid level), and N >= 3, where low, mid and
+    # giant steps are all non-trivial: C = p^c < B = p^ceil(N/2) < p^N, with
+    # D = ceil(N/c) terms per low entry, D >= 4 at (7, 4), (5, 7), (3, 10),
+    # (7, 5) and (3, 11)
     ctx = ctx_of(p, 1, N)
     table = gamma_table_by_recurrence(p, ctx.pN)
     assert [ctx.gamma_at_residue(m) for m in range(ctx.pN)] == table
 
 
+@pytest.mark.parametrize("p,N", [(3, 1), (3, 2), (5, 3), (3, 6), (5, 5), (7, 4), (3, 9), (11, 3)])
+def test_gamma_matches_two_level_tables_everywhere(p, N):
+    ctx = ctx_of(p, 1, N)
+    steps = gamma_steps_two_level(p, N)
+    assert [ctx.gamma_at_residue(m) for m in range(ctx.pN)] == [
+        gamma_by_two_level(steps, ctx.pN, m) for m in range(ctx.pN)]
+
+
+@pytest.mark.parametrize("p,N", [(11, 7), (13, 7), (7, 9)])
+def test_gamma_matches_two_level_tables_at_seams(p, N):
+    # every m = 0 or -1 mod C, which holds every m = 0 or -1 mod B, read
+    # from the tables without the memo, and seeded residues through it
+    ctx = ctx_of(p, 1, N)
+    pN, tables, steps = ctx.pN, ctx.warm_gamma_table(), gamma_steps_two_level(p, N)
+    C = tables[1]
+    seams = [m for base in range(0, pN, C) for m in (base, base + C - 1)]
+    assert [padic._gamma_value(tables, pN, m) for m in seams] == [
+        gamma_by_two_level(steps, pN, m) for m in seams]
+    rng = random.Random(pN)
+    for m in [rng.randrange(pN) for _ in range(2000)]:
+        assert ctx.gamma_at_residue(m) == gamma_by_two_level(steps, pN, m), m
+
+
 @pytest.mark.parametrize("p,N", [(11, 7), (13, 7), (7, 9)])
 def test_gamma_above_dense_range(p, N):
     # p^N is 2e7..6e7 here, too large for the dense table: check the
-    # functional equation, at block edges m = -1 mod p^ceil(N/2) too, and
-    # the reflection formula on seeded residues
+    # functional equation, at the low and mid block edges m = -1 mod C and
+    # mod B too, and the reflection formula on seeded residues
     ctx = ctx_of(p, 1, N)
-    pN, B = ctx.pN, p ** ((N + 1) // 2)
+    pN, (B, C) = ctx.pN, ctx.warm_gamma_table()[:2]
+    assert 1 < C < B < pN
     rng = random.Random(pN)
     edges = [k * B - 1 for k in (1, 2, p, p + 1)] + [pN - 1]
     edges += [rng.randrange(1, pN // B) * B - 1 for _ in range(40)]
-    points = [0, 1, p - 1, p, B] + [rng.randrange(pN) for _ in range(200)]
+    edges += [rng.randrange(1, pN // C) * C - 1 for _ in range(40)]
+    points = [0, 1, p - 1, p, C, B] + [rng.randrange(pN) for _ in range(200)]
     for m in edges + points:
         step = m if m % p else 1
         nxt = ctx.gamma_at_residue((m + 1) % pN)
         assert nxt == -ctx.gamma_at_residue(m) * step % pN, m
         expected = (-1) ** a0(m, p) % pN
         assert ctx.gamma_at_residue(m) * ctx.gamma_at_residue((1 - m) % pN) % pN == expected
+
+
+def test_gamma_at_residue_reads_any_integer():
+    # m counts mod p^N, above p^N and below 0 too
+    ctx = ctx_of(7, 1, 3)
+    pN = ctx.pN
+    assert ctx.gamma_at_residue(5 * pN) == ctx.gamma_at_residue(0) == 1
+    rng = random.Random(7)
+    for m in [0, 1, pN - 1] + [rng.randrange(pN) for _ in range(50)]:
+        values = {ctx.gamma_at_residue(n) for n in (m, m + pN, m - pN, m - 3 * pN)}
+        assert values == {gamma_by_direct_product(m, 7, pN)}, m
+
+
+@pytest.mark.parametrize("p,N", [(5, 4), (7, 5), (3, 9)])
+def test_gamma_recheck_catches_a_tampered_entry(p, N):
+    # the build-time recheck reads every mid entry, low[0], low[C-1] and the
+    # first giant entries across the C seams of the second B block: one
+    # changed entry fails it
+    tables = padic._gamma_steps(p, N)
+    B, C, low, mid0, mid1, giant0, giant1 = tables
+    padic._gamma_recheck(tables, p**N)
+    def bump(entries, at):
+        copy = list(entries)
+        copy[at] = (copy[at][0] + 1,) + copy[at][1:] if entries is low else copy[at] + 1
+        return copy
+
+    tampered = [
+        (B, C, bump(low, 0), mid0, mid1, giant0, giant1),
+        (B, C, bump(low, C - 1), mid0, mid1, giant0, giant1),
+        (B, C, low, bump(mid0, 0), mid1, giant0, giant1),
+        (B, C, low, bump(mid0, -1), mid1, giant0, giant1),
+        (B, C, low, mid0, bump(mid1, 1), giant0, giant1),
+        (B, C, low, mid0, bump(mid1, -1), giant0, giant1),
+        (B, C, low, mid0, mid1, bump(giant0, 1), giant1),
+    ]
+    for copy in tampered:
+        with pytest.raises(InvariantViolation, match="gamma tables"):
+            padic._gamma_recheck(copy, p**N)
 
 
 def test_gamma_tables_shared_by_p_and_N():
@@ -707,7 +775,7 @@ def test_shift_checks_pin_their_sides(p, r, t, a):
 
 
 def test_oversized_precision_is_a_typed_error():
-    # the gamma tables of a context hold p^ceil(N/2) entries
+    # no gamma table of a context holds more than p^ceil(N/2) entries
     field = build_field(5, 2)
     largest = max(N for N in range(1, 40) if 5 ** ((N + 1) // 2) <= TABLE_CAP)
     before = padic._gamma_steps.cache_info().misses
