@@ -458,7 +458,7 @@ def _build_parser():
     pe.add_argument("--bound", type=int)
 
     pt.add_argument("--family", choices=FAMILIES, required=True)
-    for name in ("lambda", "a1", "a2", "a3", "a4", "a6", "f", "g", "c", "d"):
+    for name in sorted({name for names in FAMILIES.values() for name in names}):
         pt.add_argument(f"--{name}")
 
     pv.add_argument("--suite", choices=SUITES, required=True)

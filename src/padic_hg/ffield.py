@@ -28,18 +28,7 @@ TABLE_CAP = 10**6  # largest q for which log tables are built
 
 
 def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return prime_factors(n) == [n]
 
 
 def prime_factors(n):
@@ -460,14 +449,15 @@ def count_points(curve: CurveSpec, field: FqField) -> int:
     return 1 + field.q + _phi_sum(curve, field)
 
 
-def _plus_table(c, p, r):
-    """[v + c for every encoding v], the base-p digits added mod p."""
-    table = [0]
+def _digit_map(p, r, base, sign=1, c=0):
+    """[sum_i ((sign*d_i + c_i) mod p) * base^i for every encoding v], d_i
+    and c_i the base-p digits of v and c: with base p, the encoding of
+    v + c; with base 2p-1, where v lands in a Kronecker packing."""
+    out = [0]
     for i in range(r):
-        pi = p**i
-        ci = c // pi % p
-        table = [v + (d + ci) % p * pi for d in range(p) for v in table]
-    return table
+        ci, step = c // p**i % p, base**i
+        out = [x + y for y in [(sign * d + ci) % p * step for d in range(p)] for x in out]
+    return out
 
 
 def _phi_by_encoding(field):
@@ -491,9 +481,9 @@ def _phi_sum(curve, field):
     four = log[4 % p]
     ys = [exp[four + lx] for lx in log]
     for c in (b2, field.from_int(2) * b4):
-        plus = _plus_table(c.enc, p, r)
+        plus = _digit_map(p, r, p, c=c.enc)
         ys = [exp[log[plus[y]] + lx] for y, lx in zip(ys, log)]
-    plus = _plus_table(b6.enc, p, r)
+    plus = _digit_map(p, r, p, c=b6.enc)
     phi = _phi_by_encoding(field)
     return sum([phi[plus[y]] for y in ys])
 
@@ -508,16 +498,6 @@ def trace_of_frobenius(curve: CurveSpec, field: FqField) -> int:
 
 # ---------------------------------------------------------------------------
 # the traces of a whole family from one correlation
-
-def _digit_positions(p, r, sign):
-    """Where each encoding lands in the Kronecker packing: its base-p digits
-    d_i, times sign mod p, weighted by (2p-1)^i."""
-    pos = [0]
-    for i in range(r):
-        step = (2 * p - 1) ** i
-        pos = [x + sign * d % p * step for d in range(p) for x in pos]
-    return pos
-
 
 def _fold(slots, p, r):
     """Fold each digit axis of 2p-1 slots back to p: slot s of an axis adds
@@ -553,7 +533,8 @@ def _correlate(h, f, p, r):
     f_off = [v - lo_f for v in f]
     bound = sum(h_off) * max(f_off)  # no slot of the product exceeds it
     code = next(c for c in "BHIQ" if bound >> 8 * array(c).itemsize == 0)
-    size = (2 * p - 1) ** r
+    width = 2 * p - 1
+    size = width**r
 
     def pack(values, pos):
         slots = [0] * size
@@ -564,9 +545,7 @@ def _correlate(h, f, p, r):
             packed.byteswap()
         return int.from_bytes(packed.tobytes(), "little")
 
-    product = pack(h_off, _digit_positions(p, r, -1)) * pack(
-        f_off, _digit_positions(p, r, 1)
-    )
+    product = pack(h_off, _digit_map(p, r, width, -1)) * pack(f_off, _digit_map(p, r, width))
     slots = array(code)
     slots.frombytes(product.to_bytes(size * slots.itemsize, "little"))
     if sys.byteorder == "big":

@@ -116,6 +116,8 @@ class PadicCtx:
     """
 
     def __init__(self, field, N: int):
+        if not isinstance(N, int):
+            raise TypeError(f"precision N = {N!r} is not an int")
         if N < 1:
             raise ValueError("precision N must be >= 1")
         if field.p ** ((N + 1) // 2) > TABLE_CAP:
@@ -242,14 +244,12 @@ class PadicCtx:
         Gross-Koblitz unit prod_i Gamma_p(<x p^i>) mod p^N and ("digits", u,
         d) the Stickelberger digit sum M * sum_i <x p^i>, where M = d(q-1), over the
         coset x = (J + u/d)/(q-1) for J in [0, q-2], as an array('q'), which
-        holds p^N under the table cap.  A digits column reads no gamma table.
-        Its first and last entries are rechecked before it is kept."""
+        holds p^N under the table cap.  A digits column reads no gamma table;
+        it does not depend on N, yet each context builds and keeps its own,
+        so every context a kernel reads is at one of its precisions.  Its
+        first and last entries are rechecked before it is kept."""
         key = kind, u, d
         if key in self._columns:
-            return self._columns[key]
-        if kind == "digits" and (ring := _ring(self.field, 1)) is not self:
-            # digit sums do not depend on N: one column per (field, coset)
-            self._columns[key] = ring.column(kind, u, d)
             return self._columns[key]
         p, q, pN, M, ends = self.p, self.q, self.pN, d * (self.q - 1), (0, self.q - 2)
         # <x p^i> = ((dJ + u) p^i mod M)/M

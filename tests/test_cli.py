@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -199,6 +201,13 @@ def test_trace_missing_coordinate_is_a_usage_error(capsys, family, given, missin
     payload = json.loads(out)
     assert payload["error"] == "UsageError"
     assert payload["message"].endswith(f"needs {missing}")
+
+
+def test_trace_coordinate_flags_are_the_family_coordinates():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest for a in sub.choices["trace"]._actions} - {"help", "format", "p", "r", "family"}
+    assert flags == {name for names in cli.FAMILIES.values() for name in names}
 
 
 @pytest.mark.parametrize("argv", [
@@ -516,3 +525,52 @@ def test_verify_every_suite_small(capsys, suite):
     payload = json.loads(out)
     assert payload["failed"] == 0 and payload["total"] >= 1
     assert list(payload["instances"][0]) == FIRST_ROW_KEYS[suite]
+
+
+# sha256 of each suite's default payload without "caches", as json.dumps
+# with sorted keys, computed at commit 07fa916: a change that keeps these
+# keeps every default verify output identical, caches aside
+PAYLOAD_DIGESTS = {
+    "t13": "ffd57357200c61008238a1bedb55d421a1fcc6af553c11b8bcaf377ce4da5c21",
+    "t14": "dd5bc0bf7c0096fcfba5853ce52a5a859e3a4723213791364614d781cc11b822",
+    "t15": "0af17e0a30a11c868d01f1e929550a93beae513f68b7e4ee123e350f5a4ee9c5",
+    "t16": "c910d848efd1487346baae73b8730e1f185c742806fda99f282a80c4541cd04e",
+    "t17": "90b65fac42e61f2c065eec8859d611bae125cc29da59903ae6e90dbd6b939176",
+    "t18": "46272344416e7856a9f0d9f0b87628f4b0589652e01c7f13c4ecf392b0c0011f",
+    "t19": "05f7bc33b7ccdc6bbdb2c01c8db0c2eb399495350460fcff0f68f279a5fba595",
+    "t110": "12df7016f5a95a0877d65cc2bc7946d095032b363b33c8a0d60ac745eec2c0e3",
+    "t111": "01655ce6387a45579e87b24ce410e762cca62ed1bfb4878e33db0f06763e620f",
+    "corollary": "6103e1a9906e1af087a0ec8b4bf44af3c69a62c0af2db73dcde57353b6d26f85",
+    "identity-splitting": "f2c44b1dc16d0e442216589708bd8735969c7d0c980815229efe3d678a28646e",
+    "identity-reduction": "f1e11ed9b0bd4ff586e0456112b30845809f803e056602dcda28887dd0b434f2",
+    "lemmas": "079c407c9b9e9347d5b439039ec1d684390cc4acfad59b37c0aa17691b8795cd",
+    "oracle": "056eb969b293bcd00d7f57d7b5d6f174baaed582eff784becedc465ba47e387f",
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_ORDER)
+def test_verify_default_payload_is_pinned(capsys, suite):
+    code, out = run(capsys, "verify", "--suite", suite)
+    assert code == 0
+    payload = json.loads(out)
+    del payload["caches"]
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == PAYLOAD_DIGESTS[suite]
+
+
+def test_identity_splitting_builds_no_context_at_precision_one(capsys, monkeypatch):
+    # every kernel reads its digits at its own precision N, so this suite,
+    # whose kernels run at N >= 3, builds no context at N = 1
+    built = []
+    init = padic.PadicCtx.__init__
+
+    def recording(self, field, N):
+        built.append(N)
+        init(self, field, N)
+
+    monkeypatch.setattr(padic.PadicCtx, "__init__", recording)
+    gfunc._KERNELS.clear()
+    padic._ring.cache_clear()
+    code, _ = run(capsys, "verify", "--suite", "identity-splitting")
+    assert code == 0
+    assert built and 1 not in built

@@ -223,7 +223,7 @@ def test_packed_slots_reach_their_bound_without_carrying(p, r, N):
 def test_kernel_working_precision_is_capped():
     # N fits the table cap, N + shift does not: the kernel raises before
     # it builds a gamma or Teichmuller table, having read only digit sums,
-    # which the context at N reads from the N-free one at N = 1
+    # which the context at N builds and keeps itself
     field = build_field(3, 3)
     N = max(N for N in range(1, 40) if 3 ** ((N + 1) // 2) <= TABLE_CAP)
     ctx = PadicCtx(field, N)
@@ -232,12 +232,10 @@ def test_kernel_working_precision_is_capped():
     with pytest.raises(PrecisionTooLarge):
         evaluate_G(GParams((HALF, HALF), (HALF, HALF), field.one), field, ctx)
     assert padic._gamma_steps.cache_info().misses == before
-    assert padic._ring.cache_info().currsize == 2
-    ring, digits = padic._ring(field, N), padic._ring(field, 1)
-    for r in (ring, digits):
-        assert r._powers is r._packed is r._traces is None
-        assert {kind for kind, _, _ in r._columns} == {"digits"}
-    assert all(col is digits._columns[key] for key, col in ring._columns.items())
+    assert padic._ring.cache_info().currsize == 1
+    ring = padic._ring(field, N)
+    assert ring._powers is ring._packed is ring._traces is None
+    assert {kind for kind, _, _ in ring._columns} == {"digits"}
     padic._ring.cache_clear()
 
 
@@ -719,8 +717,8 @@ def test_kernel_matches_inline_passes_on_identity_suite_rows():
 def test_a_second_kernel_of_known_rows_builds_no_column(monkeypatch):
     # every value of the headline rows lies on the grid j/48 at q = 49, so
     # the first kernel builds the digits and units columns of coset 0/1,
-    # the digits through the N = 1 context, and a kernel of the same or
-    # other headline rows builds none
+    # both in the context at N = 3, and a kernel of the same or other
+    # headline rows builds none
     field = build_field(7, 2)
     built = []
     column = PadicCtx.column
@@ -734,13 +732,13 @@ def test_a_second_kernel_of_known_rows_builds_no_column(monkeypatch):
     padic._ring.cache_clear()
     gfunc._KERNELS.clear()
     first = _kernel(TOP4, QUARTERS, field, 3)
-    assert built == [(3, "digits", 0, 1), (1, "digits", 0, 1), (3, "units", 0, 1)]
+    assert built == [(3, "digits", 0, 1), (3, "units", 0, 1)]
     assert first.shift == 0
     gfunc._KERNELS.clear()
     rows = [(TOP4, QUARTERS), (frobtrace.TOP4, frobtrace.BOT_SIXTHS),
             (frobtrace.TOP4, frobtrace.BOT_EIGHTHS), (frobtrace.TOP6, frobtrace.BOT6)]
     kernels = [_kernel(top, bottom, field, 3) for top, bottom in rows]
-    assert len(built) == 3
+    assert len(built) == 2
     assert all(kern.shift == 0 and kern.work is padic._ring(field, 3) for kern in kernels)
     gfunc._KERNELS.clear()
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import padic_hg
-from padic_hg import padic
+from padic_hg import gfunc, padic
 from padic_hg.errors import (
     DenominatorDivisibleByP,
     HypothesisViolation,
@@ -384,17 +384,18 @@ def test_integer_cores_match_the_fraction_routes(p, r):
         padic._gamma_orbit_nd(ctx, [(1, 2), (p, p * 4)])
 
 
-def test_digits_columns_are_shared_across_precisions():
-    # digit sums do not depend on N: every context of one field reads one
-    # digits column per coset, kept by the N = 1 context; units columns
-    # are built per N
+def test_digits_columns_are_kept_per_precision():
+    # digit sums do not depend on N, yet each context builds and keeps its
+    # own digits column per coset; units columns differ with N
     field = build_field(7, 2)
+    rings = [padic._ring(field, N) for N in (1, 2, 5)]
     for coset in ((0, 1), (1, 3)):
-        cols = [padic._ring(field, N).column("digits", *coset) for N in (2, 5, 1)]
-        assert cols[0] is cols[1] is cols[2]
-        assert PadicCtx(field, 3).column("digits", *coset) is cols[0]
-    units = [padic._ring(field, N).column("units", 0, 1) for N in (2, 5)]
-    assert units[0] is not units[1] and units[0] != units[1]
+        cols = [ring.column("digits", *coset) for ring in rings]
+        assert cols[0] == cols[1] == cols[2]
+        assert len({id(col) for col in cols}) == 3
+        assert all(ring._columns[("digits", *coset)] is col for ring, col in zip(rings, cols))
+    units = [ring.column("units", 0, 1) for ring in rings]
+    assert units[0] != units[1] != units[2] != units[0]
 
 
 def coset_by_fractions(y, q):
@@ -443,8 +444,7 @@ def test_gauss_coset_columns_match_the_fraction_route_at_every_entry(p, r):
 @pytest.mark.parametrize("coset", [(0, 1), (3, 5)], ids=["d1", "d5"])
 def test_gauss_coset_column_recheck_catches_a_corrupted_entry(monkeypatch, kind, index, coset):
     # one wrong entry at either end of a column fails its build, and the
-    # column is not kept, neither by the context nor, for digits, by the
-    # N = 1 context of a field of its own that builds them
+    # column is not kept
     def corrupted(typecode, entries):
         col = array(typecode, entries)
         col[index] += 1
@@ -455,7 +455,7 @@ def test_gauss_coset_column_recheck_catches_a_corrupted_entry(monkeypatch, kind,
     ring = PadicCtx(field, 2)
     with pytest.raises(InvariantViolation, match="Gauss-orbit column"):
         ring.column(kind, *coset)
-    assert not ring._columns and not padic._ring(field, 1)._columns
+    assert not ring._columns
 
 
 def test_gauss_coset_column_recheck_holds_under_optimize():
@@ -783,6 +783,22 @@ def test_oversized_precision_is_a_typed_error():
     for N in (largest + 1, 30):
         with pytest.raises(PrecisionTooLarge):
             PadicCtx(field, N)
+    assert padic._gamma_steps.cache_info().misses == before
+
+
+@pytest.mark.parametrize("N", [3.0, "3"], ids=repr)
+def test_non_int_precision_is_a_type_error_before_any_build(N):
+    # at N = 3.0 the modulus p^N would be the float 125.0; the reduction
+    # identity reaches the constructor through _ring, once the caches are
+    # cleared, as their keys take 3.0 for 3
+    field = build_field(5, 1)
+    before = padic._gamma_steps.cache_info().misses
+    with pytest.raises(TypeError, match="is not an int"):
+        PadicCtx(field, N)
+    gfunc._KERNELS.clear()
+    padic._ring.cache_clear()
+    with pytest.raises(TypeError, match="is not an int"):
+        gfunc.check_reduction_identity([Fraction(1, 2)], [0], 2, field.from_int(2), 5, N=N)
     assert padic._gamma_steps.cache_info().misses == before
 
 
