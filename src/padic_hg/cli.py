@@ -16,7 +16,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from . import charsum, frobtrace, gfunc, padic
+from . import charsum, ffield, frobtrace, gfunc, padic
 from .errors import HypothesisViolation, NotPrime, PadicHGError, SingularCurve
 from .ffield import (
     CurveSpec,
@@ -33,17 +33,6 @@ SKIPPABLE = (HypothesisViolation, SingularCurve)
 PRIMES = (5, 7, 11, 13, 17, 19, 23)
 
 FORMATS = ("json", "csv", "plain")
-
-# each curve family's coordinates, in the order its CurveSpec constructor
-# takes them; each is also the name of a `trace` flag
-FAMILIES = {
-    "legendre": ("lambda",),
-    "a1a3": ("a1", "a3"),
-    "fg": ("f", "g"),
-    "cd": ("c", "d"),
-    "weierstrass": ("a1", "a2", "a3", "a4", "a6"),
-}
-
 
 def _parse_rational(text):
     num, slash, den = text.partition("/")
@@ -123,12 +112,12 @@ def cmd_eval_g(args, fmt):
 
 
 def _curve_from_args(args, field):
-    names = FAMILIES[args.family]
+    names = ffield.FAMILIES[args.family].coords
     missing = [f"--{name}" for name in names if getattr(args, name) is None]
     if missing:
         raise ValueError(f"--family {args.family} needs {' '.join(missing)}")
     coords = (_parse_field_elem(getattr(args, name), field) for name in names)
-    return getattr(CurveSpec, args.family)(*coords)
+    return CurveSpec.of(args.family, *coords)
 
 
 def cmd_trace(args, fmt):
@@ -192,12 +181,14 @@ def _pair_cases(suite, pmax, rmax, skipped, **_):
     the others at (1, m), whose twists cover every parameter pair.  Each
     instance outside the hypotheses or at a singular member is counted in
     skipped under its error class."""
+    family = ffield.FAMILIES[frobtrace.PAIR_FORMULAS[suite].family]
     for field in _pair_fields(suite, pmax, rmax):
         for m in map(field.elem, range(1, field.q)):
-            if suite == "t13":
-                params, labels = (m,), {"q": field.q, "lambda": m.enc}
+            params = family.member(m, field)
+            if len(params) == 1:  # labelled by the coordinate's name
+                labels = {"q": field.q, family.coords[0]: m.enc}
             else:
-                params, labels = (field.one, m), {"q": field.q, "params": f"1,{m.enc}"}
+                labels = {"q": field.q, "params": ",".join(str(x.enc) for x in params)}
             try:
                 sides = frobtrace.trace_sum_pair(
                     frobtrace.TheoremInstance(suite, field, params)
@@ -457,8 +448,8 @@ def _build_parser():
     pe.add_argument("--precision", type=_at_least_one)
     pe.add_argument("--bound", type=int)
 
-    pt.add_argument("--family", choices=FAMILIES, required=True)
-    for name in sorted({name for names in FAMILIES.values() for name in names}):
+    pt.add_argument("--family", choices=ffield.FAMILIES, required=True)
+    for name in sorted({name for family in ffield.FAMILIES.values() for name in family.coords}):
         pt.add_argument(f"--{name}")
 
     pv.add_argument("--suite", choices=SUITES, required=True)

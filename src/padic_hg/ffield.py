@@ -14,6 +14,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
+from typing import Callable, NamedTuple
 
 from .errors import (
     DegreeTooLarge,
@@ -25,6 +26,12 @@ from .errors import (
 )
 
 TABLE_CAP = 10**6  # largest q for which log tables are built
+
+
+def exceeds_cap(p, e):
+    """p^e > TABLE_CAP for p >= 2 and e >= 0, without forming p^e when e
+    alone decides it."""
+    return e > TABLE_CAP.bit_length() or p**e > TABLE_CAP
 
 
 def is_prime(n):
@@ -230,13 +237,15 @@ class FqField:
     """
 
     def __init__(self, p, r):
+        if p > TABLE_CAP:  # before the primality test, which costs sqrt(p)
+            raise DegreeTooLarge(f"p = {p} exceeds table cap {TABLE_CAP}")
         if not is_prime(p) or p == 2:
             raise NotPrime(f"p = {p} is not an odd prime")
         if r < 1:
             raise ValueError("r must be >= 1")
+        if exceeds_cap(p, r):
+            raise DegreeTooLarge(f"q = {p}^{r} exceeds table cap {TABLE_CAP}")
         q = p**r
-        if q > TABLE_CAP:
-            raise DegreeTooLarge(f"q = {q} exceeds table cap {TABLE_CAP}")
         self.p = p
         self.r = r
         self.q = q
@@ -349,70 +358,36 @@ def quad_char(x: FqElem) -> int:
 # ---------------------------------------------------------------------------
 # curves
 
-LEGENDRE = "legendre"
-A1A3 = "a1a3"
-FG = "fg"
-CD = "cd"
-WEIERSTRASS = "weierstrass"
-
-
 @dataclass(frozen=True)
 class CurveSpec:
-    """One of the supported Weierstrass families over a fixed F_q."""
+    """A curve of one of the families of FAMILIES over a fixed F_q."""
 
     family: str
     params: tuple
 
     @staticmethod
-    def legendre(lam):
-        # y^2 = x(x-1)(x-lambda); lambda in {0,1} is singular and is
-        # reported by count_points and member_trace, not here.  lambda = -1
-        # is a valid curve (only the +-lambda pairing of the trace theorems
-        # excludes it).
-        return CurveSpec(LEGENDRE, (lam,))
+    def of(family, *coords):
+        """The curve of family at coords, which must meet the family's
+        hypotheses (HypothesisViolation otherwise).  A singular curve is
+        reported by count_points and member_trace, not here."""
+        spec = FAMILIES[family]
+        if len(coords) != len(spec.coords):
+            raise TypeError(f"{family} takes {len(spec.coords)} coordinates, not {len(coords)}")
+        if coords[0].field.p <= spec.p_above:
+            raise HypothesisViolation(f"{family} family requires p > {spec.p_above}")
+        if spec.nonzero and not all([x.enc for x in coords]):
+            raise HypothesisViolation(f"{family} family requires {', '.join(spec.coords)} nonzero")
+        return CurveSpec(family, coords)
 
-    @staticmethod
-    def a1a3(a1, a3):
-        if a1.field.p <= 3:
-            raise HypothesisViolation("a1a3 family requires p > 3")
-        if a1.is_zero() or a3.is_zero():
-            raise HypothesisViolation("a1a3 family requires a1, a3 nonzero")
-        return CurveSpec(A1A3, (a1, a3))
-
-    @staticmethod
-    def fg(f, g):
-        if f.is_zero() or g.is_zero():
-            raise HypothesisViolation("fg family requires f, g nonzero")
-        return CurveSpec(FG, (f, g))
-
-    @staticmethod
-    def cd(c, d):
-        if c.field.p <= 3:
-            raise HypothesisViolation("cd family requires p > 3")
-        if c.is_zero() or d.is_zero():
-            raise HypothesisViolation("cd family requires c, d nonzero")
-        return CurveSpec(CD, (c, d))
-
-    @staticmethod
-    def weierstrass(a1, a2, a3, a4, a6):
-        return CurveSpec(WEIERSTRASS, (a1, a2, a3, a4, a6))
+    legendre = staticmethod(lambda lam: CurveSpec.of("legendre", lam))
+    a1a3 = staticmethod(lambda a1, a3: CurveSpec.of("a1a3", a1, a3))
+    fg = staticmethod(lambda f, g: CurveSpec.of("fg", f, g))
+    cd = staticmethod(lambda c, d: CurveSpec.of("cd", c, d))
+    weierstrass = staticmethod(lambda *a: CurveSpec.of("weierstrass", *a))
 
     def a_invariants(self, field):
         """(a1, a2, a3, a4, a6) of the long Weierstrass form."""
-        z = field.zero
-        if self.family == LEGENDRE:
-            (lam,) = self.params
-            return (z, -(field.one + lam), z, lam, z)
-        if self.family == A1A3:
-            a1, a3 = self.params
-            return (a1, z, a3, z, z)
-        if self.family == FG:
-            f, g = self.params
-            return (z, f, z, g, z)
-        if self.family == CD:
-            c, d = self.params
-            return (z, c, z, z, d)
-        return self.params
+        return FAMILIES[self.family].a_invariants(field.zero, field.one, *self.params)
 
 
 def _b_invariants(curve, field):
@@ -554,83 +529,117 @@ def _correlate(h, f, p, r):
     return [c + shift for c in _fold(slots.tolist(), p, r)]
 
 
-def _histogram(family, field):
-    """(h, c) with a_q = c - sum_v h[v] * phi(v + m) for the family's member
-    with parameter m (m != 0 for a1a3).  Over x = g^k, with x + 1 = g^z by
-    the Zech table (z is None at x = -1, where the power below is 0):
-
-    * legendre, x(x-1)(x-m) at x = -v: h[v] = phi(-1) phi(v) phi(v+1);
-    * fg, x(x^2 + x + m): phi(x) at v = x(x+1);
-    * cd, x^3 + x^2 + m: 1 at v = x^2(x+1), x = 0 included;
-    * a1a3, 4x^3 + (x + m)^2 at x = m s: phi(s) at v = (s+1)^2 / (4 s^3),
-      and s = 0 gives c = -1.
-    """
-    q, n = field.q, field.q - 1
-    exp = field.exp_table
-    h = [0] * q
-    c = 0
-    if family == LEGENDRE:
-        minus_one = 1 - 2 * (n // 2 & 1)
-        for k, z in enumerate(field.zech_table):
-            if z is not None:
-                h[exp[k]] = minus_one * (1 - 2 * ((k + z) & 1))
-    elif family == FG:
-        for k, z in enumerate(field.zech_table):
-            h[0 if z is None else exp[(k + z) % n]] += 1 - 2 * (k & 1)
-    elif family == CD:
-        h[0] = 1
-        for k, z in enumerate(field.zech_table):
-            h[0 if z is None else exp[(2 * k + z) % n]] += 1
-    elif family == A1A3:
-        log4 = field.log_table[4 % field.p]
-        for k, z in enumerate(field.zech_table):
-            h[0 if z is None else exp[(2 * z - 3 * k - log4) % n]] += 1 - 2 * (k & 1)
-        c = -1
-    else:
-        raise ValueError(f"no family table for {family!r}")
-    return h, c
+def _legendre_histogram(field):
+    """x(x-1)(x-m) at x = -v: h[v] = phi(-1) phi(v) phi(v+1)."""
+    h, exp = [0] * field.q, field.exp_table
+    minus_one = 1 - 2 * ((field.q - 1) // 2 & 1)
+    for k, z in enumerate(field.zech_table):
+        if z is not None:
+            h[exp[k]] = minus_one * (1 - 2 * ((k + z) & 1))
+    return h, 0
 
 
-# the roots in m, as (numerator, denominator), of the discriminant of each
-# family's member: the members that are singular.  A root whose
-# denominator p divides has no image in F_q.
-SINGULAR_MEMBERS = {
-    LEGENDRE: ((0, 1), (1, 1)),  # 16 m^2 (m - 1)^2
-    FG: ((0, 1), (1, 4)),  # 16 m^2 (1 - 4m)
-    CD: ((0, 1), (-4, 27)),  # -16 m (27m + 4)
-    A1A3: ((0, 1), (1, 27)),  # m^3 (1 - 27m)
+def _fg_histogram(field):
+    """x(x^2 + x + m): phi(x) at v = x(x+1)."""
+    h, exp, n = [0] * field.q, field.exp_table, field.q - 1
+    for k, z in enumerate(field.zech_table):
+        h[0 if z is None else exp[(k + z) % n]] += 1 - 2 * (k & 1)
+    return h, 0
+
+
+def _cd_histogram(field):
+    """x^3 + x^2 + m: 1 at v = x^2(x+1), x = 0 included."""
+    h, exp, n = [0] * field.q, field.exp_table, field.q - 1
+    h[0] = 1
+    for k, z in enumerate(field.zech_table):
+        h[0 if z is None else exp[(2 * k + z) % n]] += 1
+    return h, 0
+
+
+def _a1a3_histogram(field):
+    """4x^3 + (x + m)^2 at x = m s: phi(s) at v = (s+1)^2 / (4 s^3), and
+    s = 0 gives c = -1."""
+    h, exp, n = [0] * field.q, field.exp_table, field.q - 1
+    log4 = field.log_table[4 % field.p]
+    for k, z in enumerate(field.zech_table):
+        h[0 if z is None else exp[(2 * z - 3 * k - log4) % n]] += 1 - 2 * (k & 1)
+    return h, -1
+
+
+class Family(NamedTuple):
+    """A Weierstrass family; one with a table (family_traces) also has a
+    histogram, its singular members and its reduction to a member."""
+
+    coords: tuple  # in the order CurveSpec.of takes them; each a `trace` flag
+    p_above: int  # hypothesis: p > p_above
+    nonzero: bool  # hypothesis: no coordinate is 0
+    a_invariants: Callable  # (zero, one, *coords) -> (a1, a2, a3, a4, a6)
+    histogram: Callable = None  # field -> (h, c), as family_traces reads them
+    # the roots in m, as (numerator, denominator), of the member's
+    # discriminant; one whose denominator p divides has no image in F_q
+    singular: tuple = ()
+    # coordinates (x, ..., y) give the member m = y / x^exponent, with
+    # twist phi(x) when twisted, else 1
+    exponent: int = 0
+    twisted: bool = False
+
+    def member(self, m, field):
+        """The coordinates of the member with parameter m: (m) or (1, m)."""
+        return (field.one,) * (len(self.coords) - 1) + (m,)
+
+
+# each comment ends with the discriminant of the family's member m
+FAMILIES = {
+    # y^2 = x(x-1)(x-lambda), valid at lambda = -1; 16 m^2 (m - 1)^2
+    "legendre": Family(("lambda",), 2, False, lambda z, one, lam: (z, -(one + lam), z, lam, z),
+                       _legendre_histogram, ((0, 1), (1, 1))),
+    # a1a3(a1, a3) is isomorphic to a1a3(1, a3/a1^3); m^3 (1 - 27m)
+    "a1a3": Family(("a1", "a3"), 3, True, lambda z, one, a1, a3: (a1, z, a3, z, z),
+                   _a1a3_histogram, ((0, 1), (1, 27)), 3),
+    # x -> f x makes fg(f, g) the twist by f of fg(1, g/f^2); 16 m^2 (1 - 4m)
+    "fg": Family(("f", "g"), 2, True, lambda z, one, f, g: (z, f, z, g, z),
+                 _fg_histogram, ((0, 1), (1, 4)), 2, True),
+    # x -> c x makes cd(c, d) the twist by c of cd(1, d/c^3); -16 m (27m + 4)
+    "cd": Family(("c", "d"), 3, True, lambda z, one, c, d: (z, c, z, z, d),
+                 _cd_histogram, ((0, 1), (-4, 27)), 3, True),
+    "weierstrass": Family(("a1", "a2", "a3", "a4", "a6"), 2, False, lambda z, one, *a: a),
 }
 
 
-def _member(family, m, field):
-    """The family's member with parameter m: legendre(m), or (1, m)."""
-    return CurveSpec(family, (m,) if family == LEGENDRE else (field.one, m))
+def _tabulated(family):
+    """The record of a family that has a table; ValueError for any other."""
+    spec = FAMILIES.get(family)
+    if spec is None or spec.histogram is None:
+        raise ValueError(f"no family table for {family!r}")
+    return spec
 
 
 @lru_cache(maxsize=32)
 def family_traces(family: str, field: FqField) -> tuple:
     """a_q of every member of a family over field, indexed by the encoding
     of its parameter m: the Legendre curve y^2 = x(x-1)(x-m), and fg(1, m),
-    cd(1, m), a1a3(1, m).  The entries at the singular m of
-    SINGULAR_MEMBERS are None.
+    cd(1, m), a1a3(1, m).  The entries at the family's singular m are None.
 
-    One O(q) histogram over the Zech table and one correlation with phi
-    give every entry; two of them are then recomputed as direct sums over
+    The family's histogram (h, c), one O(q) pass over x = g^k with x + 1 =
+    g^z by the Zech table (z is None at x = -1, where each histogram's
+    power is 0), gives a_q(m) = c - sum_v h[v] * phi(v + m) (m != 0 for
+    a1a3), so one correlation with phi gives every entry; two of them are then recomputed as direct sums over
     the encodings (_phi_sum) and must agree.  Each singular m must have
     discriminant 0, the only discriminants the table computes.
     """
-    h, c = _histogram(family, field)
+    spec = _tabulated(family)
+    h, c = spec.histogram(field)
     p = field.p
     table = [c - v for v in _correlate(h, _phi_by_encoding(field), p, field.r)]
     for m in {1, field.q - 1}:
-        if table[m] != -_phi_sum(_member(family, field.elem(m), field), field):
+        if table[m] != -_phi_sum(CurveSpec(family, spec.member(field.elem(m), field)), field):
             raise InvariantViolation(
                 f"{family} table disagrees with the direct sum at m = {m}"
             )
-    for num, den in SINGULAR_MEMBERS[family]:
+    for num, den in spec.singular:
         if den % p:
             m = field.from_int(num * pow(den, -1, p))
-            if not discriminant(_member(family, m, field), field).is_zero():
+            if not discriminant(CurveSpec(family, spec.member(m, field)), field).is_zero():
                 raise InvariantViolation(
                     f"{family} member at m = {m.enc} is not singular"
                 )
@@ -639,24 +648,16 @@ def family_traces(family: str, field: FqField) -> tuple:
 
 
 def family_member(curve: CurveSpec, field: FqField) -> tuple:
-    """(m, twist) with a_q(curve) = twist * a_q(member m of its family):
-    a1a3(a1, a3) is isomorphic to a1a3(1, a3/a1^3), and x -> f x (c x)
-    makes fg(f, g) (cd(c, d)) the twist by f (c) of fg(1, g/f^2) (cd(1,
-    d/c^3)).  Both scale the discriminant by a unit, so the curve is
-    singular exactly when its member is.  Coordinates from another field
-    raise ValueError."""
-    family = curve.family
-    if family not in SINGULAR_MEMBERS:
-        raise ValueError(f"no family table for {family!r}")
+    """(m, twist) with a_q(curve) = twist * a_q(member m of its family), by
+    the family's reduction (Family).  The isomorphism and the twists scale
+    the discriminant by a unit, so the curve is singular exactly when its
+    member is.  Coordinates from another field raise ValueError."""
+    spec = _tabulated(curve.family)
     for x in curve.params:
         if x.field is not field:
-            raise ValueError(f"{family} coordinates do not lie in {field}")
-    if family == LEGENDRE:
-        return curve.params[0], 1
-    x, y = curve.params
-    if family == FG:
-        return y / (x * x), quad_char(x)
-    return y / x**3, 1 if family == A1A3 else quad_char(x)
+            raise ValueError(f"{curve.family} coordinates do not lie in {field}")
+    x, y, e = curve.params[0], curve.params[-1], spec.exponent
+    return y / x**e if e else y, quad_char(x) if spec.twisted else 1
 
 
 def member_trace(family: str, m: FqElem, field: FqField) -> int:

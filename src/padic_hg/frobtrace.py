@@ -120,23 +120,24 @@ def _sign_and_correction(name, m, f):
 
 @lru_cache(maxsize=64)
 def _pair_setup(name, field):
-    """(kernel key, bound) of pair formula name over field, which depend
-    on nothing else: its rows, checked once, at the precision that lifts
-    the trace bound.  No G-value of a formula exceeds the bound: the two
-    traces are each at most 2*sqrt(q) in size and the correction at most 2,
-    so |G| <= 2*floor(2*sqrt(q)) + 2 <= 4*isqrt(q) + 4."""
+    """(kernel key, bound, scale) of pair formula name over field, which
+    depend on nothing else: its rows, checked once, at the precision that
+    lifts the trace bound, and the image of its scale in field.  No G-value
+    of a formula exceeds the bound: the two traces are each at most
+    2*sqrt(q) in size and the correction at most 2, so
+    |G| <= 2*floor(2*sqrt(q)) + 2 <= 4*isqrt(q) + 4."""
     formula = PAIR_FORMULAS[name]
     bound = trace_bound(field.q)
     N = choose_precision(field.q, bound)
-    return (*_row_pairs(formula.top, formula.bottom, field.p), field, N), bound
+    key = (*_row_pairs(formula.top, formula.bottom, field.p), field, N)
+    return key, bound, field.from_rational(formula.scale)
 
 
 def _pair_g(name, m, field):
     """The integer G-value of pair formula name at its member m over field:
     G(top; bottom | scale * m^2) from the cached kernel of _pair_setup."""
-    key, bound = _pair_setup(name, field)
-    t = field.from_rational(PAIR_FORMULAS[name].scale) * m * m
-    return _value_and_lift(key, t, bound)[1]
+    key, bound, scale = _pair_setup(name, field)
+    return _value_and_lift(key, scale * m * m, bound)[1]
 
 
 def trace_sum_pair(inst: TheoremInstance):
@@ -151,7 +152,7 @@ def trace_sum_pair(inst: TheoremInstance):
         raise ValueError(f"unknown pair theorem {inst.theorem!r}")
     f = inst.field
     family = PAIR_FORMULAS[inst.theorem].family
-    m, twist = family_member(getattr(CurveSpec, family)(*inst.params), f)
+    m, twist = family_member(CurveSpec.of(family, *inst.params), f)
     sign, correction = _sign_and_correction(inst.theorem, m, f)
     lhs = member_trace(family, m, f) + member_trace(family, -m, f)
     g = _pair_g(inst.theorem, m, f)
@@ -203,11 +204,11 @@ def _rational_sides(theorem, p, r, alpha):
     field = build_field(p, r)
     base = build_field(p, 1)
     pair, params = _rational_pair(theorem, alpha, p)
-    make = getattr(CurveSpec, PAIR_FORMULAS[pair].family)
+    family = PAIR_FORMULAS[pair].family
 
     def curves(f):  # the pair's two curves over f: the second at member -m
         *head, last = (f.from_rational(x) for x in params)
-        return make(*head, last), make(*head, -last)
+        return CurveSpec.of(family, *head, last), CurveSpec.of(family, *head, -last)
 
     curve, _ = curves(field)
     m, twist = family_member(curve, field)

@@ -48,7 +48,7 @@ from .errors import (
     ZeroArgument,
 )
 from .ffield import FqElem, FqField, prime_factors
-from .padic import PadicCtx, PadicInt, _coset, _rational, _ring, frobenius_orbits
+from .padic import PadicCtx, PadicInt, _coset, _precision, _rational, _ring, frobenius_orbits
 
 
 @dataclass(frozen=True)
@@ -248,8 +248,8 @@ def _rotated(col, Y, s):
 
 def _kernel(top, bottom, field, N):
     """The cached kernel of these rows (ints and Fractions) over field at
-    precision N."""
-    return _kernel_at((*_row_pairs(top, bottom, field.p), field, N))
+    precision N, which is checked before the cache is read."""
+    return _kernel_at((*_row_pairs(top, bottom, field.p), field, _precision(N)))
 
 
 def _kernel_at(key):

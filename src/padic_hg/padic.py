@@ -26,7 +26,16 @@ from .errors import (
     PrecisionTooLarge,
     ZeroInput,
 )
-from .ffield import TABLE_CAP, _poly_mulmod, _poly_powmod
+from .ffield import TABLE_CAP, _poly_mulmod, _poly_powmod, exceeds_cap
+
+
+def _precision(N):
+    """N, checked to be an int >= 1: a cache keyed by N takes 3.0 for 3."""
+    if not isinstance(N, int):
+        raise TypeError(f"precision N = {N!r} is not an int")
+    if N < 1:
+        raise ValueError("precision N must be >= 1")
+    return N
 
 
 def _rational(x) -> Fraction:
@@ -116,11 +125,7 @@ class PadicCtx:
     """
 
     def __init__(self, field, N: int):
-        if not isinstance(N, int):
-            raise TypeError(f"precision N = {N!r} is not an int")
-        if N < 1:
-            raise ValueError("precision N must be >= 1")
-        if field.p ** ((N + 1) // 2) > TABLE_CAP:
+        if exceeds_cap(field.p, (_precision(N) + 1) // 2):
             raise PrecisionTooLarge(f"N = {N}: gamma table length bound p^ceil(N/2) > {TABLE_CAP}")
         self.field = field
         self.p = field.p

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import padic_hg
-from padic_hg import cli, frobtrace, gfunc, padic
+from padic_hg import cli, ffield, frobtrace, gfunc, padic
 from padic_hg.cli import SUITES, main
 from padic_hg.errors import NonConstantResult, SingularCurve
 from padic_hg.ffield import build_field, family_traces
@@ -203,11 +203,19 @@ def test_trace_missing_coordinate_is_a_usage_error(capsys, family, given, missin
     assert payload["message"].endswith(f"needs {missing}")
 
 
+def test_trace_oversize_field_is_a_typed_error(capsys):
+    # q = 5^2000000 is refused by its exponent, never formed or printed
+    code, out = run(capsys, "trace", "--family", "legendre", "--p", "5", "--r", "2000000",
+                    "--lambda", "2")
+    assert code == 3
+    assert json.loads(out)["error"] == "DegreeTooLarge"
+
+
 def test_trace_coordinate_flags_are_the_family_coordinates():
     parser = cli._build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     flags = {a.dest for a in sub.choices["trace"]._actions} - {"help", "format", "p", "r", "family"}
-    assert flags == {name for names in cli.FAMILIES.values() for name in names}
+    assert flags == {name for family in ffield.FAMILIES.values() for name in family.coords}
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
@@ -15,6 +16,7 @@ from padic_hg.errors import (
     SingularCurve,
 )
 from padic_hg.ffield import (
+    FAMILIES,
     CurveSpec,
     build_field,
     count_points,
@@ -305,13 +307,14 @@ def test_correlation_matches_the_definition(p, r):
         assert ffield._correlate(h, f, p, r) == correlation_by_definition(h, f, p, r)
 
 
-FAMILY_MEMBERS = {
-    "legendre": lambda field, m: CurveSpec.legendre(m),
-    "fg": lambda field, m: CurveSpec.fg(field.one, m),
-    "cd": lambda field, m: CurveSpec.cd(field.one, m),
-    "a1a3": lambda field, m: CurveSpec.a1a3(field.one, m),
+TABULATED = {name: family for name, family in FAMILIES.items() if family.histogram}
+FAMILY_MEMBERS = {  # the checked curve at each family's member m
+    name: lambda field, m, name=name: CurveSpec.of(name, *TABULATED[name].member(m, field))
+    for name in TABULATED
 }
-TWO_PARAMETER_FAMILIES = (CurveSpec.fg, CurveSpec.cd, CurveSpec.a1a3)
+TWO_PARAMETER_FAMILIES = tuple(
+    partial(CurveSpec.of, name) for name, family in TABULATED.items() if len(family.coords) == 2
+)
 
 
 def _members(field):
@@ -404,6 +407,37 @@ def test_family_trace_rejects_general_weierstrass():
         family_trace(curve, field)
 
 
+# (message at p = 3 with every coordinate 1, message at p = 5 with a zero
+# coordinate); None where the curve is admitted
+HYPOTHESES = {
+    "legendre": (None, None),
+    "a1a3": ("a1a3 family requires p > 3", "a1a3 family requires a1, a3 nonzero"),
+    "fg": (None, "fg family requires f, g nonzero"),
+    "cd": ("cd family requires p > 3", "cd family requires c, d nonzero"),
+    "weierstrass": (None, None),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_hypothesis_violations_name_the_family(family):
+    make = getattr(CurveSpec, family)
+    at_three, with_zero = HYPOTHESES[family]
+    n = len(FAMILIES[family].coords)
+    small, field = build_field(3, 1), build_field(5, 1)
+    cases = [([small.one] * n, at_three)] + [
+        ([field.one] * i + [field.zero] + [field.one] * (n - 1 - i), with_zero) for i in range(n)
+    ]
+    for coords, message in cases:
+        if message is None:
+            assert make(*coords).params == tuple(coords)
+        else:
+            with pytest.raises(HypothesisViolation) as exc:
+                make(*coords)
+            assert str(exc.value) == message
+    with pytest.raises(TypeError):
+        CurveSpec.of(family, *coords, field.one)
+
+
 def test_t13_sweep_counts_no_points(monkeypatch):
     calls = []
     counted = ffield.count_points
@@ -432,17 +466,18 @@ def test_t13_sweep_counts_no_points(monkeypatch):
 def test_singular_entries_match_the_discriminant(p, r):
     # an entry is None exactly where the member's discriminant vanishes
     field = build_field(p, r)
-    families = FAMILY_MEMBERS if p > 3 else ("legendre", "fg")  # cd, a1a3: p > 3
-    for family in families:
+    for family, spec in TABULATED.items():
+        if p <= spec.p_above:
+            continue
         table = family_traces(family, field)
         for v in range(field.q):
-            member = ffield._member(family, field.elem(v), field)
+            member = CurveSpec(family, spec.member(field.elem(v), field))
             assert (table[v] is None) == discriminant(member, field).is_zero(), (family, v)
 
 
 def test_a_wrong_singular_root_fails_the_table_build(monkeypatch):
     field = build_field(7, 1)
-    monkeypatch.setitem(ffield.SINGULAR_MEMBERS, "fg", ((0, 1), (1, 2)))
+    monkeypatch.setitem(FAMILIES, "fg", FAMILIES["fg"]._replace(singular=((0, 1), (1, 2))))
     family_traces.cache_clear()
     with pytest.raises(InvariantViolation, match="fg member at m = 4 is not singular"):
         family_traces("fg", field)

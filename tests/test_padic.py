@@ -8,12 +8,14 @@ from array import array
 import random
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import padic_hg
-from padic_hg import gfunc, padic
+from padic_hg import ffield, gfunc, padic
 from padic_hg.errors import (
+    DegreeTooLarge,
     DenominatorDivisibleByP,
     HypothesisViolation,
     InvariantViolation,
@@ -223,6 +225,40 @@ def test_p_adic_side_has_no_floats():
     files = {"padic.py", "gfunc.py", "ffield.py", "frobtrace.py", "cli.py"}
     floats = [(name, n.lineno) for name, n in src_nodes(files) if is_float_node(n)]
     assert not floats
+
+
+def family_comparisons(trees, names):
+    """(tree index, line) of every comparison in trees with a family name
+    as an operand: a string in names, or a module constant of any of the
+    trees that holds one."""
+    held = {target.id for tree in trees for n in tree.body if isinstance(n, ast.Assign)
+            and isinstance(n.value, ast.Constant) and n.value.value in names
+            for target in n.targets if isinstance(target, ast.Name)}
+
+    def names_a_family(node):
+        if isinstance(node, ast.Constant):
+            return node.value in names
+        return isinstance(node, (ast.Name, ast.Attribute)) and getattr(
+            node, "id", getattr(node, "attr", None)) in held
+
+    return [(i, n.lineno) for i, tree in enumerate(trees) for n in ast.walk(tree)
+            if isinstance(n, ast.Compare) and any(
+                names_a_family(x) for operand in (n.left, *n.comparators) for x in ast.walk(operand))]
+
+
+def test_no_code_branches_on_a_family_name():
+    # each family's data lives in its one ffield.FAMILIES record, so no
+    # module tells the families apart by name
+    names = set(ffield.FAMILIES)
+    assert [bool(family_comparisons([ast.parse(text)], names)) for text in (
+        "if family == 'legendre': pass", "x = f in ('a1a3', 'fg')",
+        "LEGENDRE = 'legendre'\nx = kind is not LEGENDRE", "x = ffield.CD == kind\nCD = 'cd'",
+        "x = FAMILIES['cd'].coords", "x = suite == 't13'", "x = len(params) == 1",
+    )] == [True] * 4 + [False] * 3
+    src = pathlib.Path(padic_hg.__file__).parent
+    files = sorted(src.glob("*.py"))
+    found = family_comparisons([ast.parse(path.read_text()) for path in files], names)
+    assert [(files[i].name, line) for i, line in found] == []
 
 
 def fraction_calls_outside_raise(tree):
@@ -800,6 +836,34 @@ def test_non_int_precision_is_a_type_error_before_any_build(N):
     with pytest.raises(TypeError, match="is not an int"):
         gfunc.check_reduction_identity([Fraction(1, 2)], [0], 2, field.from_int(2), 5, N=N)
     assert padic._gamma_steps.cache_info().misses == before
+    # warm, the kernel and ring caches hold N = 3 entries that N = 3.0 would hit
+    gfunc.check_reduction_identity([Fraction(1, 2)], [0], 2, field.from_int(2), 5, N=3)
+    with pytest.raises(TypeError, match="is not an int"):
+        gfunc.check_reduction_identity([Fraction(1, 2)], [0], 2, field.from_int(2), 5, N=N)
+
+
+class NoLargePowers(int):
+    """An int whose powers above the 64th fail the test: a size check on
+    p^e must compare exponents, not form the power."""
+
+    def __pow__(self, e, mod=None):
+        if e > 64:
+            pytest.fail(f"{int(self)}^{e} was formed")
+        return pow(int(self), e, mod)
+
+
+def test_oversize_inputs_are_refused_before_any_work(monkeypatch):
+    p = NoLargePowers(5)
+    with pytest.raises(DegreeTooLarge, match=r"q = 5\^2000000 exceeds"):
+        FqField(p, 2_000_000)
+    with pytest.raises(PrecisionTooLarge):
+        PadicCtx(SimpleNamespace(p=p), 4_000_000)
+    # above the cap, no primality test (its trial division grows as sqrt(p)),
+    # so a composite p gets DegreeTooLarge as well
+    monkeypatch.setattr(ffield, "is_prime", lambda n: pytest.fail(f"{n} was tested"))
+    for big in (10**12 + 39, 10**12, TABLE_CAP + 1):  # a prime, two composites
+        with pytest.raises(DegreeTooLarge, match=f"p = {big} exceeds"):
+            FqField(big, 1)
 
 
 @pytest.mark.parametrize("p,r", [(5, 2), (3, 3), (7, 2), (11, 2)])
