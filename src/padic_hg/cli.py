@@ -370,7 +370,7 @@ def _cache_infos():
 def _cache_activity(before):
     """Hits and misses of the shared caches since before, plus the number
     of G-function kernels held and of those whose rows are Frobenius-closed,
-    which take the trace path, decided when each kernel is built."""
+    which keep one term per orbit, decided when each kernel is built."""
     activity = {
         name: {
             "hits": info.hits - before[name].hits,
@@ -379,7 +379,7 @@ def _cache_activity(before):
         for name, info in _cache_infos().items()
     }
     activity["kernels"] = len(gfunc._KERNELS)
-    activity["stable_kernels"] = sum(k.orbit_terms is not None for k in gfunc._KERNELS.values())
+    activity["stable_kernels"] = sum(k.closed for k in gfunc._KERNELS.values())
     return activity
 
 

@@ -313,9 +313,6 @@ class FqField:
             x.numerator * pow(x.denominator, -1, self.p)
         )
 
-    def elements(self):
-        return (self.elem(v) for v in range(self.q))
-
     # -- multiplicative structure ---------------------------------------------
 
     def log(self, x):

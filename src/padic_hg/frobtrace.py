@@ -25,6 +25,7 @@ from .ffield import (
     trace_of_frobenius,
 )
 from .gfunc import _row_pairs, _value_and_lift, choose_precision, trace_bound
+from .padic import _rational
 
 HALF = Fraction(1, 2)
 TOP4 = (Fraction(0), HALF, Fraction(0), HALF)
@@ -182,7 +183,7 @@ def _rational_pair(theorem, alpha, p):
     if theorem not in RATIONAL_THEOREMS:
         raise ValueError(f"unknown rational-curve theorem {theorem!r}")
     pair, holds_at, pair_params, _ = RATIONAL_THEOREMS[theorem]
-    alpha = Fraction(alpha)
+    alpha = _rational(alpha)
     if theorem == "t18" and alpha not in (Fraction(2), Fraction(1, 2)):
         raise HypothesisViolation("lambda must be 2 or 1/2")
     if not holds_at(p):

@@ -9,20 +9,21 @@ p-adic gamma products of the unit part.  Coefficient tables depend only on
 the parameter lists and the field, so they are cached and reused across
 arguments t.
 With t = g^l the character value omega-bar(t)^a is omega(g)^(-al mod q-1),
-one entry of that context's Teichmuller power table.  Each entry
-is also packed into one integer, its r coefficients in slots wide enough
-that no sum of q-1 products carries (Kronecker substitution), so a vector
-at t costs one big-integer dot product over the nonzero coefficients and
-no Galois-ring product.
+one entry of that context's Teichmuller power table.  A kernel keeps one
+list of terms (a, c, column), and its value at t is one big-integer dot
+product sum c * column[-a*l mod (q-1)], with no Galois-ring product.
 
-A kernel decides its path once, at build, from its rows.  Rows closed
+A kernel decides its columns once, at build, from its rows.  Rows closed
 under x -> p*x mod 1 (every row at r = 1) give c[p*a mod (q-1)] = c[a],
 since Frobenius fixes Gauss sums, so the kernel computes one coefficient
 per Frobenius orbit of summands, rechecks the identity at two orbits, and
-each orbit sums to a trace: the value lies in Z/p^N and is one
-small-integer dot product with the table's trace column, one term per
-orbit.  Any other kernel takes the vector path, whose value must then have
-zero extension coordinates.
+each orbit sums to a trace: one term per orbit, over the table's trace
+column, and the value lies in Z/p^N.  Any other kernel has one term per
+summand over the table packed into integers, its r coefficients in slots
+of W bits (Kronecker substitution), and its value must have zero extension
+coordinates.  W is the bit length of (q-1)(p^N-1)^2, the most q-1 products
+of residues reach, so no slot carries, and a closed kernel's sum fits in
+the constant slot alone.
 
 Individual summands may carry a negative power of (-p) for some parameter
 lists.  The evaluator measures the worst exponent first and works at a
@@ -110,20 +111,17 @@ class _GKernel:
     omega-bar^a(t) / (-p)^shift over the summands a whose power of -p is
     nonzero mod p^(N + shift).
 
-    The path is decided at build, from the rows.  If each row is closed as
-    a multiset under x -> p*x mod 1, Frobenius, which fixes Gauss sums,
-    permutes the summands' Gauss-sum quotients, so c[p*a mod (q-1)] = c[a]
-    (at r = 1 each summand is its own orbit, whatever the rows).  Such a
-    kernel computes one c per Frobenius orbit of summands and keeps
-    orbit_terms (a, c, column): one per full orbit (r members), at its least
-    member, over the trace column, and every summand of a shorter orbit
-    over the constant column; its value lies in Z/p^N and trace_sum adds
-    one term per orbit.  Any other kernel keeps avals and cvals, every
-    surviving summand and its c, for raw_eval's vector in GR(p^(N + shift),
-    r), and orbit_terms is None.
+    The terms (a, c, column) are decided at build, from the rows.  If each
+    row is closed as a multiset under x -> p*x mod 1, Frobenius, which fixes
+    Gauss sums, permutes the summands' Gauss-sum quotients, so c[p*a mod
+    (q-1)] = c[a] (at r = 1 each summand is its own orbit, whatever the
+    rows).  Such a kernel is closed: it computes one c per Frobenius orbit
+    of summands, with one term per full orbit (r members), at its least
+    member, over the trace column, and one per summand of a shorter orbit
+    over the constant column, so its total lies in the constant slot.  Any
+    other kernel has one term per surviving summand over the packed table,
+    whose r slots are the vector in GR(p^(N + shift), r).
     """
-
-    orbit_terms = None
 
     def __init__(self, top, bottom, field, N):
         self.field = field
@@ -175,9 +173,9 @@ class _GKernel:
         cvals = list(map(pNw.__rmod__, map(
             mul, map(scale.__getitem__, compress(sums, keep)), prods)))
         self.lead = -work.inv(field.q - 1) % pNw
+        self.closed = closed
         if not closed:
-            self.avals, self.cvals = avals, cvals
-            self.width, self.packed = work.packed()
+            self.terms = list(zip(avals, cvals, repeat(work.packed())))
             return
         # the surviving full orbits come first; the first and the last
         # recheck c[p*a] = c[a] by the per-summand formula at their p*a
@@ -190,51 +188,40 @@ class _GKernel:
                 raise InvariantViolation(f"c[{b}] differs from its Frobenius orbit's")
         tr, const = work.traces()
         short = zip(compress(orbits[nfull:], keep[nfull:]), cvals[full:])
-        self.orbit_terms = list(zip(avals[:full], cvals[:full], repeat(tr))) + [
+        self.terms = list(zip(avals[:full], cvals[:full], repeat(tr))) + [
             (a, c, const) for orbit, c in short for a in orbit]
 
-    def raw_eval(self, t):
-        """Return (vec, shift): the value is the GR element vec / (-p)^shift.
-
-        With l = log(t), omega-bar(t)^a is entry -a*l mod (q-1) of the
-        shared Teichmuller power table, so the sum is one dot product of
-        the coefficients with packed table entries, run in C; its slots of
-        width W are the r coefficient sums, none of which carries.  Nothing
-        is lifted per argument.  The vector is kept whole because G-values
-        for parameter rows that are not closed under multiplication by p
-        mod 1 genuinely live in the extension ring, not in Z_p; a closed
-        kernel's vector is (trace_sum(t), 0, ..., 0).
-        """
-        field = self.field
-        if self.orbit_terms is not None:
-            return (self.trace_sum(t),) + (0,) * (field.r - 1), self.shift
-        m, step, packed = field.q - 1, self._step(t), self.packed
-        total = sum([c * packed[a * step % m] for a, c in zip(self.avals, self.cvals)])
-        width, lead, pNw = self.width, self.lead, self.work.pN
-        mask = (1 << width) - 1
-        return tuple([
-            (total >> j * width & mask) * lead % pNw for j in range(field.r)
-        ]), self.shift
-
-    def _step(self, t):
-        """-log(t) mod (q-1) for t in the kernel's field."""
+    def total(self, t):
+        """The dot product sum c * column[-a*log(t) mod (q-1)] over the terms
+        (a, c, column), run in C.  Its W-bit slots, none of which carries,
+        unpack to the vector at t; a closed kernel's total is below 2^W."""
         field = self.field
         if t.field is not field:
             raise ValueError("argument t lives in a different field")
         if t.is_zero():
             raise ZeroArgument("t = 0 is rejected")
-        return -field.log_table[t.enc] % (field.q - 1)
+        m = field.q - 1
+        step = -field.log_table[t.enc] % m
+        return sum([c * column[a * step % m] for a, c, column in self.terms])
 
-    def trace_sum(self, t):
-        """The constant coordinate of the value's vector at t for a closed
-        kernel, whose other coordinates vanish: the full orbit of a
-        contributes c * sum_{i<r} omega-bar^(a p^i)(t) = c * tr[-a log(t)],
-        and a short orbit its summands' constant coefficients.  The sum is
-        exactly the constant slot of the vector's, regrouped, so it is exact
-        mod p^(N + shift)."""
-        m, step = self.field.q - 1, self._step(t)
-        total = sum([c * col[a * step % m] for a, c, col in self.orbit_terms])
-        return total * self.lead % self.work.pN
+    def unpack(self, total):
+        """The vector in GR(p^(N + shift), r) of a total: its r slots, each
+        times lead = -1/(q-1)."""
+        width, lead, pNw = self.work.width, self.lead, self.work.pN
+        mask = (1 << width) - 1
+        return tuple([(total >> j * width & mask) * lead % pNw for j in range(self.field.r)])
+
+    def raw_eval(self, t):
+        """Return (vec, shift): the value is the GR element vec / (-p)^shift.
+
+        With l = log(t), omega-bar(t)^a is entry -a*l mod (q-1) of the
+        shared Teichmuller power table, so the vector is the unpacked
+        total(t).  Nothing is lifted per argument.  The vector is kept
+        whole because G-values for parameter rows that are not closed
+        under multiplication by p mod 1 genuinely live in the extension
+        ring, not in Z_p; a closed kernel's vector is (value, 0, ..., 0).
+        """
+        return self.unpack(self.total(t)), self.shift
 
 
 KERNEL_CACHE_SIZE = 256
@@ -321,15 +308,17 @@ def evaluate_G(params: GParams, field: FqField, ctx: PadicCtx, bound=None) -> GV
 def _value_and_lift(key, t, bound):
     """(residue mod p^N, its lift to |m| <= bound or None without a bound)
     of G at t from the kernel at key: the one path from a cached kernel to
-    a G-value, for callers that checked the rows themselves.  A closed
-    kernel gives the value as one trace sum; any other gives a vector,
-    which must be constant."""
+    a G-value, for callers that checked the rows themselves.  A total
+    with nothing above its constant slot (always, for a closed kernel) is
+    that slot's value; any other is unpacked, and its vector must be
+    constant."""
     field, N = key[2], key[3]
     kern = _kernel_at(key)
-    if kern.orbit_terms is not None:
-        value = _unshift(kern.trace_sum(t), kern.shift, field.p, N)
+    total = kern.total(t)
+    if total >> kern.work.width:
+        value = _raw_to_residue((kern.unpack(total), kern.shift), field.p, N)
     else:
-        value = _raw_to_residue(kern.raw_eval(t), field.p, N)
+        value = _unshift(total * kern.lead % kern.work.pN, kern.shift, field.p, N)
     if bound is None:
         return value, None
     return value, _symmetric_lift(value, field.p**N, bound)

@@ -133,6 +133,9 @@ class PadicCtx:
         self.q = field.q
         self.N = N
         self.pN = field.p**N
+        # the bit length of (q-1)(p^N-1)^2, the most a sum of q-1 products of
+        # residues mod p^N reaches: one slot of every packing of this (field, N)
+        self.width = ((self.q - 1) * (self.pN - 1) ** 2).bit_length()
         self.modulus = field.modulus
         self._gamma_tables = None
         self._gamma_memo = {}
@@ -186,9 +189,9 @@ class PadicCtx:
         _ring(field, N) and read by every context with this (field, N).
 
         The step is the r x r matrix of multiplication by omega(g), column j
-        the coefficients of x^j * omega(g) packed in slots of W bits, W the
-        bit length of r(p^N-1)^2, so no slot of a sum of r column multiples
-        carries: a power costs r products and r shifts and masks."""
+        the coefficients of x^j * omega(g) packed in slots of W = width
+        bits, so no slot of a sum of r <= q-1 column multiples carries: a
+        power costs r products and r shifts and masks."""
         if self._powers is None:
             ring = _ring(self.field, self.N)
             if ring is not self:
@@ -199,7 +202,7 @@ class PadicCtx:
             cols = [teichmuller(self.field.generator, self)]
             for _ in range(r - 1):
                 cols.append(_poly_mulmod(cols[-1], x, mod, pN))
-            width = (r * (pN - 1) ** 2).bit_length()
+            width = self.width
             cols = [sum(c << i * width for i, c in enumerate(col)) for col in cols]
             shifts, mask = range(0, r * width, width), (1 << width) - 1
             table = [(1,) + (0,) * (r - 1)]
@@ -212,15 +215,14 @@ class PadicCtx:
         return self._powers
 
     def packed(self):
-        """(W, packed) for the Teichmuller powers: packed[k] holds
-        coefficient j of entry k in bits [jW, (j+1)W).  W is the bit length
-        of (q-1)(p^N-1)^2, the most a slot of sum_a c_a * packed[k_a]
-        reaches for q-1 residues c_a, so no slot of such a sum carries into
-        the next."""
+        """The Teichmuller powers packed: packed[k] holds coefficient j of
+        entry k in bits [jW, (j+1)W), W = width, which a slot of sum_a c_a *
+        packed[k_a] for q-1 residues c_a does not exceed, so no slot of such
+        a sum carries into the next."""
         if self._packed is None:
-            powers = self.teichmuller_powers()
-            width = (len(powers) * (self.pN - 1) ** 2).bit_length()
-            self._packed = width, [sum(c << j * width for j, c in enumerate(w)) for w in powers]
+            width = self.width
+            self._packed = [sum(c << j * width for j, c in enumerate(w))
+                            for w in self.teichmuller_powers()]
         return self._packed
 
     def traces(self):
@@ -528,6 +530,8 @@ def dth_root_gamma_quotient_check(d: int, n: int, ctx: PadicCtx) -> bool:
     p = ctx.p
     if ctx.r != 1:
         raise HypothesisViolation("stated over the prime field only")
+    if d < 1:
+        raise HypothesisViolation("d must be positive")
     if (p + 1) % d != 0:
         raise HypothesisViolation("requires p = -1 mod d")
     m = p - 1

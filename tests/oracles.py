@@ -50,10 +50,10 @@ def count_points_exhaustive(curve, field):
         raise SingularCurve(f"{curve.family} parameters give a singular curve")
     a1, a2, a3, a4, a6 = curve.a_invariants(field)
     total = 1
-    for x in field.elements():
+    for x in map(field.elem, range(field.q)):
         rhs = ((x + a2) * x + a4) * x + a6
         lin = a1 * x + a3
-        for y in field.elements():
+        for y in map(field.elem, range(field.q)):
             if y * y + lin * y == rhs:
                 total += 1
     return total
@@ -438,7 +438,8 @@ def phi_sum_by_elements(curve, field):
     b2, b4, b6, _ = _b_invariants(curve, field)
     four, two = field.from_int(4), field.from_int(2)
     return sum(
-        quad_char(((four * x + b2) * x + two * b4) * x + b6) for x in field.elements()
+        quad_char(((four * x + b2) * x + two * b4) * x + b6)
+        for x in map(field.elem, range(field.q))
     )
 
 

@@ -77,7 +77,7 @@ def test_pair_instances_match_the_per_instance_route(p, r):
     # same sides, or the same error class, as the statement per parameter
     # pair (over F_9, HypothesisViolation before DenominatorDivisibleByP)
     field = build_field(p, r)
-    elems = list(field.elements())
+    elems = list(map(field.elem, range(field.q)))
     instances = [TheoremInstance("t13", field, (lam,)) for lam in elems]
     instances += [TheoremInstance(name, field, (x, y))
                   for name in frobtrace.PAIR_THEOREMS[1:] for x in elems for y in elems]
@@ -219,6 +219,14 @@ def test_rational_curve_hypotheses():
     assert predicted == counted  # other primes in alpha are admitted
     with pytest.raises(HypothesisViolation):
         rational_curve_trace("t111", 5, 1, Fraction(2))  # 5 = 5 mod 12
+
+
+@pytest.mark.parametrize("alpha", [0.1, "1/10"])
+def test_rational_curve_rejects_alpha_that_is_not_exact(alpha):
+    # 0.1 is the binary rational 3602879701896397/2^55, not 1/10, and
+    # would pass the ord_5 check that 1/10 fails
+    with pytest.raises(TypeError):
+        rational_curve_trace("t110", 5, 1, alpha)
 
 
 @pytest.mark.parametrize("name,primes", [

@@ -1,7 +1,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 
 import pytest
 
@@ -58,11 +58,10 @@ def kernel_coefficients(kern):
     """(shift, avals, cvals) of a kernel of either path, every surviving
     summand and its coefficient: a closed kernel's terms over the trace
     column expanded to all r members of their orbits."""
-    if kern.orbit_terms is None:
-        return kern.shift, kern.avals, kern.cvals
-    field, tr = kern.field, kern.work.traces()[0]
+    field = kern.field
+    tr = kern.work.traces()[0] if kern.closed else None
     coeff = {}
-    for a, c, col in kern.orbit_terms:
+    for a, c, col in kern.terms:
         for i in range(field.r if col is tr else 1):
             coeff[a * field.p**i % (field.q - 1)] = c
     avals = sorted(coeff)
@@ -73,9 +72,10 @@ def full_vector_kernel(coeffs, field, N):
     """A vector-path kernel holding the coefficients coeffs = (shift, avals,
     cvals) of a full build, at every surviving summand."""
     kern = object.__new__(gfunc._GKernel)
-    kern.field, (kern.shift, kern.avals, kern.cvals) = field, coeffs
-    kern.work = padic._ring(field, N + kern.shift)
-    kern.width, kern.packed = kern.work.packed()
+    shift, avals, cvals = coeffs
+    kern.field, kern.shift, kern.closed = field, shift, False
+    kern.work = padic._ring(field, N + shift)
+    kern.terms = list(zip(avals, cvals, repeat(kern.work.packed())))
     kern.lead = -kern.work.inv(field.q - 1) % kern.work.pN
     return kern
 
@@ -186,7 +186,7 @@ def test_packed_raw_eval_matches_per_coefficient_loop(p, r):
     ]
     kernels = [new_kernel(top, bottom, field, 2) for top, bottom in rows]
     assert [k.shift for k in kernels[:5]] == [0, 0, 0, 0, r]
-    assert [k.orbit_terms is None for k in kernels] == [False] * 5 + [r > 1]
+    assert [k.closed for k in kernels] == [True] * 5 + [r == 1]
     full = [kernel_by_inline_passes(top, bottom, field, 2) for top, bottom in rows]
     works = [padic._ring(field, 2 + k.shift) for k in kernels]
     for v in range(1, field.q):
@@ -202,22 +202,41 @@ def test_packed_slots_reach_their_bound_without_carrying(p, r, N):
     field = build_field(p, r)
     kern = new_kernel((HALF,), (Fraction(0),), field, N)
     m, pNw = field.q - 1, kern.work.pN
-    # the vector path, with every coefficient p^Nw - 1
-    kern.orbit_terms, kern.avals, kern.cvals = None, list(range(m)), [pNw - 1] * m
     # a context of its own whose Teichmuller coordinates are all p^Nw - 1
     worst = kern.work = PadicCtx(field, kern.work.N)
     worst._powers = ((pNw - 1,) * r,) * m
-    kern.width, kern.packed = worst.packed()
-    assert kern.width == (m * (pNw - 1) ** 2).bit_length()
+    # one term per summand over the packed table, every coefficient p^Nw - 1
+    kern.terms = [(a, pNw - 1, worst.packed()) for a in range(m)]
+    assert worst.width == (m * (pNw - 1) ** 2).bit_length()
     slot = m * (pNw - 1) ** 2 * (-pow(m, -1, pNw)) % pNw
     t = field.generator
     assert kern.raw_eval(t) == ((slot,) * r, kern.shift)
-    coeffs = kern.shift, kern.avals, kern.cvals
+    coeffs = kern.shift, list(range(m)), [pNw - 1] * m
     assert raw_eval_by_coefficients(coeffs, worst, t) == kern.raw_eval(t)
     # one bit narrower, the slots carry into each other and the sum is wrong
-    kern.width -= 1
-    kern.packed = [sum(c << j * kern.width for j, c in enumerate(w)) for w in worst._powers]
+    worst.width -= 1
+    worst._packed = None
+    kern.terms = [(a, c, worst.packed()) for a, c, _ in kern.terms]
     assert kern.raw_eval(t) != ((slot,) * r, kern.shift)
+
+
+@pytest.mark.parametrize("p,r,N", [(3, 1, 1), (5, 2, 2), (7, 3, 1), (5, 4, 3)])
+def test_closed_total_reaches_its_bound_in_the_constant_slot(p, r, N):
+    # q-1 terms, every coefficient and every trace-column entry p^Nw - 1:
+    # the total reaches (q-1)(p^Nw-1)^2, the bound the width is set by, and
+    # stays in the constant slot, so the vector is (slot, 0, ..., 0)
+    field = build_field(p, r)
+    kern = new_kernel((HALF,), (Fraction(0),), field, N)
+    assert kern.closed
+    m, pNw, width = field.q - 1, kern.work.pN, kern.work.width
+    tr = [pNw - 1] * m
+    kern.terms = [(a, pNw - 1, tr) for a in range(m)]
+    t = field.generator
+    total = kern.total(t)
+    assert total == m * (pNw - 1) ** 2
+    assert total >> width == 0 and total.bit_length() == width
+    slot = m * (pNw - 1) ** 2 * (-pow(m, -1, pNw)) % pNw
+    assert kern.raw_eval(t) == ((slot,) + (0,) * (r - 1), kern.shift)
 
 
 def test_kernel_working_precision_is_capped():
@@ -254,11 +273,11 @@ def test_kernels_tables_and_trace_column_share_one_context():
     assert k1.work is k2.work is ring
     assert PadicCtx(field, 3).teichmuller_powers() is ring.teichmuller_powers()
     tr, const = ring.traces()
-    assert {id(col) for _, _, col in k1.orbit_terms} == {id(tr), id(const)}
+    assert {id(col) for _, _, col in k1.terms} == {id(tr), id(const)}
     assert ring._packed is None
     k3 = _kernel((Fraction(1, 4), HALF), (Fraction(0), Fraction(0)), field, 3)
-    assert k3.orbit_terms is None and k3.work is ring
-    assert k3.packed is ring.packed()[1]
+    assert not k3.closed and k3.work is ring
+    assert {id(col) for _, _, col in k3.terms} == {id(ring.packed())}
     gfunc._KERNELS.clear()
 
 
@@ -301,7 +320,7 @@ def test_trace_sum_matches_the_vector_path_at_every_t(p, r, naive_ts):
     for top, bottom in PAIR_ROWS + [THIRDS]:
         key = kernel_key(top, bottom, field, 2)
         kern = gfunc._kernel_at(key)
-        assert kern.orbit_terms is not None
+        assert kern.closed
         coeffs = kernel_by_inline_passes(top, bottom, field, 2)
         assert kernel_coefficients(kern) == coeffs
         full = full_vector_kernel(coeffs, field, 2)
@@ -338,7 +357,7 @@ def assert_descends_to_the_full_build(top, bottom, field, N):
     passes at every a and, by its vector, the full build's vector at every
     t; the full build is Frobenius-stable at every a.  Returns the shift."""
     kern = new_kernel(top, bottom, field, N)
-    assert kern.orbit_terms is not None, (top, bottom)
+    assert kern.closed, (top, bottom)
     full = kernel_by_inline_passes(top, bottom, field, N)
     assert kernel_coefficients(kern) == full, (top, bottom)
     assert is_frobenius_stable(full, field.p, field.q)
@@ -382,7 +401,7 @@ def test_every_pair_row_takes_the_stable_path(p):
         field = build_field(p, r)
         for name in frobtrace.PAIR_FORMULAS:
             key = frobtrace._pair_setup(name, field)[0]
-            assert gfunc._kernel_at(key).orbit_terms is not None, (name, field.q)
+            assert gfunc._kernel_at(key).closed, (name, field.q)
     gfunc._KERNELS.clear()
 
 
@@ -400,7 +419,7 @@ def test_unstable_rows_keep_the_vector_path(p, r, top, bottom):
     field = build_field(p, r)
     ctx = PadicCtx(field, 2)
     kern = _kernel(top, bottom, field, 2)
-    assert kern.orbit_terms is None
+    assert not kern.closed
     outcomes = set()
     for v in range(1, field.q):
         t = field.elem(v)
@@ -425,7 +444,7 @@ def test_a_corrupted_unit_entry_fails_the_closed_kernel_build():
     field, m = FqField(7, 2), 48
     key = kernel_key([Fraction(i, 5) for i in range(1, 5)], [0] * 4, field, 2)
     kern = gfunc._GKernel(*key)
-    a, _, col = kern.orbit_terms[0]
+    a, _, col = kern.terms[0]
     assert col is kern.work.traces()[0]
     Y, u, d = padic._coset(1, 5, m)
     col, e = kern.work.column("units", u, d), (Y - field.p * a) % m

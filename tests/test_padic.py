@@ -931,3 +931,10 @@ def test_dth_root_hypothesis():
     ctx = ctx_of(7, 1, 2)
     with pytest.raises(HypothesisViolation):
         dth_root_gamma_quotient_check(3, 0, ctx)
+
+
+@pytest.mark.parametrize("d", [0, -1, -2, -8])
+def test_dth_root_rejects_d_below_one(d):
+    # d = 0 would divide by zero and d = -2, -8 divide p + 1 = 8
+    with pytest.raises(HypothesisViolation, match="d must be positive"):
+        dth_root_gamma_quotient_check(d, 1, ctx_of(7, 1, 2))

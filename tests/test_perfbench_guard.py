@@ -10,19 +10,22 @@ import sys
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
 # install the tracer over the six modules a traced run wraps, then set up
-# every workload and build its items at seed 1, running none of them
+# every workload and build its items at seed 1, running none of them; then
+# empty the kernel cache as the worker does between row-scan items
 SCRIPT = """
 import sys
 sys.path[:0] = [{src!r}, {bench!r}]
 import padic_hg
 from padic_hg import charsum, ffield, frobtrace, gfunc, padic
-import tracing, workloads
+import tracing, worker, workloads
 
 tracing.Recorder().install({{"padic_hg": padic_hg, "ffield": ffield, "padic": padic,
                              "gfunc": gfunc, "charsum": charsum, "frobtrace": frobtrace}})
 for name, workload in workloads.WORKLOADS.items():
     items = workload.items(1, workload.setup())
     print(name, len(items))
+worker._drop_kernels(gfunc)()
+assert not gfunc._KERNELS
 """
 
 
