@@ -142,6 +142,8 @@ def conjugate_product_check(k: int, field) -> bool:
 def davenport_hasse_check(m: int, psi_index: int, field) -> bool:
     """Product relation for Gauss sums over the characters with chi^m = 1."""
     q = field.q
+    if m < 1:
+        raise HypothesisViolation("m must be positive")
     if (q - 1) % m != 0:
         raise HypothesisViolation(f"q = {q} is not 1 mod {m}")
     roots, g, _ = _tables(field)
@@ -176,12 +178,12 @@ def jacobi_sum_padic(a: int, b: int, field, ctx: PadicCtx):
 
     x = 0, 1 contribute 0 by convention; each other x, with its pair
     (log x, log(1 - x)) = (k, z) from the Zech table (_pairs), contributes
-    omega-bar^a(x) omega-bar^b(1 - x), the Teichmuller power -a k - b z."""
+    omega-bar^a(x) omega-bar^b(1 - x), the Teichmuller power -a k - b z:
+    one sum of q-2 packed entries, unpacked once."""
     if ctx.field is not field:
         raise ValueError("field and p-adic context disagree")
-    m, pows = field.q - 1, ctx.teichmuller_powers()
-    terms = [pows[(-a * k - b * z) % m] for k, z in _pairs(field)]
-    return tuple(sum(c) % ctx.pN for c in zip(*terms))
+    m, packed = field.q - 1, ctx.packed()
+    return ctx.unpack(sum([packed[(-a * k - b * z) % m] for k, z in _pairs(field)]))
 
 
 def gross_koblitz_jacobi_check(a: int, b: int, field, ctx: PadicCtx) -> bool:

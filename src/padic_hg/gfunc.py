@@ -19,11 +19,12 @@ since Frobenius fixes Gauss sums, so the kernel computes one coefficient
 per Frobenius orbit of summands, rechecks the identity at two orbits, and
 each orbit sums to a trace: one term per orbit, over the table's trace
 column, and the value lies in Z/p^N.  Any other kernel has one term per
-summand over the table packed into integers, its r coefficients in slots
-of W bits (Kronecker substitution), and its value must have zero extension
-coordinates.  W is the bit length of (q-1)(p^N-1)^2, the most q-1 products
-of residues reach, so no slot carries, and a closed kernel's sum fits in
-the constant slot alone.
+summand over the Teichmuller table itself, whose entries hold their r
+coefficients in slots of W bits (Kronecker substitution), and the context
+unpacks its total into a vector whose extension coordinates must vanish.
+W is the bit length of (q-1)(p^N-1)^2, the most q-1 products of residues
+reach, so no slot carries, and a closed kernel's sum fits in the constant
+slot alone.
 
 Individual summands may carry a negative power of (-p) for some parameter
 lists.  The evaluator measures the worst exponent first and works at a
@@ -70,10 +71,6 @@ class GParams:
         object.__setattr__(self, "pairs", _row_pairs(top, bottom, self.t.field.p))
         if self.t.is_zero():
             raise ZeroArgument("t = 0 is rejected; no theorem evaluates there")
-
-    @property
-    def n(self):
-        return len(self.top)
 
 
 def _row_pairs(top, bottom, p):
@@ -204,24 +201,18 @@ class _GKernel:
         step = -field.log_table[t.enc] % m
         return sum([c * column[a * step % m] for a, c, column in self.terms])
 
-    def unpack(self, total):
-        """The vector in GR(p^(N + shift), r) of a total: its r slots, each
-        times lead = -1/(q-1)."""
-        width, lead, pNw = self.work.width, self.lead, self.work.pN
-        mask = (1 << width) - 1
-        return tuple([(total >> j * width & mask) * lead % pNw for j in range(self.field.r)])
-
     def raw_eval(self, t):
         """Return (vec, shift): the value is the GR element vec / (-p)^shift.
 
         With l = log(t), omega-bar(t)^a is entry -a*l mod (q-1) of the
         shared Teichmuller power table, so the vector is the unpacked
-        total(t).  Nothing is lifted per argument.  The vector is kept
-        whole because G-values for parameter rows that are not closed
-        under multiplication by p mod 1 genuinely live in the extension
-        ring, not in Z_p; a closed kernel's vector is (value, 0, ..., 0).
+        total(t), each slot times lead = -1/(q-1).  Nothing is lifted per
+        argument.  The vector is kept whole because G-values for parameter
+        rows that are not closed under multiplication by p mod 1 genuinely
+        live in the extension ring, not in Z_p; a closed kernel's vector is
+        (value, 0, ..., 0).
         """
-        return self.unpack(self.total(t)), self.shift
+        return self.work.unpack(self.total(t), self.lead), self.shift
 
 
 KERNEL_CACHE_SIZE = 256
@@ -259,7 +250,7 @@ def _raw_to_residue(raw, p, N):
     an evaluator bug from a genuinely non-rational value.
     """
     vec, s = raw
-    if any(v % p ** (N + s) for v in vec[1:]):
+    if any(vec[1:]):
         raise NonConstantResult(
             "G-value has nonzero extension-ring coordinates"
         )
@@ -316,7 +307,7 @@ def _value_and_lift(key, t, bound):
     kern = _kernel_at(key)
     total = kern.total(t)
     if total >> kern.work.width:
-        value = _raw_to_residue((kern.unpack(total), kern.shift), field.p, N)
+        value = _raw_to_residue((kern.work.unpack(total, kern.lead), kern.shift), field.p, N)
     else:
         value = _unshift(total * kern.lead % kern.work.pN, kern.shift, field.p, N)
     if bound is None:
@@ -400,6 +391,8 @@ def check_reduction_identity(a, b, d: int, t: FqElem, p: int, N: int = 3) -> boo
     field = t.field
     if field.p != p or field.r != 1:
         raise HypothesisViolation("stated over the prime field F_p only")
+    if d < 1:
+        raise HypothesisViolation("d must be positive")
     if (p + 1) % d != 0:
         raise HypothesisViolation(f"p = {p} is not -1 mod {d}")
     a, b, pair = tuple(a), tuple(b), (Fraction(1, d), Fraction(d - 1, d))

@@ -3,10 +3,10 @@
 Holds the p-adic gamma function (giant, mid and low step tables shared by
 (p, N)), Teichmuller lifts, the Gross-Koblitz gamma-product and floor
 identities, stated in integers, and the context _ring(field, N) that every
-G-function kernel and every context of one (field, N) shares: its table of
-Teichmuller powers, their packing and trace column, and the Gauss-orbit
-columns, one pair per coset of the grid j/(q-1), each built on first use;
-and the Frobenius orbits a -> p*a of [0, q-1), cached per (p, q-1).
+G-function kernel and every context of one (field, N) shares: its one,
+packed table of Teichmuller powers, which unpack reads, its trace column,
+and the Gauss-orbit columns, one pair per coset of the grid j/(q-1), each
+built on first use; and the Frobenius orbits a -> p*a of [0, q-1).
 Floating point is forbidden throughout: the floor identities are
 exact-arithmetic-fragile, so every rational argument must be an int or a
 Fraction.
@@ -17,7 +17,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter, mul
+from operator import itemgetter, lshift, mul
 
 from .errors import (
     DenominatorDivisibleByP,
@@ -140,7 +140,7 @@ class PadicCtx:
         self._gamma_tables = None
         self._gamma_memo = {}
         self._inv_memo = {}
-        self._powers = self._packed = self._traces = None
+        self._packed = self._traces = None
         self._columns = {}
 
     # -- scalar helpers -------------------------------------------------------
@@ -182,68 +182,67 @@ class PadicCtx:
 
     # -- tables of the (field, N) ---------------------------------------------
 
-    def teichmuller_powers(self):
-        """The coefficient tuples of omega(g)^k mod p^N for k in 0..q-2, g the
-        field generator, so that omega(t)^k is entry k * log(t) mod (q-1):
-        one lift, then q-2 steps of one fixed product by omega(g), built by
-        _ring(field, N) and read by every context with this (field, N).
-
-        The step is the r x r matrix of multiplication by omega(g), column j
-        the coefficients of x^j * omega(g) packed in slots of W = width
-        bits, so no slot of a sum of r <= q-1 column multiples carries: a
-        power costs r products and r shifts and masks."""
-        if self._powers is None:
+    def packed(self):
+        """The one table of omega(g)^k mod p^N, k in 0..q-2, g the field
+        generator, packed: entry k holds coefficient j of omega(g)^k in bits
+        [jW, (j+1)W), W = width, and omega(t)^k is entry k * log(t) mod (q-1).
+        One lift, then q-2 steps of one fixed product by omega(g), built by
+        _ring(field, N) and read by every context with this (field, N).  The
+        step is the r x r matrix of multiplication by omega(g), column j the
+        coefficients of x^j * omega(g) in the same slots, so no slot of a sum
+        of r <= q-1 column multiples carries: a power costs r products, r
+        shifts and masks, and r shifts to pack it."""
+        if self._packed is None:
             ring = _ring(self.field, self.N)
             if ring is not self:
-                self._powers = ring.teichmuller_powers()
-                return self._powers
-            mod, pN, r = self.modulus, self.pN, self.r
+                self._packed = ring.packed()
+                return self._packed
+            mod, pN, r, width = self.modulus, self.pN, self.r, self.width
             x = (0, 1) + (0,) * (r - 2)
             cols = [teichmuller(self.field.generator, self)]
             for _ in range(r - 1):
                 cols.append(_poly_mulmod(cols[-1], x, mod, pN))
-            width = self.width
             cols = [sum(c << i * width for i, c in enumerate(col)) for col in cols]
             shifts, mask = range(0, r * width, width), (1 << width) - 1
-            table = [(1,) + (0,) * (r - 1)]
+            table, coeffs = [1], (1,) + (0,) * (r - 1)
             for _ in range(self.q - 1):
-                total = sum(map(mul, table[-1], cols))
-                table.append(tuple([(total >> s & mask) % pN for s in shifts]))
-            if table.pop() != table[0]:
+                total = sum(map(mul, coeffs, cols))
+                coeffs = [(total >> s & mask) % pN for s in shifts]
+                table.append(sum(map(lshift, coeffs, shifts)))
+            if table.pop() != 1:
                 raise InvariantViolation("omega(g) must have order q-1")
-            self._powers = tuple(table)
-        return self._powers
-
-    def packed(self):
-        """The Teichmuller powers packed: packed[k] holds coefficient j of
-        entry k in bits [jW, (j+1)W), W = width, which a slot of sum_a c_a *
-        packed[k_a] for q-1 residues c_a does not exceed, so no slot of such
-        a sum carries into the next."""
-        if self._packed is None:
-            width = self.width
-            self._packed = [sum(c << j * width for j, c in enumerate(w))
-                            for w in self.teichmuller_powers()]
+            self._packed = table
         return self._packed
+
+    def unpack(self, total, scale=1):
+        """The r slots of a packed sum total, each times scale, mod p^N: the
+        vector in GR(p^N, r) of sum_a c_a * packed[k_a] for at most q-1
+        residues c_a, whose slots reach (q-1)(p^N-1)^2 < 2^W at most, so
+        none carries into the next."""
+        width, pN = self.width, self.pN
+        mask = (1 << width) - 1
+        return tuple([(total >> s & mask) * scale % pN for s in range(0, self.r * width, width)])
 
     def traces(self):
         """(tr, const) for the Teichmuller powers: const[k] is the constant
         coefficient of entry k and tr[k] = Tr(omega(g)^k) = sum_{i<r}
         const[k p^i mod (q-1)], its trace to Z/p^N.  Frobenius maps
         omega(g)^k to omega(g)^(pk), so the entries of each Frobenius orbit
-        of k (frobenius_orbits) sum to an element of Z/p^N: its extension
-        coordinates are checked to vanish, once per orbit, and the trace is
-        r/(orbit length) times that sum."""
+        of k (frobenius_orbits) sum to an element of Z/p^N: the packed sum's
+        extension slots are checked to vanish, once per orbit, and the trace
+        is r/(orbit length) times its constant slot."""
         if self._traces is None:
-            powers, pN, r = self.teichmuller_powers(), self.pN, self.r
-            tr = [0] * len(powers)
-            for orbit in frobenius_orbits(self.p, len(powers))[0]:
-                total = [sum(c) % pN for c in zip(*map(powers.__getitem__, orbit))]
-                if any(total[1:]):
+            packed, pN, r, width = self.packed(), self.pN, self.r, self.width
+            mask = (1 << width) - 1
+            tr = [0] * len(packed)
+            for orbit in frobenius_orbits(self.p, len(packed))[0]:
+                total = sum(map(packed.__getitem__, orbit))
+                if any([(total >> s & mask) % pN for s in range(width, r * width, width)]):
                     raise InvariantViolation(
                         f"Teichmuller orbit of omega(g)^{orbit[0]} does not sum into Z/p^N")
                 for j in orbit:
-                    tr[j] = r // len(orbit) * total[0] % pN
-            self._traces = tr, [w[0] for w in powers]
+                    tr[j] = r // len(orbit) * (total & mask) % pN
+            self._traces = tr, [w & mask for w in packed]
         return self._traces
 
     def column(self, kind, u, d):
@@ -394,8 +393,8 @@ def _coset(n: int, e: int, m: int):
 def _omega_scaled_is(ctx: PadicCtx, field, b: int, e: int, scalar, value) -> bool:
     """omega(b)^e * scalar == value in GR(p^N, r), for b prime to p and the
     residues scalar and value in Z_p."""
-    w = ctx.teichmuller_powers()[e * field.log_table[b % ctx.p] % (ctx.q - 1)]
-    return tuple(c * scalar % ctx.pN for c in w) == (value,) + (0,) * (ctx.r - 1)
+    w = ctx.packed()[e * field.log_table[b % ctx.p] % (ctx.q - 1)]
+    return ctx.unpack(w * scalar) == (value,) + (0,) * (ctx.r - 1)
 
 
 def product_formula_check(x, m: int, ctx: PadicCtx, field) -> bool:
@@ -480,6 +479,8 @@ def gamma_half_shift_check(a: int, ctx: PadicCtx) -> bool:
 
 def floor_negative_multiple_check(d: int, a: int, i: int, p: int, q: int) -> bool:
     """floor(a p^i/(q-1)) + floor(-d a p^i/(q-1)) matches the h/d shift sum."""
+    if d < 1:
+        raise HypothesisViolation("d must be positive")
     pi, m = p**i, q - 1
     lhs = _floor_nd(0, 1, a, pi, m) + _floor_nd(0, 1, -d * a, pi, m)
     return lhs == sum(_floor_nd(h, d, -a, pi, m) for h in range(1, d)) - 1
@@ -487,6 +488,8 @@ def floor_negative_multiple_check(d: int, a: int, i: int, p: int, q: int) -> boo
 
 def floor_positive_multiple_check(l: int, a: int, i: int, p: int, q: int) -> bool:
     """floor(l a p^i/(q-1)) matches the -h/l shift sum."""
+    if l < 1:
+        raise HypothesisViolation("l must be positive")
     pi, m = p**i, q - 1
     return _floor_nd(0, 1, l * a, pi, m) == sum(_floor_nd(-h, l, a, pi, m) for h in range(l))
 

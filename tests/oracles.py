@@ -160,7 +160,7 @@ def jacobi_sum_padic_by_elements(a, b, field, ctx):
     power of its discrete logs, added coefficient by coefficient."""
     p, q = field.p, field.q
     ref = TupleField(p, field.modulus)
-    pows, logs = ctx.teichmuller_powers(), field.log_table
+    pows, logs = [ctx.unpack(w) for w in ctx.packed()], field.log_table
     acc = [0] * ctx.r
     for v in range(2, q):  # x = 0, 1 contribute 0 by convention
         w = ref.sub(ref.one, ref.decode(v))
@@ -271,9 +271,10 @@ def raw_eval_by_coefficients(coeffs, work, t):
     m = field.q - 1
     l = field.log(t)
     pNw = work.pN
+    pows = [work.unpack(w) for w in work.packed()]
     acc = [0] * field.r
     for a, c in zip(avals, cvals):
-        for j, w in enumerate(work.teichmuller_powers()[-a * l % m]):
+        for j, w in enumerate(pows[-a * l % m]):
             acc[j] += c * w
     lead = -pow(m, -1, pNw) % pNw
     return tuple(v * lead % pNw for v in acc), shift
@@ -286,6 +287,12 @@ def is_frobenius_stable(coeffs, p, q):
     _, avals, cvals = coeffs
     c = dict(zip(avals, cvals))
     return all(c.get(a * p % (q - 1)) == v for a, v in c.items())
+
+
+def pack(coeffs, width):
+    """coeffs packed as PadicCtx.packed holds a table entry: coefficient j
+    in bits [j width, (j+1) width)."""
+    return sum(c << j * width for j, c in enumerate(coeffs))
 
 
 def teichmuller_powers_by_products(ctx):

@@ -133,6 +133,13 @@ def test_davenport_hasse_hypothesis():
         davenport_hasse_check(5, 0, field)
 
 
+@pytest.mark.parametrize("m", [0, -1, -2])
+def test_davenport_hasse_rejects_m_below_one(m):
+    # m = 0 once divided by zero and m = -2 gave False
+    with pytest.raises(HypothesisViolation, match="m must be positive"):
+        davenport_hasse_check(m, 1, build_field(13, 1))
+
+
 def test_field_too_large_for_complex():
     field = build_field(53, 2)  # q = 2809 > 2500
     with pytest.raises(FieldTooLarge):

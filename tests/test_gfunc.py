@@ -34,6 +34,7 @@ from oracles import (
     is_frobenius_stable,
     kernel_by_inline_passes,
     naive_G,
+    pack,
     raw_eval_by_coefficients,
 )
 
@@ -204,7 +205,7 @@ def test_packed_slots_reach_their_bound_without_carrying(p, r, N):
     m, pNw = field.q - 1, kern.work.pN
     # a context of its own whose Teichmuller coordinates are all p^Nw - 1
     worst = kern.work = PadicCtx(field, kern.work.N)
-    worst._powers = ((pNw - 1,) * r,) * m
+    worst._packed = [pack((pNw - 1,) * r, worst.width)] * m
     # one term per summand over the packed table, every coefficient p^Nw - 1
     kern.terms = [(a, pNw - 1, worst.packed()) for a in range(m)]
     assert worst.width == (m * (pNw - 1) ** 2).bit_length()
@@ -215,7 +216,7 @@ def test_packed_slots_reach_their_bound_without_carrying(p, r, N):
     assert raw_eval_by_coefficients(coeffs, worst, t) == kern.raw_eval(t)
     # one bit narrower, the slots carry into each other and the sum is wrong
     worst.width -= 1
-    worst._packed = None
+    worst._packed = [pack((pNw - 1,) * r, worst.width)] * m
     kern.terms = [(a, c, worst.packed()) for a, c, _ in kern.terms]
     assert kern.raw_eval(t) != ((slot,) * r, kern.shift)
 
@@ -253,16 +254,14 @@ def test_kernel_working_precision_is_capped():
     assert padic._gamma_steps.cache_info().misses == before
     assert padic._ring.cache_info().currsize == 1
     ring = padic._ring(field, N)
-    assert ring._powers is ring._packed is ring._traces is None
+    assert ring._packed is ring._traces is None
     assert {kind for kind, _, _ in ring._columns} == {"digits"}
     padic._ring.cache_clear()
 
 
 def test_kernels_tables_and_trace_column_share_one_context():
-    # every kernel of one (field, N), the Teichmuller powers of any context
-    # with that (field, N) and the trace column read one shared context;
-    # closed kernels never build the packing, which the first kernel on
-    # the vector path builds
+    # every kernel of one (field, N), the Teichmuller table of any context
+    # with that (field, N) and the trace column read one shared context
     field = build_field(7, 2)
     gfunc._KERNELS.clear()
     padic._ring.cache_clear()
@@ -271,10 +270,9 @@ def test_kernels_tables_and_trace_column_share_one_context():
     k2 = _kernel((HALF, HALF), (Fraction(0), Fraction(0)), field, 3)
     assert k1.shift == k2.shift == 0
     assert k1.work is k2.work is ring
-    assert PadicCtx(field, 3).teichmuller_powers() is ring.teichmuller_powers()
+    assert PadicCtx(field, 3).packed() is ring.packed()
     tr, const = ring.traces()
     assert {id(col) for _, _, col in k1.terms} == {id(tr), id(const)}
-    assert ring._packed is None
     k3 = _kernel((Fraction(1, 4), HALF), (Fraction(0), Fraction(0)), field, 3)
     assert not k3.closed and k3.work is ring
     assert {id(col) for _, _, col in k3.terms} == {id(ring.packed())}
@@ -858,6 +856,14 @@ def test_reduction_identity_hypotheses():
         with pytest.raises(error, match=message):
             GParams(top, bottom, f5.from_int(2))
     assert not gfunc._KERNELS
+
+
+@pytest.mark.parametrize("d", [0, -2, -3, -6])
+def test_reduction_identity_rejects_d_below_one(d):
+    # d = 0 once divided by zero, d = -3 and -6 gave True and d = -2 False
+    field = build_field(5, 1)
+    with pytest.raises(HypothesisViolation, match="d must be positive"):
+        check_reduction_identity([HALF], [Fraction(0)], d, field.from_int(2), 5)
 
 
 def test_reduction_identity_breaks_at_two():

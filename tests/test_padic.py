@@ -49,6 +49,7 @@ from oracles import (
     gamma_orbit_by_fractions,
     gamma_steps_two_level,
     gamma_table_by_recurrence,
+    pack,
     teichmuller_powers_by_products,
 )
 
@@ -566,11 +567,11 @@ def test_teichmuller_root_of_unity():
 def test_teichmuller_table_matches_lifts(p, r, N):
     field = build_field(p, r)
     ctx = PadicCtx(field, N)
-    table = ctx.teichmuller_powers()
+    table = [ctx.unpack(w) for w in ctx.packed()]
     assert len(table) == field.q - 1
     for k in range(field.q - 1):
         assert table[k] == teichmuller(field.exp(k), ctx)
-    assert padic._ring(field, N).teichmuller_powers() is table
+    assert padic._ring(field, N).packed() is ctx.packed()
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -588,9 +589,35 @@ def test_teichmuller_step_matches_repeated_products(r):
         for N in range(1, 7):
             if p ** ((N + 1) // 2) <= TABLE_CAP:
                 ctx = PadicCtx(field, N)
-                assert ctx.teichmuller_powers() == teichmuller_powers_by_products(ctx), (p, N)
+                table = tuple(ctx.unpack(w) for w in ctx.packed())
+                assert table == teichmuller_powers_by_products(ctx), (p, N)
                 checked += 1
     assert checked >= 6
+
+
+@pytest.mark.parametrize("p,r,N", [(3, 1, 1), (5, 2, 2), (7, 3, 1), (5, 4, 3)])
+def test_unpack_reaches_the_scaled_entry_and_jacobi_bounds(p, r, N):
+    # a context of its own whose packed entries hold p^N - 1 in every slot:
+    # one entry times a residue (as _omega_scaled_is reads it) and a sum of
+    # q-2 entries (as jacobi_sum_padic does) reach (p^N-1)^2 and
+    # (q-2)(p^N-1) in each slot, and unpack to the per-coefficient results
+    # at the context's width and at the least width that holds them; one
+    # bit narrower, the slots carry into each other and the vector is wrong
+    worst = PadicCtx(build_field(p, r), N)
+    m, pN, W = worst.q - 1, worst.pN, worst.width
+    top = (pN - 1,) * r
+    scaled = tuple(c * (pN - 1) % pN for c in top)
+    summed = tuple(sum(c) % pN for c in zip(*[top] * (m - 1)))
+    cases = [  # (slot bound, the packed sum, its vector coefficient by coefficient)
+        ((pN - 1) ** 2, lambda table: table[0] * (pN - 1), scaled),
+        ((m - 1) * (pN - 1), lambda table: sum(table[1:]), summed),
+    ]
+    for bound, total, vec in cases:
+        least = bound.bit_length()
+        assert least <= W
+        for width in (W, least, least - 1):
+            worst.width, worst._packed = width, [pack(top, width)] * m
+            assert (worst.unpack(total(worst.packed())) == vec) == (width >= least)
 
 
 def test_frobenius_orbits_partition_the_exponents():
@@ -615,8 +642,8 @@ def test_teichmuller_table_checks_the_order(monkeypatch):
     monkeypatch.setattr(padic, "teichmuller", lambda t, ctx: t.coeffs)
     padic._ring.cache_clear()
     with pytest.raises(InvariantViolation):
-        PadicCtx(field, 2).teichmuller_powers()
-    assert padic._ring(field, 2)._powers is None
+        PadicCtx(field, 2).packed()
+    assert padic._ring(field, 2)._packed is None
     padic._ring.cache_clear()
 
 
@@ -627,7 +654,7 @@ def test_trace_column_sums_each_frobenius_orbit(p, r, N):
     field = build_field(p, r)
     m, pN = field.q - 1, p**N
     ring = padic._ring(field, N)
-    table = ring.teichmuller_powers()
+    table = [ring.unpack(w) for w in ring.packed()]
     tr, const = ring.traces()
     assert ring.traces() is ring.traces()
     assert const == [w[0] for w in table]
@@ -640,9 +667,9 @@ def test_trace_column_sums_each_frobenius_orbit(p, r, N):
 def test_trace_column_rejects_a_corrupted_teichmuller_entry():
     # one extension coordinate of omega(g) off by one, in a context of its own
     field = build_field(7, 2)
-    bad, table = PadicCtx(field, 2), padic._ring(field, 2).teichmuller_powers()
-    w = table[1]
-    bad._powers = table[:1] + ((w[0], (w[1] + 1) % 49),) + table[2:]
+    bad, table = PadicCtx(field, 2), padic._ring(field, 2).packed()
+    w0, w1 = bad.unpack(table[1])
+    bad._packed = table[:1] + [pack((w0, (w1 + 1) % 49), bad.width)] + table[2:]
     with pytest.raises(InvariantViolation, match="Teichmuller orbit"):
         bad.traces()
     assert bad._traces is None
@@ -654,9 +681,9 @@ def test_trace_column_check_holds_under_optimize():
         "from padic_hg import ffield, padic\n"
         "from padic_hg.errors import InvariantViolation\n"
         "field = ffield.build_field(7, 2)\n"
-        "bad, table = padic.PadicCtx(field, 2), padic._ring(field, 2).teichmuller_powers()\n"
-        "w = table[1]\n"
-        "bad._powers = table[:1] + ((w[0], (w[1] + 1) % 49),) + table[2:]\n"
+        "bad, table = padic.PadicCtx(field, 2), padic._ring(field, 2).packed()\n"
+        "w0, w1 = bad.unpack(table[1])\n"
+        "bad._packed = table[:1] + [w0 + ((w1 + 1) % 49 << bad.width)] + table[2:]\n"
         "try:\n"
         "    bad.traces()\n"
         "except InvariantViolation as exc:\n"
@@ -889,6 +916,20 @@ def test_floor_identities_exhaustive(p, r):
                 assert floor_negative_multiple_check(d, a, i, p, q)
             for a in range(q - 1):
                 assert floor_positive_multiple_check(d, a, i, p, q)
+
+
+@pytest.mark.parametrize("d", [0, -1, -3])
+def test_floor_negative_multiple_rejects_d_below_one(d):
+    # d = 0 once gave False, as if the identity failed
+    with pytest.raises(HypothesisViolation, match="d must be positive"):
+        floor_negative_multiple_check(d, 1, 0, 5, 25)
+
+
+@pytest.mark.parametrize("l", [0, -1, -3])
+def test_floor_positive_multiple_rejects_l_below_one(l):
+    # l = 0 once gave True over an empty shift sum
+    with pytest.raises(HypothesisViolation, match="l must be positive"):
+        floor_positive_multiple_check(l, 1, 0, 5, 25)
 
 
 @pytest.mark.parametrize("p,r", [(5, 2), (3, 3), (11, 2)])
