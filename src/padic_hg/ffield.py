@@ -659,7 +659,10 @@ def family_member(curve: CurveSpec, field: FqField) -> tuple:
 
 def member_trace(family: str, m: FqElem, field: FqField) -> int:
     """a_q of the family's member m, read from its table: SingularCurve
-    at a None entry.  Validated against the Hasse bound."""
+    at a None entry.  Validated against the Hasse bound.  A member from
+    another field raises ValueError."""
+    if m.field is not field:
+        raise ValueError(f"{family} member does not lie in {field}")
     a = family_traces(family, field)[m.enc]
     if a is None:
         raise SingularCurve(f"{family} parameters give a singular curve")

@@ -24,7 +24,7 @@ from .ffield import (
     quad_char,
     trace_of_frobenius,
 )
-from .gfunc import _row_pairs, _value_and_lift, choose_precision, trace_bound
+from .gfunc import _kernel_at, _row_pairs, _symmetric_lift, choose_precision, trace_bound
 from .padic import _rational
 
 HALF = Fraction(1, 2)
@@ -138,7 +138,8 @@ def _pair_g(name, m, field):
     """The integer G-value of pair formula name at its member m over field:
     G(top; bottom | scale * m^2) from the cached kernel of _pair_setup."""
     key, bound, scale = _pair_setup(name, field)
-    return _value_and_lift(key, scale * m * m, bound)[1]
+    kern = _kernel_at(key)
+    return _symmetric_lift(kern.value(scale * m * m), field.p**kern.N, bound)
 
 
 def trace_sum_pair(inst: TheoremInstance):

@@ -24,7 +24,8 @@ coefficients in slots of W bits (Kronecker substitution), and the context
 unpacks its total into a vector whose extension coordinates must vanish.
 W is the bit length of (q-1)(p^N-1)^2, the most q-1 products of residues
 reach, so no slot carries, and a closed kernel's sum fits in the constant
-slot alone.
+slot alone, which its readers value(t), G at t mod p^N, and raw_eval(t),
+the vector, take without unpacking.
 
 Individual summands may carry a negative power of (-p) for some parameter
 lists.  The evaluator measures the worst exponent first and works at a
@@ -115,13 +116,14 @@ class _GKernel:
     rows).  Such a kernel is closed: it computes one c per Frobenius orbit
     of summands, with one term per full orbit (r members), at its least
     member, over the trace column, and one per summand of a shorter orbit
-    over the constant column, so its total lies in the constant slot.  Any
-    other kernel has one term per surviving summand over the packed table,
-    whose r slots are the vector in GR(p^(N + shift), r).
+    over the constant column, so its total lies in the constant slot, which
+    value and raw_eval read alone.  Any other kernel has one term per
+    surviving summand over the packed table, whose r slots, which both
+    readers unpack, are the vector in GR(p^(N + shift), r).
     """
 
     def __init__(self, top, bottom, field, N):
-        self.field = field
+        self.field, self.N = field, N
         p, n, m, r = field.p, len(top), field.q - 1, field.r
         # summand a takes a Gauss-sum quotient at x = y - s*a/(q-1) from each
         # top value y = a_k (s = 1) and bottom value y = -b_k (s = -1): entry
@@ -201,6 +203,18 @@ class _GKernel:
         step = -field.log_table[t.enc] % m
         return sum([c * column[a * step % m] for a, c, column in self.terms])
 
+    def value(self, t):
+        """G at t mod p^N: the constant slot of a closed kernel's total, or the
+        unpacked vector of any other, which must be constant, over (-p)^shift,
+        which must leave a p-adic integer."""
+        if self.closed:
+            const = self.total(t) * self.lead % self.work.pN
+        else:
+            const, *ext = self.work.unpack(self.total(t), self.lead)
+            if any(ext):
+                raise NonConstantResult("G-value has nonzero extension-ring coordinates")
+        return _unshift(const, self.shift, self.field.p, self.N)
+
     def raw_eval(self, t):
         """Return (vec, shift): the value is the GR element vec / (-p)^shift.
 
@@ -210,8 +224,11 @@ class _GKernel:
         argument.  The vector is kept whole because G-values for parameter
         rows that are not closed under multiplication by p mod 1 genuinely
         live in the extension ring, not in Z_p; a closed kernel's vector is
-        (value, 0, ..., 0).
+        (total * lead, 0, ..., 0), read without unpacking.
         """
+        if self.closed:
+            vec = (self.total(t) * self.lead % self.work.pN,) + (0,) * (self.field.r - 1)
+            return vec, self.shift
         return self.work.unpack(self.total(t), self.lead), self.shift
 
 
@@ -240,21 +257,6 @@ def _kernel_at(key):
             del _KERNELS[next(iter(_KERNELS))]
         kern = _KERNELS[key] = _GKernel(*key)
     return kern
-
-
-def _raw_to_residue(raw, p, N):
-    """Collapse (vec, shift) to a residue mod p^N.
-
-    The value must be Galois-stable (constant vector) and a p-adic
-    integer; each failure has its own error so callers can distinguish
-    an evaluator bug from a genuinely non-rational value.
-    """
-    vec, s = raw
-    if any(vec[1:]):
-        raise NonConstantResult(
-            "G-value has nonzero extension-ring coordinates"
-        )
-    return _unshift(vec[0], s, p, N)
 
 
 def _unshift(T, s, p, N):
@@ -292,27 +294,9 @@ def evaluate_G(params: GParams, field: FqField, ctx: PadicCtx, bound=None) -> GV
         raise ValueError("field and p-adic context disagree")
     if params.t.field is not field:
         raise ValueError("argument t lives in a different field")
-    value, integer = _value_and_lift((*params.pairs, field, ctx.N), params.t, bound)
+    value = _kernel_at((*params.pairs, field, ctx.N)).value(params.t)
+    integer = None if bound is None else _symmetric_lift(value, ctx.pN, bound)
     return GValue(PadicInt(value, ctx), integer, ctx.N)
-
-
-def _value_and_lift(key, t, bound):
-    """(residue mod p^N, its lift to |m| <= bound or None without a bound)
-    of G at t from the kernel at key: the one path from a cached kernel to
-    a G-value, for callers that checked the rows themselves.  A total
-    with nothing above its constant slot (always, for a closed kernel) is
-    that slot's value; any other is unpacked, and its vector must be
-    constant."""
-    field, N = key[2], key[3]
-    kern = _kernel_at(key)
-    total = kern.total(t)
-    if total >> kern.work.width:
-        value = _raw_to_residue((kern.work.unpack(total, kern.lead), kern.shift), field.p, N)
-    else:
-        value = _unshift(total * kern.lead % kern.work.pN, kern.shift, field.p, N)
-    if bound is None:
-        return value, None
-    return value, _symmetric_lift(value, field.p**N, bound)
 
 
 def _symmetric_lift(residue, pN, bound):

@@ -468,20 +468,30 @@ def gamma_complement_product_check(a: int, ctx: PadicCtx) -> bool:
 
 
 def gamma_half_shift_check(a: int, ctx: PadicCtx) -> bool:
-    """The <1/2 +- a/(q-1)> gamma quotient equals (-1)^a off the midpoint."""
-    if a == (ctx.q - 1) // 2:
-        raise HypothesisViolation("a = (q-1)/2 is excluded")
+    """The <1/2 +- a/(q-1)> gamma quotient equals (-1)^a off a = (q-1)/2 mod q-1."""
     m = ctx.q - 1
+    if a % m == m // 2:
+        raise HypothesisViolation("a = (q-1)/2 mod q-1 is excluded")
     # 1/2 -+ a/m = (m -+ 2a)/(2m)
     lhs = _gamma_orbit_nd(ctx, [(m - 2 * a, 2 * m), (m + 2 * a, 2 * m)])
     return lhs == (-1) ** a * _gamma_orbit_nd(ctx, [(1, 2), (1, 2)]) % ctx.pN
 
 
+def _frobenius_power(p: int, i: int) -> int:
+    """p^i for a Frobenius index i >= 0, where it is an int."""
+    if i < 0:
+        raise HypothesisViolation("the Frobenius index i must be >= 0")
+    return p**i
+
+
 def floor_negative_multiple_check(d: int, a: int, i: int, p: int, q: int) -> bool:
-    """floor(a p^i/(q-1)) + floor(-d a p^i/(q-1)) matches the h/d shift sum."""
+    """floor(a p^i/(q-1)) + floor(-d a p^i/(q-1)) matches the h/d shift sum
+    off a = 0 mod q-1, where a p^i/(q-1) is an integer and it fails."""
     if d < 1:
         raise HypothesisViolation("d must be positive")
-    pi, m = p**i, q - 1
+    pi, m = _frobenius_power(p, i), q - 1
+    if a % m == 0:
+        raise HypothesisViolation("a = 0 mod q-1 is excluded")
     lhs = _floor_nd(0, 1, a, pi, m) + _floor_nd(0, 1, -d * a, pi, m)
     return lhs == sum(_floor_nd(h, d, -a, pi, m) for h in range(1, d)) - 1
 
@@ -490,14 +500,14 @@ def floor_positive_multiple_check(l: int, a: int, i: int, p: int, q: int) -> boo
     """floor(l a p^i/(q-1)) matches the -h/l shift sum."""
     if l < 1:
         raise HypothesisViolation("l must be positive")
-    pi, m = p**i, q - 1
+    pi, m = _frobenius_power(p, i), q - 1
     return _floor_nd(0, 1, l * a, pi, m) == sum(_floor_nd(-h, l, a, pi, m) for h in range(l))
 
 
 def floor_halving_check(x, j: int, i: int, p: int, q: int) -> bool:
     """Both halving identities for floor(<x p^i> -+ 2j p^i/(q-1))."""
     n, d = _rational(x).as_integer_ratio()
-    pi, m = p**i, q - 1
+    pi, m = _frobenius_power(p, i), q - 1
     # x/2 = n/(2d) and (1 + x)/2 = (n + d)/(2d)
     return all(
         _floor_nd(n, d, 2 * e, pi, m)
@@ -508,12 +518,11 @@ def floor_halving_check(x, j: int, i: int, p: int, q: int) -> bool:
 
 def quarter_gamma_product_check(n: int, ctx: PadicCtx) -> bool:
     """Four-gamma product at offsets +-1/4, +-3/4 around n/(q-1) equals 1."""
-    q = ctx.q
+    q, m = ctx.q, ctx.q - 1
     if q % 4 != 1:
         raise HypothesisViolation("requires q = 1 mod 4")
-    if n in ((q - 1) // 4, 3 * (q - 1) // 4):
-        raise HypothesisViolation("n on the quarter points is excluded")
-    m = q - 1
+    if n % m in (m // 4, 3 * m // 4):
+        raise HypothesisViolation("n on the quarter points mod q-1 is excluded")
     # p is odd, so {<p^i/4>, <3p^i/4>} = {1/4, 3/4} and the constant
     # quarters of the exponent are the orbit floors of 1/4 and 3/4
     s = -sum(

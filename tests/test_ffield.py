@@ -398,6 +398,17 @@ def test_curves_from_another_field_are_rejected(family):
                 trace_sum_pair(TheoremInstance(name, big, curve.params))
 
 
+@pytest.mark.parametrize("family", sorted(FAMILY_MEMBERS))
+def test_member_trace_rejects_a_member_from_another_field(family):
+    # 3 of F_7 read in F_25's table once gave that table's entry at
+    # encoding 3: -6 for the Legendre family
+    small, big = build_field(7, 1), build_field(5, 2)
+    with pytest.raises(ValueError, match="does not lie in"):
+        member_trace(family, small.elem(3), big)
+    with pytest.raises(ValueError, match="does not lie in"):
+        member_trace(family, big.elem(3), small)
+
+
 def test_family_trace_rejects_general_weierstrass():
     field = build_field(5, 1)
     curve = CurveSpec.weierstrass(

@@ -74,7 +74,7 @@ def full_vector_kernel(coeffs, field, N):
     cvals) of a full build, at every surviving summand."""
     kern = object.__new__(gfunc._GKernel)
     shift, avals, cvals = coeffs
-    kern.field, kern.shift, kern.closed = field, shift, False
+    kern.field, kern.N, kern.shift, kern.closed = field, N, shift, False
     kern.work = padic._ring(field, N + shift)
     kern.terms = list(zip(avals, cvals, repeat(kern.work.packed())))
     kern.lead = -kern.work.inv(field.q - 1) % kern.work.pN
@@ -203,6 +203,8 @@ def test_packed_slots_reach_their_bound_without_carrying(p, r, N):
     field = build_field(p, r)
     kern = new_kernel((HALF,), (Fraction(0),), field, N)
     m, pNw = field.q - 1, kern.work.pN
+    # its terms move onto the packed table, so it is no longer closed
+    kern.closed = False
     # a context of its own whose Teichmuller coordinates are all p^Nw - 1
     worst = kern.work = PadicCtx(field, kern.work.N)
     worst._packed = [pack((pNw - 1,) * r, worst.width)] * m
@@ -300,12 +302,20 @@ def test_evaluate_G_lifts_at_most_once(monkeypatch):
 PAIR_ROWS = [(f.top, f.bottom) for f in frobtrace.PAIR_FORMULAS.values()]
 
 
-def vector_path(kern, t, N):
-    """The value at t by the vector path, or the class of its error."""
+def outcome(read, *args):
+    """read(*args), or the class of the error it raises."""
     try:
-        return gfunc._raw_to_residue(kern.raw_eval(t), kern.field.p, N)
+        return read(*args)
     except (NonConstantResult, NonIntegralValue) as exc:
         return type(exc)
+
+
+def residue_of(vec, s, p, N):
+    """vec / (-p)^s mod p^N for a constant vector vec, else NonConstantResult:
+    the value by the vector path, from raw_eval's (vec, s)."""
+    if any(vec[1:]):
+        raise NonConstantResult("extension coordinates")
+    return gfunc._unshift(vec[0], s, p, N)
 
 
 @pytest.mark.parametrize("p,r,naive_ts", [(13, 1, 12), (7, 2, 3), (5, 3, 2), (5, 4, 0)])
@@ -325,9 +335,9 @@ def test_trace_sum_matches_the_vector_path_at_every_t(p, r, naive_ts):
         naive = set(rng.sample(range(1, field.q), naive_ts))
         for v in range(1, field.q):
             t = field.elem(v)
-            want = vector_path(full, t, 2)
+            want = outcome(residue_of, *full.raw_eval(t), p, 2)
             try:
-                got = gfunc._value_and_lift(key, t, None)[0]
+                got = kern.value(t)
             except NonIntegralValue:
                 got = NonIntegralValue
             assert got == want, (top, bottom, v)
@@ -336,6 +346,66 @@ def test_trace_sum_matches_the_vector_path_at_every_t(p, r, naive_ts):
                 assert ref["stable"]
                 assert got == (ref["value"] if ref["integral"] else NonIntegralValue)
     gfunc._KERNELS.clear()
+
+
+# two rows that are not closed at r > 1, which between them give a
+# value, NonConstantResult and NonIntegralValue at q = 7^2
+VECTOR_ROWS = [((HALF, Fraction(1, 3)), (Fraction(0), Fraction(3, 4))),
+               ((Fraction(1, 3), Fraction(1, 6)), (Fraction(3, 4), HALF))]
+
+
+@pytest.mark.parametrize("p,r", [(13, 1), (5, 2), (7, 2), (5, 3)])
+def test_value_reads_the_kernel_vector_at_every_t(p, r):
+    # a closed kernel's value is the constant coordinate of its whole
+    # unpacked total, whose extension coordinates vanish; any other
+    # kernel's is its raw_eval vector's, or the error that vector gives
+    field = build_field(p, r)
+    seen = set()
+    for top, bottom in PAIR_ROWS + [THIRDS] + VECTOR_ROWS:
+        kern = new_kernel(top, bottom, field, 2)
+        for v in range(1, field.q):
+            t = field.elem(v)
+            if kern.closed:
+                vec = kern.work.unpack(kern.total(t), kern.lead)
+                assert not any(vec[1:]), (top, bottom, v)
+            else:
+                vec = kern.raw_eval(t)[0]
+            want = outcome(residue_of, vec, kern.shift, p, 2)
+            assert outcome(kern.value, t) == want, (top, bottom, v)
+            seen.add((kern.closed, want if isinstance(want, type) else int))
+    assert (True, int) in seen
+    if (p, r) == (7, 2):
+        assert {want for closed, want in seen if not closed} == {
+            int, NonConstantResult, NonIntegralValue}
+
+
+@pytest.mark.parametrize("p,r", [(13, 1), (7, 2), (5, 3)])
+def test_closed_kernels_read_without_unpacking(p, r, monkeypatch):
+    # a closed kernel's raw_eval and value never unpack, and its vector is
+    # the full build's at every t; the full build's vector path, read after,
+    # shows that the spy sees each unpack
+    field = build_field(p, r)
+    rows = PAIR_ROWS + [THIRDS]
+    kernels = [new_kernel(top, bottom, field, 2) for top, bottom in rows]
+    assert all(kern.closed for kern in kernels)
+    calls = []
+    unpack = PadicCtx.unpack
+
+    def spy(ctx, total, scale=1):
+        calls.append(ctx)
+        return unpack(ctx, total, scale)
+
+    monkeypatch.setattr(PadicCtx, "unpack", spy)
+    ts = [field.elem(v) for v in range(1, field.q)]
+    got = [[kern.raw_eval(t) for t in ts] for kern in kernels]
+    for kern in kernels:
+        for t in ts:
+            outcome(kern.value, t)
+    assert not calls
+    for (top, bottom), vecs in zip(rows, got):
+        full = full_vector_kernel(kernel_by_inline_passes(top, bottom, field, 2), field, 2)
+        assert vecs == [full.raw_eval(t) for t in ts], (top, bottom)
+    assert len(calls) == len(rows) * len(ts)
 
 
 SPLIT_DENOMS = (1, 2, 3, 4, 6)
@@ -421,7 +491,7 @@ def test_unstable_rows_keep_the_vector_path(p, r, top, bottom):
     outcomes = set()
     for v in range(1, field.q):
         t = field.elem(v)
-        want = vector_path(kern, t, 2)
+        want = outcome(residue_of, *kern.raw_eval(t), p, 2)
         try:
             got = evaluate_G(GParams(top, bottom, t), field, ctx).padic.value
         except (NonConstantResult, NonIntegralValue) as exc:

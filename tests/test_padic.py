@@ -206,6 +206,14 @@ def test_src_has_no_assert_statements():
     assert not asserts
 
 
+def test_only_padic_reads_the_slot_width():
+    # the packed slot format belongs to padic: every other module reads a
+    # packed sum through PadicCtx.unpack or a kernel's own readers
+    reads = [(name, n.lineno) for name, n in src_nodes()
+             if name != "padic.py" and isinstance(n, ast.Attribute) and n.attr == "width"]
+    assert not reads
+
+
 def is_float_node(node):
     """A float or complex constant, a float() or complex() call, or a cmath import."""
     if isinstance(node, ast.Constant):
@@ -930,6 +938,62 @@ def test_floor_positive_multiple_rejects_l_below_one(l):
     # l = 0 once gave True over an empty shift sum
     with pytest.raises(HypothesisViolation, match="l must be positive"):
         floor_positive_multiple_check(l, 1, 0, 5, 25)
+
+
+# the fields q = 5, 7, 13, 25, 27, on which some excluded point shifted by
+# a multiple of q-1 once gave False rather than HypothesisViolation
+PERIOD_FIELDS = [(5, 1), (7, 1), (13, 1), (5, 2), (3, 3)]
+
+
+def assert_periodic_with_exclusions(check, m, excluded):
+    """check(n) raises HypothesisViolation at every n = e mod m, e in
+    excluded, and holds at every other n, over [-m, 2m): one period either
+    side of [0, m)."""
+    for n in range(-m, 2 * m):
+        if n % m in excluded:
+            with pytest.raises(HypothesisViolation, match="excluded"):
+                check(n)
+        else:
+            assert check(n), n
+
+
+@pytest.mark.parametrize("p,r", PERIOD_FIELDS)
+def test_half_shift_excludes_the_midpoint_mod_q_minus_1(p, r):
+    ctx = ctx_of(p, r, 3)
+    m = ctx.q - 1
+    assert_periodic_with_exclusions(lambda a: gamma_half_shift_check(a, ctx), m, {m // 2})
+
+
+@pytest.mark.parametrize("p,r", [pr for pr in PERIOD_FIELDS if pr[0] ** pr[1] % 4 == 1])
+def test_quarter_product_excludes_the_quarter_points_mod_q_minus_1(p, r):
+    ctx = ctx_of(p, r, 3)
+    m = ctx.q - 1
+    assert_periodic_with_exclusions(
+        lambda n: quarter_gamma_product_check(n, ctx), m, {m // 4, 3 * m // 4})
+
+
+@pytest.mark.parametrize("p,r", PERIOD_FIELDS)
+def test_floor_negative_multiple_excludes_multiples_of_q_minus_1(p, r):
+    # a p^i/(q-1) is an integer exactly there, where the identity fails
+    q = p**r
+    for d in (2, 3, 4):
+        if d % p:
+            for i in range(r):
+                assert_periodic_with_exclusions(
+                    lambda a: floor_negative_multiple_check(d, a, i, p, q), q - 1, {0})
+
+
+@pytest.mark.parametrize("i", [-1, -2])
+@pytest.mark.parametrize("check", [
+    lambda i: floor_negative_multiple_check(2, 3, i, 5, 25),
+    lambda i: floor_positive_multiple_check(2, 3, i, 5, 25),
+    lambda i: floor_halving_check(Fraction(1, 3), 1, i, 5, 25),
+], ids=["negative-multiple", "positive-multiple", "halving"])
+def test_floor_checkers_reject_a_negative_frobenius_index(check, i, monkeypatch):
+    # p^i at i < 0 is a float, whose floors once gave True
+    monkeypatch.setattr(padic, "_floor_nd", lambda *args: pytest.fail(f"floors of {args}"))
+    with pytest.raises(HypothesisViolation, match="Frobenius index"):
+        check(i)
 
 
 @pytest.mark.parametrize("p,r", [(5, 2), (3, 3), (11, 2)])
