@@ -21,6 +21,11 @@ class PrecisionTooLarge(PadicHGError):
     """Requested p-adic precision needs gamma tables beyond the table cap."""
 
 
+class DenominatorsTooLarge(PadicHGError):
+    """Parameter denominators whose lcm overflows a G-kernel's packed digit
+    sums."""
+
+
 class SingularCurve(PadicHGError):
     """Weierstrass discriminant vanishes over the field."""
 

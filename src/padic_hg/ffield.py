@@ -512,18 +512,32 @@ def _correlate(h, f, p, r):
         slots = [0] * size
         for v, k in zip(values, pos):
             slots[k] = v
-        packed = array(code, slots)
-        if sys.byteorder == "big":
-            packed.byteswap()
-        return int.from_bytes(packed.tobytes(), "little")
+        return _pack(slots, code)
 
     product = pack(h_off, _digit_map(p, r, width, -1)) * pack(f_off, _digit_map(p, r, width))
+    shift = lo_f * sum(h) + lo_h * sum(f) - q * lo_h * lo_f
+    return [c + shift for c in _fold(_unpack(product, code, size), p, r)]
+
+
+def _pack(slots, code):
+    """The non-negative ints slots as one integer, slot i in bits [iw,
+    (i+1)w), w the bit size of an item of array typecode code (Kronecker
+    substitution); a slot that does not fit the type raises OverflowError."""
+    packed = array(code, slots)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def _unpack(total, code, size):
+    """The low size slots of the non-negative integer total, as _pack packs
+    them, in a list; the bits above them are dropped."""
     slots = array(code)
-    slots.frombytes(product.to_bytes(size * slots.itemsize, "little"))
+    nbytes = size * slots.itemsize
+    slots.frombytes((total & (1 << 8 * nbytes) - 1).to_bytes(nbytes, "little"))
     if sys.byteorder == "big":
         slots.byteswap()
-    shift = lo_f * sum(h) + lo_h * sum(f) - q * lo_h * lo_f
-    return [c + shift for c in _fold(slots.tolist(), p, r)]
+    return slots.tolist()
 
 
 def _legendre_histogram(field):

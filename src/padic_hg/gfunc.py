@@ -5,9 +5,15 @@ Gauss-sum quotients (Gross-Koblitz), one per parameter, read from two
 Gauss-orbit columns of the padic context shared by (field, N), one pair
 per coset u/d of the grid j/(q-1), rotated to the parameter:
 Stickelberger digit sums, whose differences give the power of -p, and the
-p-adic gamma products of the unit part.  Coefficient tables depend only on
-the parameter lists and the field, so they are cached and reused across
-arguments t.
+p-adic gamma products of the unit part.  The context stores each column
+once, in the form the kernel reads: a digits column packed in 64-bit
+slots, forward and reversed, so pass 1 sums the 2n rotated columns of a
+row as big integers, one shift and one small multiple each, and unpacks
+the sum once (no slot carries below the bound the kernel checks first);
+a units column twice over, so pass 2 gathers each rotated column at the
+surviving summands, one slice and one itemgetter per kernel.
+Coefficient tables depend only on the parameter lists and the field, so
+they are cached and reused across arguments t.
 With t = g^l the character value omega-bar(t)^a is omega(g)^(-al mod q-1),
 one entry of that context's Teichmuller power table.  A kernel keeps one
 list of terms (a, c, column), and its value at t is one big-integer dot
@@ -38,10 +44,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import (
     DenominatorDivisibleByP,
+    DenominatorsTooLarge,
     HypothesisViolation,
     InvariantViolation,
     NoRepresentative,
@@ -51,7 +58,16 @@ from .errors import (
     ZeroArgument,
 )
 from .ffield import FqElem, FqField, prime_factors
-from .padic import PadicCtx, PadicInt, _coset, _precision, _rational, _ring, frobenius_orbits
+from .padic import (
+    DIGIT_BITS,
+    PadicCtx,
+    PadicInt,
+    _coset,
+    _precision,
+    _rational,
+    _ring,
+    frobenius_orbits,
+)
 
 
 @dataclass(frozen=True)
@@ -139,38 +155,42 @@ class _GKernel:
                                for (Y, u, d, s), k in params.items())
         orbits, nfull, reps, pick = (frobenius_orbits(p, m) if closed and r > 1
                                      else ((), m, range(m), None))
-        ring = _ring(field, N)
         lcm = math.lcm(*(d for _, _, d, _ in params))
-        digits = [(_rotated(ring.column("digits", u, d), Y, s), k, lcm // d)
-                  for (Y, u, d, s), k in params.items()]
-        base, M = sum(k * w * c[0] for c, k, w in digits), lcm * m
+        # a digits entry is below r*d*(q-1), so a slot of the sum of 2n
+        # columns, each weighted k*lcm/d, stays below 2n*r*lcm*(q-1)
+        if 2 * n * r * lcm * m >> DIGIT_BITS:
+            raise DenominatorsTooLarge(
+                f"denominators of lcm {lcm} overflow the {DIGIT_BITS}-bit digit sums at q = {m + 1}")
+        ring = _ring(field, N)
         # summand a has floor sum sum_k sigma(y_k) - sigma(x_k) - s_k*a/(p-1), sigma = digit
-        # sum / M; the a/(p-1) cancel, so its (-p)-exponent is (sums[a] - base)/M.  A column
-        # of weight k*lcm/d enters k times when lcm = d, which costs less than a product per entry
-        picked = [(pick(c), k, w) for c, k, w in digits] if pick else digits
-        sums = list(map(sum, zip(*[c for c, k, w in picked if w == 1 for _ in range(k)],
-                                 *[map((k * w).__mul__, c) for c, k, w in picked if w > 1])))
-        self.shift = shift = max(0, (base - min(sums)) // M)
-        keep = list(map((base + N * M).__gt__, sums))  # exponent below N
+        # sum / M; the a/(p-1) cancel, so its (-p)-exponent is (sums[a] - base)/M, base =
+        # sums[0].  Each rotated column is one packed integer, and no slot carries
+        sums = ring.digit_slots(sum([k * (lcm // d) * ring.rotated("digits", u, d, Y, s)
+                                     for (Y, u, d, s), k in params.items()]))
+        picked = pick(sums) if pick else sums
+        base, M = sums[0], lcm * m
+        self.shift = shift = max(0, (base - min(picked)) // M)
+        keep = list(map((base + N * M).__gt__, picked))  # exponent below N
         avals = list(compress(reps, keep))
+        gather = itemgetter(*avals) if len(avals) > 1 else lambda col: (col[avals[0]],)
         work = self.work = _ring(field, N + shift)
         pNw = work.pN
-        units = {}  # the unit columns by multiplicity
+        units = {}  # the rotated unit columns by multiplicity
         for (Y, u, d, s), k in params.items():
-            units.setdefault(k, []).append(_rotated(work.column("units", u, d), Y, s))
+            units.setdefault(k, []).append(work.rotated("units", u, d, Y, s))
         # a summand of exponent e - shift is scaled by (-p)^e / (the a = 0 unit)
         inv0 = work.inv(math.prod(col[0] ** k for k, cols in units.items() for col in cols))
         scale = {base + (e - shift) * M: pow(-p, e, pNw) * inv0 % pNw
                  for e in range(N + shift)}
         factors = []  # each multiplicity's product at the surviving summands, raised to it
         for k, cols in units.items():
-            f = map(math.prod, zip(*(compress(pick(col) if pick else col, keep) for col in cols)))
+            f = map(math.prod, zip(*map(gather, cols)))
             factors.append(f if k == 1 else map(pow, f, repeat(k)))
         if n % 2:
             factors.append([1 - 2 * (a & 1) for a in avals])  # (-1)^(a*n)
         prods = factors[0] if len(factors) == 1 else map(math.prod, zip(*factors))
         cvals = list(map(pNw.__rmod__, map(
-            mul, map(scale.__getitem__, compress(sums, keep)), prods)))
+            mul, map(scale.__getitem__, compress(picked, keep)), prods)))
         self.lead = -work.inv(field.q - 1) % pNw
         self.closed = closed
         if not closed:
@@ -181,9 +201,8 @@ class _GKernel:
         full = len(avals) - sum(keep[nfull:])
         for j in (0, full - 1) if full and r > 1 else ():
             b = avals[j] * p % m
-            e = sum([k * w * col[b] for col, k, w in digits])
             unit = math.prod([col[b] ** k for k, cols in units.items() for col in cols])
-            if scale.get(e, 0) * unit * (-1) ** (b * n) % pNw != cvals[j]:
+            if scale.get(sums[b], 0) * unit * (-1) ** (b * n) % pNw != cvals[j]:
                 raise InvariantViolation(f"c[{b}] differs from its Frobenius orbit's")
         tr, const = work.traces()
         short = zip(compress(orbits[nfull:], keep[nfull:]), cvals[full:])
@@ -234,11 +253,6 @@ class _GKernel:
 
 KERNEL_CACHE_SIZE = 256
 _KERNELS = {}
-
-
-def _rotated(col, Y, s):
-    """col read by summand: entry a is col[(Y - s*a) mod len(col)]."""
-    return col[Y:] + col[:Y] if s < 0 else col[Y::-1] + col[:Y:-1]
 
 
 def _kernel(top, bottom, field, N):

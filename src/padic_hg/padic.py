@@ -6,7 +6,8 @@ identities, stated in integers, and the context _ring(field, N) that every
 G-function kernel and every context of one (field, N) shares: its one,
 packed table of Teichmuller powers, which unpack reads, its trace column,
 and the Gauss-orbit columns, one pair per coset of the grid j/(q-1), each
-built on first use; and the Frobenius orbits a -> p*a of [0, q-1).
+built on first use and stored in the form the kernels read (rotated,
+digit_slots); and the Frobenius orbits a -> p*a of [0, q-1).
 Floating point is forbidden throughout: the floor identities are
 exact-arithmetic-fragile, so every rational argument must be an int or a
 Fraction.
@@ -26,7 +27,11 @@ from .errors import (
     PrecisionTooLarge,
     ZeroInput,
 )
-from .ffield import TABLE_CAP, _poly_mulmod, _poly_powmod, exceeds_cap
+from .ffield import TABLE_CAP, _pack, _poly_mulmod, _poly_powmod, _unpack, exceeds_cap
+
+# the slots of a packed digits column: unsigned 64-bit array items
+_DIGITS = "Q"
+DIGIT_BITS = 8 * array(_DIGITS).itemsize
 
 
 def _precision(N):
@@ -246,18 +251,23 @@ class PadicCtx:
         return self._traces
 
     def column(self, kind, u, d):
-        """The Gauss-orbit column (kind, u, d): ("units", u, d) lists the
-        Gross-Koblitz unit prod_i Gamma_p(<x p^i>) mod p^N and ("digits", u,
-        d) the Stickelberger digit sum M * sum_i <x p^i>, where M = d(q-1), over the
-        coset x = (J + u/d)/(q-1) for J in [0, q-2], as an array('q'), which
-        holds p^N under the table cap.  A digits column reads no gamma table;
-        it does not depend on N, yet each context builds and keeps its own,
-        so every context a kernel reads is at one of its precisions.  Its
-        first and last entries are rechecked before it is kept."""
+        """The Gauss-orbit column (kind, u, d), stored once in the form the
+        kernels read (rotated reads it).  Over the coset x = (J + u/d)/(q-1),
+        J in [0, q-2], ("units", u, d) lists the Gross-Koblitz unit
+        prod_i Gamma_p(<x p^i>) mod p^N, as an array('q') of the column
+        twice over, which holds p^N under the table cap; ("digits", u, d)
+        lists the Stickelberger digit sum M * sum_i <x p^i>, M = d(q-1), as
+        (forward, reversed): the column and its reverse, each twice over,
+        packed in DIGIT_BITS-bit slots (ffield._pack).  A digits column reads
+        no gamma table; it does not depend on N, yet each context builds
+        and keeps its own, so every context a kernel reads is at one of its
+        precisions.  Its first and last entries are rechecked in every copy
+        before it is kept."""
         key = kind, u, d
         if key in self._columns:
             return self._columns[key]
-        p, q, pN, M, ends = self.p, self.q, self.pN, d * (self.q - 1), (0, self.q - 2)
+        p, q, pN, M, m = self.p, self.q, self.pN, d * (self.q - 1), self.q - 1
+        ends = 0, m - 1
         # <x p^i> = ((dJ + u) p^i mod M)/M
         rows = [list(map(M.__rmod__, range(u * p**i, (M + u) * p**i, d * p**i)))
                 for i in range(self.r)]
@@ -266,6 +276,9 @@ class PadicCtx:
             # M<x p^i> = (dJ + u) p^i - M floor(x p^i), x = u/M + J/(q-1), u p^i < M
             check = [(d * J + u) * (q - 1) // (p - 1) - M * sum(
                 _floor_nd(u, M, J, p**i, q - 1) for i in range(self.r)) for J in ends]
+            col = _pack(entries * 2, _DIGITS), _pack(entries[::-1] * 2, _DIGITS)
+            fwd, rev = (_unpack(x, _DIGITS, 2 * m) for x in col)
+            copies = fwd[:m], fwd[m:], rev[m - 1::-1], rev[:m - 1:-1]
         else:
             gam, inv_M = self.gamma_at_residue, self.inv(M)
             rows = [list(map(gam, (v * inv_M % pN for v in row))) for row in rows]
@@ -274,11 +287,30 @@ class PadicCtx:
             # the gamma memo pays only inside one build, where rows i >= 1
             # repeat row 0's residues; the column holds the products
             self._gamma_memo.clear()
-        col = array("q", entries)
-        if [col[J] for J in ends] != check:
+            col = array("q", entries * 2)
+            copies = col[:m], col[m:]
+        if any([copy[J] for J in ends] != check for copy in copies):
             raise InvariantViolation(f"Gauss-orbit column {key} fails its recheck")
         self._columns[key] = col
         return col
+
+    def rotated(self, kind, u, d, Y, s):
+        """Column (kind, u, d) as the parameter at index Y of its coset, with
+        side s = +-1, reads it: entry a is the column's entry (Y - s*a) mod
+        (q-1), for 0 <= Y < q-1.  Units are one slice, an array of q-1
+        entries; digits are one shift, an integer whose low q-1 slots hold
+        the entries (digit_slots reads them) and whose higher bits hold
+        the rest of the stored column."""
+        col, m = self.column(kind, u, d), self.q - 1
+        if kind == "units":
+            return col[Y:Y + m] if s < 0 else col[Y + m:Y:-1]
+        return col[0] >> DIGIT_BITS * Y if s < 0 else col[1] >> DIGIT_BITS * (m - 1 - Y)
+
+    def digit_slots(self, total):
+        """The low q-1 slots of a sum of small multiples of rotated digits
+        columns, in a list: slot a of the sum when no slot reaches
+        2^DIGIT_BITS, so that none carries into the next."""
+        return _unpack(total, _DIGITS, self.q - 1)
 
     def __repr__(self):
         return f"PadicCtx(p={self.p}, r={self.r}, N={self.N})"
@@ -383,6 +415,7 @@ def _floor_nd(n: int, d: int, e: int, pi: int, m: int) -> int:
     return (n * pi % d * m + e * pi * d) // (d * m)
 
 
+@lru_cache(maxsize=4096)
 def _coset(n: int, e: int, m: int):
     """(Y mod m, u, d), u < d coprime, with n/e at index Y of the coset (j + u/d)/m."""
     g = math.gcd(e, m)
@@ -486,9 +519,12 @@ def _frobenius_power(p: int, i: int) -> int:
 
 def floor_negative_multiple_check(d: int, a: int, i: int, p: int, q: int) -> bool:
     """floor(a p^i/(q-1)) + floor(-d a p^i/(q-1)) matches the h/d shift sum
-    off a = 0 mod q-1, where a p^i/(q-1) is an integer and it fails."""
+    off a = 0 mod q-1, where a p^i/(q-1) is an integer and it fails, for d
+    prime to p: the sum reads <h p^i/d>, which permute the h/d only then."""
     if d < 1:
         raise HypothesisViolation("d must be positive")
+    if d % p == 0:
+        raise HypothesisViolation(f"p = {p} divides d = {d}")
     pi, m = _frobenius_power(p, i), q - 1
     if a % m == 0:
         raise HypothesisViolation("a = 0 mod q-1 is excluded")
@@ -497,9 +533,11 @@ def floor_negative_multiple_check(d: int, a: int, i: int, p: int, q: int) -> boo
 
 
 def floor_positive_multiple_check(l: int, a: int, i: int, p: int, q: int) -> bool:
-    """floor(l a p^i/(q-1)) matches the -h/l shift sum."""
+    """floor(l a p^i/(q-1)) matches the -h/l shift sum, for l prime to p."""
     if l < 1:
         raise HypothesisViolation("l must be positive")
+    if l % p == 0:
+        raise HypothesisViolation(f"p = {p} divides l = {l}")
     pi, m = _frobenius_power(p, i), q - 1
     return _floor_nd(0, 1, l * a, pi, m) == sum(_floor_nd(-h, l, a, pi, m) for h in range(l))
 

@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product, repeat
@@ -7,6 +9,7 @@ import pytest
 
 from padic_hg.errors import (
     DenominatorDivisibleByP,
+    DenominatorsTooLarge,
     HypothesisViolation,
     InvariantViolation,
     NoRepresentative,
@@ -507,19 +510,46 @@ def test_a_corrupted_unit_entry_fails_the_closed_kernel_build():
     # top row 1/5..4/5 is closed under x -> 7x mod 1 and puts each value on
     # a coset u/5 of its own, so the units column of 1/5 is read by that
     # parameter alone.  The kernel rechecks c[p*a] = c[a] at its first
-    # full orbit a, reading that column at Y - p*a; that entry off by one
-    # changes c[p*a] and not c[a], and fails the build
+    # full orbit a, reading that column, stored twice over, as a top value
+    # (s = 1) at index Y + m - p*a; that entry off by one changes c[p*a]
+    # and not c[a], and fails the build
     field, m = FqField(7, 2), 48
     key = kernel_key([Fraction(i, 5) for i in range(1, 5)], [0] * 4, field, 2)
     kern = gfunc._GKernel(*key)
     a, _, col = kern.terms[0]
     assert col is kern.work.traces()[0]
     Y, u, d = padic._coset(1, 5, m)
-    col, e = kern.work.column("units", u, d), (Y - field.p * a) % m
+    b = field.p * a % m
+    col, e = kern.work.column("units", u, d), Y + m - b
+    assert kern.work.rotated("units", u, d, Y, 1)[b] == col[e]
     col[e] = (col[e] + 1) % kern.work.pN
-    with pytest.raises(InvariantViolation, match=f"c\\[{field.p * a % m}\\]"):
+    with pytest.raises(InvariantViolation, match=f"c\\[{b}\\]"):
         gfunc._GKernel(*key)
     col[e] = (col[e] - 1) % kern.work.pN
+    assert kernel_coefficients(gfunc._GKernel(*key)) == kernel_coefficients(kern)
+
+
+def test_a_corrupted_digits_slot_fails_the_closed_kernel_build():
+    # the digits twin of the test above: the kernel reads the digits column
+    # of 1/5 as a top value from its reversed copy, at slot m - 1 - Y + b
+    # for summand b.  At b = p*a, a the first full orbit's least member,
+    # that slot enters only the digit sum at b, which only the recheck of
+    # c[p*a] = c[a] reads; one more there moves the exponent off the grid
+    # of exponents, and fails the build
+    field, m = FqField(7, 2), 48
+    key = kernel_key([Fraction(i, 5) for i in range(1, 5)], [0] * 4, field, 2)
+    kern = gfunc._GKernel(*key)
+    a = kern.terms[0][0]
+    Y, u, d = padic._coset(1, 5, m)
+    b, ring = field.p * a % m, padic._ring(field, 2)
+    fwd, rev = ring.column("digits", u, d)
+    slot = m - 1 - Y + b
+    assert ring.digit_slots(ring.rotated("digits", u, d, Y, 1))[b] == ring.digit_slots(
+        rev >> padic.DIGIT_BITS * slot)[0]
+    ring._columns["digits", u, d] = fwd, rev + (1 << padic.DIGIT_BITS * slot)
+    with pytest.raises(InvariantViolation, match=f"c\\[{b}\\]"):
+        gfunc._GKernel(*key)
+    ring._columns["digits", u, d] = fwd, rev
     assert kernel_coefficients(gfunc._GKernel(*key)) == kernel_coefficients(kern)
 
 
@@ -855,11 +885,66 @@ def test_kernel_matches_inline_passes_off_the_grid(p, r):
             assert kernel_coefficients(new_kernel(top, bottom, field, N)) == want, (top, bottom, N)
 
 
+GRID_VALUES = sorted({Fraction(j, d) for d in (1, 2, 3, 4, 6, 8, 12) for j in range(d)})
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (7, 2),
+                                 (11, 2), (13, 2), (5, 3), (7, 3)])
+def test_kernel_matches_inline_passes_over_small_denominators(p, r):
+    # every one-parameter row over the denominators 1..12 and seeded
+    # two-parameter rows with a repeated value, at q <= 7^3 and N = 1, 2:
+    # shift, survivors and coefficients against the inline passes
+    field, rng = build_field(p, r), random.Random(p * 10 + r)
+    rows = [((x,), (y,)) for x in GRID_VALUES for y in GRID_VALUES]
+    for _ in range(12):
+        x, y, z = (rng.choice(GRID_VALUES) for _ in range(3))
+        rows.append(((x, x), (y, z)) if rng.random() < 0.5 else ((y, z), (x, x)))
+    weights = shifts = closed = single = 0
+    for (top, bottom), N in product(rows, (1, 2)):
+        kern = new_kernel(top, bottom, field, N)
+        coeffs = kernel_coefficients(kern)
+        assert coeffs == kernel_by_inline_passes(top, bottom, field, N), (top, bottom, N)
+        lcm = math.lcm(*(x.denominator for x in top + bottom))
+        values = Counter(top) + Counter(-y for y in bottom)
+        weights += any(k * lcm // x.denominator > 1 for x, k in values.items())
+        shifts += kern.shift > 0
+        closed += kern.closed
+        single += len(coeffs[1]) == 1  # one survivor, a = 0
+    # at r = 1 every kernel is closed, above it both paths run
+    assert weights and shifts and single and closed and (closed < 2 * len(rows)) == (r > 1)
+
+
+@pytest.mark.parametrize("p,N", [(5, 2), (7, 1)])
+def test_kernel_rejects_denominators_past_the_digit_slot_bound(p, N):
+    # a slot of the packed digit sums stays below 2n r lcm (q-1); where that
+    # bound reaches 2^64 the kernel raises before it builds any column, and
+    # one below it the kernel builds and matches the inline passes
+    field = FqField(p, 1)
+    limit = -(-(1 << padic.DIGIT_BITS) // (2 * (p - 1)))  # the least lcm at n = r = 1
+    # denominators prime to p(q-1), so that each is its coset's and the lcm
+    big = next(d for d in range(limit, limit + 60) if math.gcd(d, p * (p - 1)) == 1)
+    padic._ring(field, N)._columns.clear()
+    with pytest.raises(DenominatorsTooLarge, match=f"lcm {big}"):
+        new_kernel((Fraction(1, big),), (0,), field, N)
+    assert not padic._ring(field, N)._columns
+    small = next(d for d in range(limit - 1, limit - 60, -1) if math.gcd(d, p * (p - 1)) == 1)
+    top, bottom = (Fraction(1, small),), (Fraction(0),)
+    assert kernel_coefficients(new_kernel(top, bottom, field, N)) == kernel_by_inline_passes(
+        top, bottom, field, N)
+
+
 def test_rotated_reads_entry_y_minus_s_a():
-    col = list(range(100, 107))
-    for Y in range(7):
-        for s in (1, -1):
-            assert gfunc._rotated(col, Y, s) == [col[(Y - s * a) % 7] for a in range(7)]
+    # both kinds, every index Y and both sides s: entry a of the rotated
+    # column is the column's entry (Y - s*a) mod (q-1)
+    ring, m = PadicCtx(FqField(7, 1), 2), 6
+    readers = {"digits": ring.digit_slots, "units": list}
+    for kind, read in readers.items():
+        entries = read(ring.rotated(kind, 1, 5, 0, -1))
+        assert len(set(entries)) == m
+        for Y in range(m):
+            for s in (1, -1):
+                assert read(ring.rotated(kind, 1, 5, Y, s)) == [
+                    entries[(Y - s * a) % m] for a in range(m)], (kind, Y, s)
 
 
 def test_splitting_identity_hypotheses():

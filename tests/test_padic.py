@@ -465,22 +465,25 @@ def test_gauss_coset_columns_match_the_fraction_route_at_every_entry(p, r):
         Y, u, d = padic._coset(y.numerator, y.denominator, q - 1)
         assert (Y, u, d) == coset_by_fractions(y, q), y
         cosets.add((u, d))
-        M, digits, units = d * (q - 1), ring.column("digits", u, d), ring.column("units", u, d)
+        M = d * (q - 1)
         for s in (1, -1):
+            digits = ring.digit_slots(ring.rotated("digits", u, d, Y, s))
+            units = ring.rotated("units", u, d, Y, s)
             for a in range(q - 1):
-                J = (Y - s * a) % (q - 1)
                 floors = sum(floor_orbit_by_fractions(y, -s * a, i, p, q) for i in range(r))
-                assert floors == Fraction(digits[Y] - digits[J], M) - Fraction(s * a, p - 1)
+                assert floors == Fraction(digits[0] - digits[a], M) - Fraction(s * a, p - 1)
                 x = y - s * Fraction(a, q - 1)
-                assert units[J] == gamma_orbit_by_fractions(ctx, x), (y, s, a)
+                assert units[a] == gamma_orbit_by_fractions(ctx, x), (y, s, a)
     assert any(d > 1 for _, d in cosets)
     for u, d in cosets:
-        M = d * (q - 1)
+        M, m = d * (q - 1), q - 1
         xs = [Fraction(d * J + u, M) for J in range(q - 1)]
-        assert list(ring.column("digits", u, d)) == [
-            M * sum(frac(x * p**i) for i in range(r)) for x in xs], (u, d)
-        assert list(ring.column("units", u, d)) == [
-            gamma_orbit_by_fractions(ctx, x) for x in xs], (u, d)
+        digits = [M * sum(frac(x * p**i) for i in range(r)) for x in xs]
+        units = [gamma_orbit_by_fractions(ctx, x) for x in xs]
+        # the stored forms: digits forward and reversed, units, each twice over
+        fwd, rev = (ffield._unpack(x, padic._DIGITS, 2 * m) for x in ring.column("digits", u, d))
+        assert fwd == digits * 2 and rev == digits[::-1] * 2, (u, d)
+        assert list(ring.column("units", u, d)) == units * 2, (u, d)
     assert set(ring._columns) == {(kind, u, d) for kind in ("digits", "units") for u, d in cosets}
 
 
@@ -488,14 +491,24 @@ def test_gauss_coset_columns_match_the_fraction_route_at_every_entry(p, r):
 @pytest.mark.parametrize("index", [0, -1])
 @pytest.mark.parametrize("coset", [(0, 1), (3, 5)], ids=["d1", "d5"])
 def test_gauss_coset_column_recheck_catches_a_corrupted_entry(monkeypatch, kind, index, coset):
-    # one wrong entry at either end of a column fails its build, and the
-    # column is not kept
+    # one wrong entry at either end of a stored column fails its build, and
+    # the column is not kept: a units column is one array('q'), a digits
+    # column two packed integers
     def corrupted(typecode, entries):
         col = array(typecode, entries)
         col[index] += 1
         return col
 
-    monkeypatch.setattr(padic, "array", corrupted)
+    def corrupted_pack(slots, code):
+        slots = list(slots)
+        slots[index] += 1
+        return pack(slots, code)
+
+    pack = padic._pack
+    if kind == "units":
+        monkeypatch.setattr(padic, "array", corrupted)
+    else:
+        monkeypatch.setattr(padic, "_pack", corrupted_pack)
     field = FqField(7, 2)
     ring = PadicCtx(field, 2)
     with pytest.raises(InvariantViolation, match="Gauss-orbit column"):
@@ -938,6 +951,19 @@ def test_floor_positive_multiple_rejects_l_below_one(l):
     # l = 0 once gave True over an empty shift sum
     with pytest.raises(HypothesisViolation, match="l must be positive"):
         floor_positive_multiple_check(l, 1, 0, 5, 25)
+
+
+@pytest.mark.parametrize("p,r,d", [(5, 2, 5), (3, 3, 3), (7, 2, 7), (5, 2, 10), (3, 3, 6)])
+def test_floor_multiple_checks_reject_d_divisible_by_p(p, r, d):
+    # the shift sums read <h p^i/d>, which permute the h/d only for p prime
+    # to d: at q = 25, d = 5 both checks once gave False at 19 of the a
+    q = p**r
+    for i in range(r):
+        for a in range(1, q - 1):
+            with pytest.raises(HypothesisViolation, match=f"p = {p} divides d = {d}"):
+                floor_negative_multiple_check(d, a, i, p, q)
+            with pytest.raises(HypothesisViolation, match=f"p = {p} divides l = {d}"):
+                floor_positive_multiple_check(d, a, i, p, q)
 
 
 # the fields q = 5, 7, 13, 25, 27, on which some excluded point shifted by
